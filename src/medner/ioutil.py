@@ -5,22 +5,15 @@ from __future__ import annotations
 import os
 
 
-def _prepare(path) -> str:
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return f"{path}.tmp.{os.getpid()}"
-
-
 def atomic_write_text(path, text: str) -> None:
-    tmp = _prepare(path)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    tmp = _prepare(path)
+    parent = os.path.dirname(str(path))
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)

@@ -1,22 +1,27 @@
 """From-scratch transformer encoder for per-token classification.
 
-Parameters live in a flat name -> ndarray map (names below mirror the
-checkpoint manifest). The forward pass records every intermediate needed
-for exact backpropagation in a ForwardTrace; training.backward consumes
-it. Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
+Parameters are name -> ndarray views into one flat vector whose layout
+(names, shapes, order, offsets) only ParamLayout knows; the checkpoint
+payload is that vector. The forward pass records every intermediate needed
+for exact backpropagation in a ForwardTrace; training.backward consumes it.
+Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import CheckpointError
+from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = "MEDNER-CKPT"
@@ -41,8 +46,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "n_labels", "d_model", "n_heads", "n_layers", "d_ff", "max_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
@@ -55,16 +60,7 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "n_labels": self.n_labels,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_rate": self.dropout_rate,
-        }
+        return asdict(self)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -95,6 +91,45 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["head.w"] = (d, config.n_labels)
     shapes["head.b"] = (config.n_labels,)
     return shapes
+
+
+class ParamLayout:
+    """The flat parameter vector: tensors back to back in param_shapes
+    order, each row-major."""
+
+    def __init__(self, config: ModelConfig):
+        self.shapes = param_shapes(config)
+        self.starts = list(itertools.accumulate(map(math.prod, self.shapes.values()), initial=0))
+        self.size = self.starts[-1]
+
+    def _spans(self):
+        return zip(self.shapes.items(), self.starts, self.starts[1:])
+
+    def flatten(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """Copy a name -> array map into a new vector of the arrays' dtype."""
+        wrong = sorted(set(arrays) ^ set(self.shapes)) or [
+            name for name, shape in self.shapes.items() if arrays[name].shape != shape]
+        if wrong:
+            raise ValueError(f"parameters do not match the model config: {wrong}")
+        return np.concatenate([arrays[name].ravel() for name in self.shapes])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> array views into `flat`; writing a view writes the vector."""
+        if flat.shape != (self.size,):
+            raise ValueError(f"flat vector shape {flat.shape} != ({self.size},)")
+        return {name: flat[a:b].reshape(shape) for (name, shape), a, b in self._spans()}
+
+    def first_nonfinite(self, flat: np.ndarray) -> Optional[str]:
+        """Name of the tensor holding the first NaN/inf in `flat`, or None."""
+        finite = np.isfinite(flat)
+        if finite.all():
+            return None
+        return list(self.shapes)[bisect.bisect_right(self.starts, int(np.argmin(finite))) - 1]
+
+    def manifest(self, itemsize: int) -> list[dict]:
+        """Checkpoint manifest entries: name, shape, byte offset and length."""
+        return [{"name": name, "shape": list(shape), "offset": a * itemsize,
+                 "length": (b - a) * itemsize} for (name, shape), a, b in self._spans()]
 
 
 def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
@@ -296,12 +331,8 @@ def forward(
     trace = ForwardTrace(token_ids=ids, mask=mask, x0=x) if need_trace else None
 
     for layer in range(config.n_layers):
-        p = {k_: params[f"enc.{layer}.{k_}"] for k_ in (
-            "attn.wq", "attn.wk", "attn.wv", "attn.wo",
-            "attn.bq", "attn.bk", "attn.bv", "attn.bo",
-            "ln1.g", "ln1.b", "ln2.g", "ln2.b",
-            "ff.w1", "ff.b1", "ff.w2", "ff.b2",
-        )}
+        pfx = f"enc.{layer}."
+        p = {name[len(pfx):]: arr for name, arr in params.items() if name.startswith(pfx)}
         h, hat1, inv1 = layer_norm(x, p["ln1.g"], p["ln1.b"])
         q = _split_heads(h @ p["attn.wq"] + p["attn.bq"], config.n_heads)
         k = _split_heads(h @ p["attn.wk"] + p["attn.bk"], config.n_heads)
@@ -353,13 +384,13 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
 # Layout:  line 1  "MEDNER-CKPT <version>"
 #          line 2  decimal byte length of the JSON manifest
 #          manifest (UTF-8 JSON), one trailing newline
-#          raw payload: row-major little-endian IEEE-754 tensors
-#                       concatenated in manifest order
+#          raw payload: the flat parameter vector, little-endian IEEE-754
 #
 # The manifest carries the model config, the init seed, the precision tag
 # (32 or 64), per-tensor {name, shape, offset, length}, and optionally the
 # vocabulary token list and entity-type inventory so a checkpoint is
-# self-contained for evaluation and prediction.
+# self-contained for evaluation and prediction. The loader accepts only the
+# canonical manifest (ParamLayout order), an exact-size, finite payload.
 
 
 @dataclass
@@ -380,51 +411,43 @@ def save_checkpoint(
     vocab: Optional[list[str]] = None,
     labels: Optional[list[str]] = None,
 ) -> None:
-    shapes = param_shapes(config)
-    if set(params) != set(shapes):
-        missing = sorted(set(shapes) - set(params))
-        extra = sorted(set(params) - set(shapes))
-        raise ValueError(f"parameter names do not match config: missing={missing} extra={extra}")
-    itemsize = params["emb.tok"].dtype.itemsize
-    precision = itemsize * 8
+    layout = ParamLayout(config)
+    flat = layout.flatten(params)
+    precision = flat.dtype.itemsize * 8
     if precision not in (32, 64):
-        raise ValueError(f"unsupported parameter dtype {params['emb.tok'].dtype}")
-    wire_dtype = "<f4" if precision == 32 else "<f8"
-
-    manifest_tensors = []
-    chunks = []
-    offset = 0
-    for name, shape in shapes.items():
-        arr = params[name]
-        if arr.shape != shape:
-            raise ValueError(f"tensor '{name}': shape {arr.shape} != expected {shape}")
-        raw = np.ascontiguousarray(arr, dtype=wire_dtype).tobytes()
-        manifest_tensors.append(
-            {"name": name, "shape": list(shape), "offset": offset, "length": len(raw)}
-        )
-        chunks.append(raw)
-        offset += len(raw)
+        raise ValueError(f"unsupported parameter dtype {flat.dtype}")
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "seed": seed,
         "precision": precision,
-        "tensors": manifest_tensors,
+        "tensors": layout.manifest(flat.dtype.itemsize),
         "vocab": vocab,
         "labels": labels,
     }
     header = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n".encode("ascii"))
-        fh.write(f"{len(header)}\n".encode("ascii"))
-        fh.write(header)
-        fh.write(b"\n")
-        fh.write(b"".join(chunks))
+    payload = flat.astype("<f4" if precision == 32 else "<f8", copy=False).tobytes()
+    atomic_write_bytes(path, b"".join((
+        f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n{len(header)}\n".encode("ascii"),
+        header, b"\n", payload)))
 
 
 def load_checkpoint_full(path) -> CheckpointData:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read and validate a checkpoint; rejections are CheckpointErrors
+    whose message starts with the path."""
+    try:
+        if not os.path.isfile(path):
+            raise CheckpointError("not a regular file")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return _decode_checkpoint(blob)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _decode_checkpoint(blob: bytes) -> CheckpointData:
     nl1 = blob.find(b"\n")
     if nl1 < 0:
         raise CheckpointError("not a checkpoint file: missing header")
@@ -442,12 +465,14 @@ def load_checkpoint_full(path) -> CheckpointData:
         raise CheckpointError("not a checkpoint file: bad manifest length") from None
     header_start = nl2 + 1
     header_end = header_start + header_len
-    if len(blob) < header_end + 1:
+    if header_len < 0 or len(blob) < header_end + 1:
         raise CheckpointError("truncated manifest")
     try:
         manifest = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError("unreadable manifest: not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {manifest.get('format_version')!r}"
@@ -460,49 +485,44 @@ def load_checkpoint_full(path) -> CheckpointData:
     if precision not in (32, 64):
         raise CheckpointError(f"unsupported precision tag {precision!r}")
     wire_dtype = np.dtype("<f4" if precision == 32 else "<f8")
-    out_dtype = np.float32 if precision == 32 else np.float64
 
-    expected = param_shapes(config)
-    entries = manifest.get("tensors", [])
-    names = [e["name"] for e in entries]
-    if set(names) != set(expected) or len(names) != len(expected):
-        missing = sorted(set(expected) - set(names))
-        extra = sorted(set(names) - set(expected))
-        raise CheckpointError(f"manifest tensors do not match config: missing={missing} extra={extra}")
-
-    payload = blob[header_end + 1 :]
-    running = 0
-    for entry in entries:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"tensor '{name}': manifest shape {list(shape)} != expected {list(expected[name])}"
-            )
-        nbytes = int(np.prod(shape)) * wire_dtype.itemsize
-        if entry["offset"] != running or entry["length"] != nbytes:
-            raise CheckpointError(f"tensor '{name}': inconsistent offset/length in manifest")
-        running += nbytes
-    if len(payload) != running:
-        raise CheckpointError(
-            f"truncated payload: expected {running} bytes, found {len(payload)}"
-        )
-
-    params: dict[str, np.ndarray] = {}
-    for entry in entries:
-        name, shape = entry["name"], tuple(entry["shape"])
-        flat = np.frombuffer(payload, dtype=wire_dtype, count=int(np.prod(shape)),
-                             offset=entry["offset"])
-        params[name] = flat.reshape(shape).astype(out_dtype)
-    return CheckpointData(
-        params=params,
-        config=config,
-        seed=manifest.get("seed", 0),
-        precision=precision,
-        vocab=manifest.get("vocab"),
-        labels=manifest.get("labels"),
-    )
+    layout = ParamLayout(config)
+    problem = _manifest_problem(manifest.get("tensors"), layout.manifest(wire_dtype.itemsize))
+    if problem:
+        raise CheckpointError(problem)
+    expected, found = layout.size * wire_dtype.itemsize, len(blob) - header_end - 1
+    if found != expected:
+        raise CheckpointError(f"truncated payload: expected {expected} bytes, found {found}")
+    flat = np.frombuffer(blob, dtype=wire_dtype, offset=header_end + 1).astype(
+        np.float32 if precision == 32 else np.float64)
+    bad = layout.first_nonfinite(flat)
+    if bad is not None:
+        raise CheckpointError(f"tensor '{bad}': non-finite values in payload")
+    vocab, labels = manifest.get("vocab"), manifest.get("labels")
+    if not all(x is None or isinstance(x, list) and all(isinstance(t, str) for t in x)
+               for x in (vocab, labels)):
+        raise CheckpointError("manifest 'vocab' and 'labels' must be lists of strings")
+    return CheckpointData(params=layout.views(flat), config=config,
+                          seed=manifest.get("seed", 0), precision=precision,
+                          vocab=vocab, labels=labels)
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    data = load_checkpoint_full(path)
-    return data.params, data.config
+def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:
+    """Why a manifest tensor list differs from the canonical one, or None."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        return "manifest 'tensors' is not a list of objects"
+    names = [e.get("name") for e in entries]
+    expected = [c["name"] for c in canonical]
+    if sorted(names, key=repr) != sorted(expected, key=repr):
+        missing = [n for n in expected if n not in names]
+        extra = [n for n in names if n not in expected]
+        return f"manifest tensors do not match config: missing={missing} extra={extra}"
+    for i, (entry, want) in enumerate(zip(entries, canonical)):
+        if entry["name"] != want["name"]:
+            return (f"manifest tensors are not in canonical order: '{entry['name']}' "
+                    f"at position {i} where '{want['name']}' belongs")
+        for key in ("shape", "offset", "length"):
+            if entry.get(key, "<missing>") != want[key]:
+                return (f"tensor '{want['name']}': manifest {key} "
+                        f"{entry.get(key, '<missing>')!r} != expected {want[key]}")
+    return None

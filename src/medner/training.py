@@ -29,6 +29,7 @@ from .ioutil import atomic_write_text
 from .model import (
     ForwardTrace,
     ModelConfig,
+    ParamLayout,
     _merge_heads,
     _split_heads,
     forward,
@@ -269,70 +270,60 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step count."""
+    """Flat first/second moment estimates plus the step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
-def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={name: np.zeros_like(arr) for name, arr in params.items()},
-        v={name: np.zeros_like(arr) for name, arr in params.items()},
-    )
+def init_adam_state(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+def global_grad_norm(grads: np.ndarray) -> float:
+    return math.sqrt(float((grads.astype(np.float64) ** 2).sum()))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     grad_clip_norm: Optional[float] = None,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias correction; returns fresh (params, state).
+) -> None:
+    """One Adam update with bias correction, in place on the flat
+    parameter vector and on the state.
 
-    Raises NumericalError naming the first tensor with a non-finite
-    gradient. With grad_clip_norm set, gradients are globally rescaled to
+    Raises NumericalError, before changing anything, when a gradient is
+    non-finite. With grad_clip_norm set, gradients are globally rescaled to
     that norm first (only when they exceed it).
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    if set(grads) != set(params):
-        raise ValueError("gradient names do not match parameters")
-    for name in params:
-        if grads[name].shape != params[name].shape:
-            raise ValueError(f"tensor '{name}': gradient shape {grads[name].shape} "
-                             f"!= parameter shape {params[name].shape}")
-        if not np.isfinite(grads[name]).all():
-            raise NumericalError(f"non-finite gradient in tensor '{name}'")
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} / moment shape {state.m.shape} "
+                         f"!= parameter shape {params.shape}")
+    if not np.isfinite(grads).all():
+        raise NumericalError("non-finite gradient")
 
     if grad_clip_norm is not None:
         norm = global_grad_norm(grads)
         if norm > grad_clip_norm > 0:
-            rescale = grad_clip_norm / norm
-            grads = {name: g * rescale for name, g in grads.items()}
+            grads = grads * (grad_clip_norm / norm)
 
-    t = state.t + 1
+    state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    new_params, new_m, new_v = {}, {}, {}
-    for name, p in params.items():
-        g = grads[name]
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        new_params[name] = p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t, b1, b2, eps)
+    corr1 = 1.0 - b1**state.t
+    corr2 = 1.0 - b2**state.t
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * (grads * grads)
+    params -= lr * (state.m / corr1) / (np.sqrt(state.v / corr2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +451,6 @@ class TrainResult:
     label_index: dict[str, int]
 
 
-def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in params.items()}
-
-
 def _val_metrics(params, model_config, batches, gold_labels, id_to_tag):
     total_loss, total_n = 0.0, 0
     preds: list[list[TagLabel]] = []
@@ -479,17 +466,6 @@ def _val_metrics(params, model_config, batches, gold_labels, id_to_tag):
             preds.append([TagLabel.from_tag(id_to_tag[j]) for j in pred_ids[i, :n]])
     span = evaluation.span_metrics(preds, gold_labels)
     return total_loss / total_n, span.micro.f1
-
-
-def _save_outputs(out_dir, final_params, best_params, model_config, seed, log,
-                  vocab_tokens, labels):
-    os.makedirs(out_dir, exist_ok=True)
-    for fname, p in (("final.ckpt", final_params), ("best.ckpt", best_params)):
-        path = os.path.join(out_dir, fname)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        save_checkpoint(p, model_config, seed, tmp, vocab=vocab_tokens, labels=labels)
-        os.replace(tmp, path)
-    atomic_write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
 
 
 def train(
@@ -551,8 +527,10 @@ def train(
         val_batches = make_batches(val_enc, train_config.batch_size, shuffle=False)
         val_gold = [list(rec.labels) for rec in val_corpus.records]
 
-    params = init_params(model_config, train_config.seed, dtype)
-    state = init_adam_state(params)
+    layout = ParamLayout(model_config)
+    flat = layout.flatten(init_params(model_config, train_config.seed, dtype))
+    params = layout.views(flat)
+    state = init_adam_state(flat)
     dropout_rng = (
         np.random.default_rng(train_config.seed)
         if model_config.dropout_rate > 0 else None
@@ -563,15 +541,20 @@ def train(
 
     lr = train_config.learning_rate
     log = TrainLog()
-    last_good = _copy_params(params)
-    best_params = _copy_params(params)
+    last_good = flat.copy()
+    best_flat = flat.copy()
     best_epoch = 0
     best_key = -math.inf
 
+    def save_outputs(final: np.ndarray, best: np.ndarray):
+        for fname, vector in (("final.ckpt", final), ("best.ckpt", best)):
+            save_checkpoint(layout.views(vector), model_config, train_config.seed,
+                            os.path.join(out_dir, fname), vocab.id_to_token, inventory)
+        atomic_write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
+
     def abort(epoch: int, reason: str):
         if out_dir is not None:
-            _save_outputs(out_dir, last_good, best_params, model_config,
-                          train_config.seed, log, vocab.id_to_token, inventory)
+            save_outputs(last_good, best_flat)
         raise DivergenceError(
             f"training diverged at epoch {epoch} ({reason}); "
             f"last good checkpoint retained"
@@ -589,11 +572,12 @@ def train(
                 abort(epoch, "non-finite loss")
             grads = backward(params, model_config, trace, dlogits)
             grads["emb.pos"][:] = 0.0  # position table stays sinusoidal
+            grads = layout.flatten(grads)
             try:
-                params, state = adam_step(params, grads, state, lr,
-                                          train_config.grad_clip_norm)
-            except NumericalError as exc:
-                abort(epoch, str(exc))
+                adam_step(flat, grads, state, lr, train_config.grad_clip_norm)
+            except NumericalError:
+                abort(epoch, "non-finite gradient in tensor "
+                             f"'{layout.first_nonfinite(grads)}'")
             loss_sum += loss * batch.active_count
             loss_n += batch.active_count
         train_loss = loss_sum / loss_n
@@ -616,8 +600,8 @@ def train(
         if key > best_key:
             best_key = key
             best_epoch = epoch
-            best_params = _copy_params(params)
-        last_good = _copy_params(params)
+            best_flat = flat.copy()
+        last_good = flat.copy()
 
         lr = lr_schedule(log.rows, lr, decay)
         if train_config.early_stop_patience is not None:
@@ -628,11 +612,10 @@ def train(
                 break
 
     if best_epoch == 0:  # no epoch improved on -inf: cannot happen, guard anyway
-        best_params = _copy_params(params)
+        best_flat = flat.copy()
         best_epoch = len(log.rows)
 
     if out_dir is not None:
-        _save_outputs(out_dir, params, best_params, model_config,
-                      train_config.seed, log, vocab.id_to_token, inventory)
-    return TrainResult(params=params, best_params=best_params,
+        save_outputs(flat, best_flat)
+    return TrainResult(params=params, best_params=layout.views(best_flat),
                        best_epoch=best_epoch, log=log, label_index=label_index)

@@ -6,6 +6,9 @@ import pytest
 
 from medner.cli import main
 from medner.corpus import load_corpus, parse_conll, validate_bio
+from medner.model import ModelConfig, init_params, save_checkpoint
+
+from test_model import rewrite_manifest
 
 QUICK_CONFIG = """\
 [data]
@@ -270,6 +273,39 @@ def test_eval_corrupt_checkpoint(pipeline, tmp_path, capsys):
     bad.write_bytes((out_dir / "best.ckpt").read_bytes()[:50])
     rc = main(["eval", str(bad), str(data_dir / "test.conll")])
     assert rc == 3
+
+
+def _bad_checkpoint(tmp_path, kind):
+    path = tmp_path / "bad.ckpt"
+    if kind == "directory":
+        path.mkdir()
+        return path
+    cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=8, max_len=8, dropout_rate=0.0)
+    save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
+                    vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
+    if kind == "missing_offset":
+        rewrite_manifest(path, lambda m: m["tensors"][0].pop("offset"))
+    elif kind == "permuted":
+        rewrite_manifest(path, lambda m: m["tensors"].reverse())
+    else:
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = b"\x00\x00\xc0\x7f"  # float32 NaN
+        path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory"])
+def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
+    ckpt = _bad_checkpoint(tmp_path, kind)
+    gold = tmp_path / "gold.conll"
+    gold.write_text("aspirin\tB-Drug\n")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n")
+    for argv in (["eval", str(ckpt), str(gold)], ["predict", str(ckpt), str(tokens)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: "), err
 
 
 def test_predict_roundtrip(pipeline, tmp_path, capsys):

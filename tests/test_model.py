@@ -5,8 +5,10 @@ Numerical reference values were computed with an independent
 high-precision (mpmath) script and frozen here.
 """
 
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ import pytest
 from medner.errors import CheckpointError
 from medner.model import (
     ModelConfig,
+    ParamLayout,
     attention,
     forward,
     init_params,
-    load_checkpoint,
     load_checkpoint_full,
     param_shapes,
     predict_labels,
@@ -306,12 +308,11 @@ def test_checkpoint_roundtrip_bits(tmp_path):
         path = tmp_path / f"model{dtype().itemsize}.ckpt"
         save_checkpoint(params, cfg, seed=11, path=path,
                         vocab=["<PAD>", "<UNK>", "a"], labels=["Drug"])
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg == cfg
-        for name in params:
-            assert loaded[name].dtype == params[name].dtype
-            assert loaded[name].tobytes() == params[name].tobytes(), name
         full = load_checkpoint_full(path)
+        assert full.config == cfg
+        for name in params:
+            assert full.params[name].dtype == params[name].dtype
+            assert full.params[name].tobytes() == params[name].tobytes(), name
         assert full.seed == 11
         assert full.vocab == ["<PAD>", "<UNK>", "a"]
         assert full.labels == ["Drug"]
@@ -325,7 +326,7 @@ def test_checkpoint_truncated_payload(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-17])
     with pytest.raises(CheckpointError, match="truncated payload"):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
 
 
 def test_checkpoint_unknown_version(tmp_path):
@@ -336,36 +337,132 @@ def test_checkpoint_unknown_version(tmp_path):
     blob = path.read_bytes().replace(b"MEDNER-CKPT 1\n", b"MEDNER-CKPT 9\n", 1)
     path.write_bytes(blob)
     with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
 
 
-def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
-    cfg = tiny_config()
-    params = init_params(cfg, seed=0)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, cfg, seed=0, path=path)
+def rewrite_manifest(path, edit):
+    """Apply `edit` to the JSON manifest of the checkpoint at `path`."""
     blob = path.read_bytes()
     nl1 = blob.index(b"\n")
     nl2 = blob.index(b"\n", nl1 + 1)
     header_len = int(blob[nl1 + 1:nl2])
     manifest = json.loads(blob[nl2 + 1: nl2 + 1 + header_len])
-    for entry in manifest["tensors"]:
-        if entry["name"] == "head.b":
-            entry["shape"] = [entry["shape"][0] + 1]
+    edit(manifest)
     header = json.dumps(manifest).encode()
     path.write_bytes(
         blob[:nl1 + 1] + f"{len(header)}\n".encode() + header
         + blob[nl2 + 1 + header_len:]
     )
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(cfg, seed=0), cfg, seed=0, path=path)
+    return path
+
+
+def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def widen_head_bias(manifest):
+        for entry in manifest["tensors"]:
+            if entry["name"] == "head.b":
+                entry["shape"] = [entry["shape"][0] + 1]
+
+    rewrite_manifest(path, widen_head_bias)
     with pytest.raises(CheckpointError, match="head.b"):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
+
+
+def test_checkpoint_missing_offset_names_tensor(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    rewrite_manifest(path, lambda m: m["tensors"][3].pop("offset"))
+    name = list(param_shapes(tiny_config()))[3]
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: tensor '{name}': manifest offset")):
+        load_checkpoint_full(path)
+
+
+def test_checkpoint_permuted_manifest_rejected(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+
+    def swap_first_two(manifest):
+        tensors = manifest["tensors"]
+        tensors[0], tensors[1] = tensors[1], tensors[0]
+
+    rewrite_manifest(path, swap_first_two)
+    with pytest.raises(CheckpointError, match="not in canonical order: 'emb.pos'"):
+        load_checkpoint_full(path)
+
+
+def test_checkpoint_nan_payload_names_tensor(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last element of head.b
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="tensor 'head.b': non-finite"):
+        load_checkpoint_full(path)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: m["config"].update(vocab_size=13.0), "vocab_size must be an integer"),
+    (lambda m: m.update(vocab=5), "'vocab' and 'labels'"),
+    (lambda m: m.update(labels="Drug"), "'vocab' and 'labels'"),
+])
+def test_checkpoint_mistyped_config_or_inventory(tmp_path, edit, needle):
+    path = _saved_checkpoint(tmp_path)
+    rewrite_manifest(path, edit)
+    with pytest.raises(CheckpointError, match=needle):
+        load_checkpoint_full(path)
+
+
+def test_checkpoint_directory_path(tmp_path):
+    with pytest.raises(CheckpointError, match="not a regular file"):
+        load_checkpoint_full(tmp_path)
+
+
+# sha256 of the tiny_config() checkpoint from init_params(seed=11): the
+# on-disk format, manifest bytes included, must not change
+CHECKPOINT_SHA256 = {
+    np.float32: "5df8e2b0e0cb87a76a3fd9b0e7c0f531d0d83237f82e759118e0a56e84e9a034",
+    np.float64: "bbfaaa5cb99e5d10d389d71245187055cb84c5cfbb6734f66e6ae4d25fa582de",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_bytes_pinned(tmp_path, dtype):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(cfg, seed=11, dtype=dtype), cfg, seed=11, path=path,
+                    vocab=["<PAD>", "<UNK>", "a"], labels=["Drug"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[dtype]
+
+
+def test_param_layout_views_share_one_vector():
+    cfg = tiny_config(n_layers=2)
+    layout = ParamLayout(cfg)
+    params = init_params(cfg, seed=2)
+    flat = layout.flatten(params)
+    assert flat.shape == (layout.size,) and flat.dtype == np.float32
+    views = layout.views(flat)
+    assert list(views) == list(param_shapes(cfg))
+    for name in params:
+        np.testing.assert_array_equal(views[name], params[name])
+    views["head.b"][0] = 5.0
+    assert flat[layout.size - cfg.n_labels] == 5.0
+    assert layout.first_nonfinite(flat) is None
+    views["enc.1.ff.w1"][2, 3] = np.inf
+    assert layout.first_nonfinite(flat) == "enc.1.ff.w1"
+    with pytest.raises(ValueError, match="head.w"):
+        layout.flatten({k: v for k, v in params.items() if k != "head.w"})
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\nnot a checkpoint")
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint_full(path)
 
 
 def test_config_validation():

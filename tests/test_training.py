@@ -18,14 +18,17 @@ from medner.errors import DivergenceError, NumericalError
 from medner.model import (
     ForwardTrace,
     ModelConfig,
+    ParamLayout,
     _merge_heads,
     _split_heads,
     forward,
     gelu,
     init_params,
     layer_norm,
+    load_checkpoint_full,
     softmax,
 )
+from medner import training
 from medner.training import (
     DecayConfig,
     TrainConfig,
@@ -233,81 +236,110 @@ def test_backward_trace_mismatch():
 
 
 def _scalar_params(value):
-    return {"p": np.array([value], dtype=np.float64)}
+    return np.array([value], dtype=np.float64)
 
 
 def test_adam_zero_gradient_fixed_point():
     params = _scalar_params(0.7)
     state = init_adam_state(params)
-    new_params, new_state = adam_step(params, {"p": np.zeros(1)}, state, lr=0.1)
-    assert new_params["p"][0] == params["p"][0]
-    assert new_state.t == 1
+    adam_step(params, np.zeros(1), state, lr=0.1)
+    assert params[0] == 0.7
+    assert state.t == 1
 
 
 def test_adam_first_step_value():
     """t=1 with g=1: m_hat = 1, v_hat = 1, so p' = -lr / (1 + eps)."""
     lr = 1e-3
     params = _scalar_params(0.0)
-    new_params, _ = adam_step(params, {"p": np.ones(1)}, init_adam_state(params), lr=lr)
-    assert new_params["p"][0] == pytest.approx(-lr / (1.0 + 1e-8), abs=1e-15)
-    assert new_params["p"][0] == pytest.approx(-lr, rel=1e-6)
+    adam_step(params, np.ones(1), init_adam_state(params), lr=lr)
+    assert params[0] == pytest.approx(-lr / (1.0 + 1e-8), abs=1e-15)
+    assert params[0] == pytest.approx(-lr, rel=1e-6)
 
 
 def test_adam_deterministic_runs():
     cfg = tiny_config()
-    rng = np.random.default_rng(5)
+    size = ParamLayout(cfg).size
 
     def run():
-        params = init_params(cfg, seed=6, dtype=np.float64)
+        params = ParamLayout(cfg).flatten(init_params(cfg, seed=6, dtype=np.float64))
         state = init_adam_state(params)
         grad_rng = np.random.default_rng(7)
         for _ in range(10):
-            grads = {n: grad_rng.normal(size=a.shape) for n, a in params.items()}
-            params, state = adam_step(params, grads, state, lr=1e-3)
+            adam_step(params, grad_rng.normal(size=size), state, lr=1e-3)
         return params
 
-    a, b = run(), run()
-    for name in a:
-        assert a[name].tobytes() == b[name].tobytes()
+    assert run().tobytes() == run().tobytes()
 
 
-def test_adam_nonfinite_gradient_names_tensor():
-    params = {"good": np.zeros(2), "bad.w": np.zeros(2)}
-    grads = {"good": np.zeros(2), "bad.w": np.array([1.0, np.nan])}
-    with pytest.raises(NumericalError, match="bad.w"):
-        adam_step(params, grads, init_adam_state(params), lr=0.1)
+def test_adam_matches_per_tensor_reference():
+    """The flat in-place update is bit-identical to Adam applied tensor by
+    tensor with the same elementwise operation order."""
+    cfg = tiny_config()
+    layout = ParamLayout(cfg)
+    ref = init_params(cfg, seed=3)
+    m = {n: np.zeros_like(a) for n, a in ref.items()}
+    v = {n: np.zeros_like(a) for n, a in ref.items()}
+    flat = layout.flatten(ref)
+    state = init_adam_state(flat)
+    grad_rng = np.random.default_rng(4)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+    for t in range(1, 6):
+        grads = {n: grad_rng.normal(size=a.shape).astype(np.float32) for n, a in ref.items()}
+        adam_step(flat, layout.flatten(grads), state, lr)
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * (g * g)
+            ref[n] = ref[n] - lr * (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + eps)
+    assert flat.tobytes() == layout.flatten(ref).tobytes()
+    assert state.m.tobytes() == layout.flatten(m).tobytes()
+
+
+def test_adam_nonfinite_gradient_changes_nothing():
+    params = np.array([0.5, -0.5, 1.0])
+    state = init_adam_state(params)
+    adam_step(params, np.array([1.0, 2.0, 3.0]), state, lr=0.1)
+    before = (params.copy(), state.m.copy(), state.v.copy(), state.t)
+    with pytest.raises(NumericalError, match="non-finite"):
+        adam_step(params, np.array([1.0, np.nan, 3.0]), state, lr=0.1)
+    after = (params, state.m, state.v, state.t)
+    for old, new in zip(before[:3], after[:3]):
+        np.testing.assert_array_equal(old, new)
+    assert after[3] == before[3] == 1
 
 
 def test_adam_global_clip():
-    params = {"a": np.zeros(3), "b": np.zeros(4)}
-    grads = {"a": np.full(3, 2.0), "b": np.full(4, -2.0)}
-    norm = math.sqrt(sum((g**2).sum() for g in grads.values()))
-    state = init_adam_state(params)
+    grads = np.array([2.0] * 3 + [-2.0] * 4)
+    norm = math.sqrt((grads**2).sum())
+
+    def first_step(**clip):
+        params = np.zeros(7)
+        state = init_adam_state(params)
+        adam_step(params, grads, state, lr=1.0, **clip)
+        return state
+
     # a first Adam step moves by ~lr regardless of gradient scale, so the
     # rescale (here by exactly 1/2) is visible in the moment estimates
-    _, st_clipped = adam_step(params, grads, state, lr=1.0, grad_clip_norm=norm / 2)
-    _, st_plain = adam_step(params, grads, state, lr=1.0)
-    np.testing.assert_allclose(st_clipped.m["a"], st_plain.m["a"] / 2.0, rtol=1e-12)
-    np.testing.assert_allclose(st_clipped.v["a"], st_plain.v["a"] / 4.0, rtol=1e-12)
+    st_clipped = first_step(grad_clip_norm=norm / 2)
+    st_plain = first_step()
+    np.testing.assert_allclose(st_clipped.m, st_plain.m / 2.0, rtol=1e-12)
+    np.testing.assert_allclose(st_clipped.v, st_plain.v / 4.0, rtol=1e-12)
     # under the threshold nothing is rescaled
-    _, st_loose = adam_step(params, grads, state, lr=1.0, grad_clip_norm=norm * 2)
-    np.testing.assert_array_equal(st_loose.m["a"], st_plain.m["a"])
+    np.testing.assert_array_equal(first_step(grad_clip_norm=norm * 2).m, st_plain.m)
 
 
 def test_adam_reduces_quadratic():
     params = _scalar_params(1.0)
     state = init_adam_state(params)
-    grads = {"p": 2.0 * params["p"]}  # d/dp of p^2
-    new_params, _ = adam_step(params, grads, state, lr=1e-3)
-    assert new_params["p"][0] ** 2 < params["p"][0] ** 2
+    adam_step(params, 2.0 * params, state, lr=1e-3)  # d/dp of p^2
+    assert params[0] ** 2 < 1.0
 
 
 def test_adam_shape_mismatch():
-    params = {"p": np.zeros(2)}
+    params = np.zeros(2)
     with pytest.raises(ValueError):
-        adam_step(params, {"p": np.zeros(3)}, init_adam_state(params), lr=0.1)
+        adam_step(params, np.zeros(3), init_adam_state(params), lr=0.1)
     with pytest.raises(ValueError):
-        adam_step(params, {"q": np.zeros(2)}, init_adam_state(params), lr=0.1)
+        adam_step(params, np.zeros(2), init_adam_state(np.zeros(3)), lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +556,27 @@ def test_train_divergence_retains_last_good(tmp_path):
     assert (tmp_path / "final.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()
     assert (tmp_path / "trainlog.csv").exists()
+
+
+def test_train_divergence_names_nonfinite_gradient_tensor(tmp_path, monkeypatch):
+    real_backward = training.backward
+
+    def poisoned_backward(*args):
+        grads = real_backward(*args)
+        grads["enc.0.ff.b1"][2] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    corpus = _tiny_corpus(4)
+    vocab = build_vocab(corpus)
+    mc = _model_for(corpus, vocab)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2, seed=0)
+    with pytest.raises(DivergenceError, match="non-finite gradient in tensor 'enc.0.ff.b1'"):
+        train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
+    # nothing was stepped: the retained checkpoint is the initialization
+    saved = load_checkpoint_full(tmp_path / "final.ckpt").params
+    for name, arr in init_params(mc, seed=tc.seed).items():
+        np.testing.assert_array_equal(saved[name], arr)
 
 
 def test_train_validates_label_space():
