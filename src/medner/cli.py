@@ -26,7 +26,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, training
 from .errors import BioViolationError, FormatError, NumericalError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint_full
 from .training import TrainConfig
 
@@ -44,7 +44,7 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
         if not os.path.exists(path):
             raise FormatError(f"config file not found: {path}")
         try:
-            cp.read(path, encoding="utf-8")
+            cp.read_string(read_text(path), source=path)
         except configparser.Error as exc:
             raise FormatError(f"{path}: {exc}") from None
     return cp
@@ -269,8 +269,7 @@ def _parse_token_blocks(text: str) -> list[list[str]]:
 def cmd_predict(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.input, "input file")
-    with open(args.input, encoding="utf-8") as fh:
-        blocks = _parse_token_blocks(fh.read())
+    blocks = _parse_token_blocks(read_text(args.input))
 
     data = load_checkpoint_full(args.checkpoint)
     if data.vocab is None or data.labels is None:
@@ -302,8 +301,7 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_file(args.results, "results file")
-    with open(args.results, encoding="utf-8") as fh:
-        rows = evaluation.parse_comparison_rows(fh.read())
+    rows = evaluation.parse_comparison_rows(read_text(args.results))
     if args.sort:
         rows = sorted(rows, key=lambda r: -r.f1_pct)
     sys.stdout.write(evaluation.render_comparison(rows))

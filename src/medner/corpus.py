@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BioViolationError, FormatError
+from .ioutil import read_text
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -204,8 +205,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().splitlines()
+        tokens = read_text(path).splitlines()
         if len(tokens) < 2:
             raise FormatError(f"vocabulary file {path} has fewer than 2 lines")
         return cls(tokens)
@@ -285,17 +285,11 @@ def write_conll(corpus: Corpus) -> str:
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         return parse_conll(text)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_conll(corpus))
 
 
 # ---------------------------------------------------------------------------

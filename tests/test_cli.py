@@ -275,19 +275,28 @@ def test_eval_corrupt_checkpoint(pipeline, tmp_path, capsys):
     assert rc == 3
 
 
+def _tiny_checkpoint(path):
+    cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=8, max_len=8, dropout_rate=0.0)
+    save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
+                    vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
+    return path
+
+
 def _bad_checkpoint(tmp_path, kind):
     path = tmp_path / "bad.ckpt"
     if kind == "directory":
         path.mkdir()
         return path
-    cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
-                      d_ff=8, max_len=8, dropout_rate=0.0)
-    save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
-                    vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
+    _tiny_checkpoint(path)
     if kind == "missing_offset":
         rewrite_manifest(path, lambda m: m["tensors"][0].pop("offset"))
     elif kind == "permuted":
         rewrite_manifest(path, lambda m: m["tensors"].reverse())
+    elif kind == "vocab_size":
+        rewrite_manifest(path, lambda m: m["vocab"].append("ibuprofen"))
+    elif kind == "n_labels":
+        rewrite_manifest(path, lambda m: m["labels"].append("Disease"))
     else:
         blob = bytearray(path.read_bytes())
         blob[-4:] = b"\x00\x00\xc0\x7f"  # float32 NaN
@@ -295,7 +304,8 @@ def _bad_checkpoint(tmp_path, kind):
     return path
 
 
-@pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory"])
+@pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory",
+                                  "vocab_size", "n_labels"])
 def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
     ckpt = _bad_checkpoint(tmp_path, kind)
     gold = tmp_path / "gold.conll"
@@ -306,6 +316,25 @@ def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: "), err
+
+
+@pytest.mark.parametrize("verb", ["prepare", "eval", "predict", "train", "compare"])
+@pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+def test_unreadable_text_input_exits_3_naming_file(tmp_path, capsys, verb, kind):
+    bad = tmp_path / "input.txt"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"caf\xe9\tO\n")  # Latin-1, not UTF-8
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    argv = {"prepare": ["prepare", str(bad), "--out", str(tmp_path / "prep")],
+            "eval": ["eval", str(ckpt), str(bad)],
+            "predict": ["predict", str(ckpt), str(bad)],
+            "train": ["train", "--config", str(bad)],
+            "compare": ["compare", str(bad)]}[verb]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: "), err
 
 
 def test_predict_roundtrip(pipeline, tmp_path, capsys):

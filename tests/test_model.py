@@ -19,6 +19,8 @@ from medner.model import (
     ParamLayout,
     attention,
     forward,
+    gelu,
+    gelu_grad,
     init_params,
     load_checkpoint_full,
     param_shapes,
@@ -40,6 +42,12 @@ def tiny_config(**kwargs):
                 d_ff=12, max_len=6, dropout_rate=0.0)
     base.update(kwargs)
     return ModelConfig(**base)
+
+
+# An inventory that fits tiny_config(n_labels=3): 13 tokens, and the tags
+# O, B-Drug, I-Drug
+TINY_VOCAB = ["<PAD>", "<UNK>"] + [f"w{i}" for i in range(11)]
+TINY_LABELS = ["Drug"]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,48 @@ def test_attention_shape_mismatch():
         attention(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         attention(np.ones((2, 3)), np.ones((4, 3)), np.ones((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# gelu
+# ---------------------------------------------------------------------------
+
+
+def gelu_reference(x):
+    """tanh-approximate GELU and its derivative, one float64 element at a time."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    out, grad = [], []
+    for v in np.asarray(x, dtype=np.float64).tolist():
+        t = math.tanh(c * (v + a * v**3))
+        out.append(0.5 * v * (1.0 + t))
+        grad.append(0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * a * v * v))
+    return np.array(out), np.array(grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_grad_match_scalar_reference(dtype):
+    # 1 + tanh cancels for negative x, so the error is absolute there
+    eps = np.finfo(dtype).eps
+    x = np.linspace(-8, 8, 4001).astype(dtype)
+    ref, ref_grad = gelu_reference(x)
+    for fn, want in ((gelu, ref), (gelu_grad, ref_grad)):
+        got = fn(x)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=8 * eps, atol=64 * eps, err_msg=fn.__name__)
+
+
+def test_gelu_grad_matches_central_differences():
+    x = np.linspace(-5, 5, 101)
+    h = 1e-5
+    numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
+    np.testing.assert_allclose(gelu_grad(x), numeric, rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_saturates_finite(dtype):
+    x = np.array([-30, -10, 10, 30], dtype=dtype)
+    np.testing.assert_array_equal(gelu(x), [0, 0, 10, 30])
+    np.testing.assert_array_equal(gelu_grad(x), [0, 0, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +352,20 @@ def test_predict_labels_softmax_invariant():
 
 
 def test_checkpoint_roundtrip_bits(tmp_path):
-    cfg = tiny_config(n_layers=2)
+    cfg = tiny_config(n_layers=2, n_labels=3)
     for dtype in (np.float32, np.float64):
         params = init_params(cfg, seed=11, dtype=dtype)
         path = tmp_path / f"model{dtype().itemsize}.ckpt"
         save_checkpoint(params, cfg, seed=11, path=path,
-                        vocab=["<PAD>", "<UNK>", "a"], labels=["Drug"])
+                        vocab=TINY_VOCAB, labels=TINY_LABELS)
         full = load_checkpoint_full(path)
         assert full.config == cfg
         for name in params:
             assert full.params[name].dtype == params[name].dtype
             assert full.params[name].tobytes() == params[name].tobytes(), name
         assert full.seed == 11
-        assert full.vocab == ["<PAD>", "<UNK>", "a"]
-        assert full.labels == ["Drug"]
+        assert full.vocab == TINY_VOCAB
+        assert full.labels == TINY_LABELS
 
 
 def test_checkpoint_truncated_payload(tmp_path):
@@ -417,25 +467,37 @@ def test_checkpoint_mistyped_config_or_inventory(tmp_path, edit, needle):
         load_checkpoint_full(path)
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: m.update(vocab=TINY_VOCAB[:4]), "'vocab' has 4 tokens but config vocab_size is 13"),
+    (lambda m: m.update(labels=["Disease", "Drug"]), "'labels' give 5 tags but config n_labels is 4"),
+], ids=["vocab_size", "n_labels"])
+def test_checkpoint_inventory_must_match_config(tmp_path, edit, needle):
+    path = _saved_checkpoint(tmp_path)
+    rewrite_manifest(path, edit)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: manifest {needle}")):
+        load_checkpoint_full(path)
+
+
 def test_checkpoint_directory_path(tmp_path):
     with pytest.raises(CheckpointError, match="not a regular file"):
         load_checkpoint_full(tmp_path)
 
 
-# sha256 of the tiny_config() checkpoint from init_params(seed=11): the
-# on-disk format, manifest bytes included, must not change
+# sha256 of the tiny_config(n_labels=3) checkpoint from init_params(seed=11)
+# with TINY_VOCAB and TINY_LABELS: the on-disk format, manifest bytes
+# included, must not change
 CHECKPOINT_SHA256 = {
-    np.float32: "5df8e2b0e0cb87a76a3fd9b0e7c0f531d0d83237f82e759118e0a56e84e9a034",
-    np.float64: "bbfaaa5cb99e5d10d389d71245187055cb84c5cfbb6734f66e6ae4d25fa582de",
+    np.float32: "5b2881625f41121cbc41f1091d85004c7ed191e279dddfb720de67d20f508876",
+    np.float64: "c780991cd5b31542e998898d1564c7bed56b7723d8e69092d9e3f8001eebdd9d",
 }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_checkpoint_bytes_pinned(tmp_path, dtype):
-    cfg = tiny_config()
+    cfg = tiny_config(n_labels=3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_params(cfg, seed=11, dtype=dtype), cfg, seed=11, path=path,
-                    vocab=["<PAD>", "<UNK>", "a"], labels=["Drug"])
+                    vocab=TINY_VOCAB, labels=TINY_LABELS)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[dtype]
 
 
