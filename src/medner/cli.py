@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import logging
 import os
@@ -279,14 +280,13 @@ def cmd_predict(args) -> int:
     id_to_tag = [None] * len(label_index)
     for tag, idx in label_index.items():
         id_to_tag[idx] = tag
+    label_of = [corpus_mod.TagLabel.from_tag(tag) for tag in id_to_tag]
 
     id_rows = [[vocab.lookup(tok) for tok in block] for block in blocks]
     pred_rows = evaluation.predict_label_ids(data.params, data.config, id_rows)
     out_lines: list[str] = []
     for b, (block, preds) in enumerate(zip(blocks, pred_rows)):
-        labels = corpus_mod.validate_bio(
-            [corpus_mod.TagLabel.from_tag(id_to_tag[i]) for i in preds], "repair"
-        )
+        labels = corpus_mod.validate_bio([label_of[i] for i in preds], "repair")
         if b > 0:
             out_lines.append("")
         out_lines.extend(f"{tok}\t{lab.tag}" for tok, lab in zip(block, labels))
@@ -333,6 +333,9 @@ def cmd_gen_synthetic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: building it costs more than a one-record predict.
+# It names each subcommand's function, which main looks up when it runs.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medner",
@@ -352,14 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="minimum token frequency for the vocabulary (default 1)")
     p.add_argument("--max-vocab", type=int, default=None,
                    help="vocabulary size cap including PAD/UNK (default 50000)")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func="cmd_prepare")
 
     p = sub.add_parser("train", help="train the token classifier")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--precision", type=int, choices=(32, 64), default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a labeled corpus")
     p.add_argument("checkpoint")
@@ -367,18 +370,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for eval_report.txt")
     p.add_argument("--gold-as-pred", action="store_true",
                    help="score the gold labels against themselves (oracle)")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("predict", help="tag a pre-tokenized text file")
     p.add_argument("checkpoint")
     p.add_argument("input", help="one token per line, blank line between records")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func="cmd_predict")
 
     p = sub.add_parser("compare", help="render a model-comparison table")
     p.add_argument("results", help="CSV of name,precision,f1 rows")
     p.add_argument("--sort", action="store_true", help="order by F1 descending")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func="cmd_compare")
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True, help="output corpus file")
@@ -387,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=120)
     p.add_argument("--max-len", type=int, default=16)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gen_synthetic)
+    p.set_defaults(func="cmd_gen_synthetic")
 
     return parser
 
@@ -396,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -202,23 +202,47 @@ def token_metrics(
 # ---------------------------------------------------------------------------
 
 
-def predict_label_ids(
-    params, config, id_rows: Sequence[Sequence[int]], batch_size: int = 32
-) -> list[list[int]]:
-    """Argmax label ids per token row, processed in order without dropout."""
-    out: list[list[int]] = []
-    for start in range(0, len(id_rows), batch_size):
-        chunk = id_rows[start : start + batch_size]
-        width = max(len(row) for row in chunk)
-        ids = np.zeros((len(chunk), width), dtype=np.int64)
-        mask = np.zeros((len(chunk), width), dtype=bool)
-        for i, row in enumerate(chunk):
-            ids[i, : len(row)] = row
-            mask[i, : len(row)] = True
+# Bytes in the widest activation of one inference batch. 64 KiB keeps every
+# temporary of the forward pass under glibc's default 128 KiB mmap threshold.
+# Fixed batches of 32 records crossed it with the quickstart model: a bulk
+# predict then page-faulted about 100k times through freshly mapped memory,
+# a cost that swung from run to run.
+_BATCH_BYTES = 64 * 1024
+
+
+def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Argmax label ids per token row, without dropout, in input order.
+
+    Rows are batched shortest first, so a batch carries little padding,
+    and a batch takes as many rows as keep its widest activation (the
+    feed-forward layer, the model width or the attention scores) within
+    _BATCH_BYTES. A row's labels do not depend on the rows batched with it.
+    """
+    itemsize = next(iter(params.values())).itemsize
+
+    def row_bytes(width: int) -> int:
+        return width * max(config.d_model, config.d_ff, config.n_heads * width) * itemsize
+
+    order = sorted(range(len(id_rows)), key=lambda i: len(id_rows[i]))
+    out: list[list[int]] = [[] for _ in id_rows]
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while (stop < len(order) and (stop + 1 - start)
+               * row_bytes(len(id_rows[order[stop]])) <= _BATCH_BYTES):
+            stop += 1
+        batch = order[start:stop]
+        width = len(id_rows[batch[-1]])
+        ids = np.zeros((len(batch), width), dtype=np.int64)
+        mask = np.zeros((len(batch), width), dtype=bool)
+        for i, row in enumerate(batch):
+            ids[i, : len(id_rows[row])] = id_rows[row]
+            mask[i, : len(id_rows[row])] = True
         logits, _ = forward(params, config, ids, mask, need_trace=False)
         pred = predict_labels(logits)
-        for i, row in enumerate(chunk):
-            out.append(pred[i, : len(row)].tolist())
+        for i, row in enumerate(batch):
+            out[row] = pred[i, : len(id_rows[row])].tolist()
+        start = stop
     return out
 
 
@@ -226,7 +250,6 @@ def evaluate(
     checkpoint_path,
     corpus: Corpus,
     gold_as_pred: bool = False,
-    batch_size: int = 32,
 ) -> EvalReport:
     """Run the checkpointed model over a corpus and compute both metric
     families. With gold_as_pred=True the gold labels stand in for the
@@ -253,11 +276,9 @@ def evaluate(
         pred_lists = [list(labels) for labels in gold_lists]
     else:
         id_rows = [[vocab.lookup(t.text) for t in rec.tokens] for rec in corpus.records]
-        pred_ids = predict_label_ids(data.params, data.config, id_rows, batch_size)
-        pred_lists = [
-            validate_bio([TagLabel.from_tag(id_to_tag[i]) for i in row], "repair")
-            for row in pred_ids
-        ]
+        label_of = [TagLabel.from_tag(tag) for tag in id_to_tag]
+        pred_ids = predict_label_ids(data.params, data.config, id_rows)
+        pred_lists = [validate_bio([label_of[i] for i in row], "repair") for row in pred_ids]
 
     span = span_metrics(pred_lists, gold_lists)
     flat_pred = np.array(

@@ -17,6 +17,7 @@ from medner.corpus import (
     gen_synthetic,
     label_index_from_types,
 )
+from medner import evaluation
 from medner.errors import CheckpointError, FormatError
 from medner.evaluation import (
     PRF,
@@ -24,11 +25,12 @@ from medner.evaluation import (
     evaluate,
     format_pct,
     parse_comparison_rows,
+    predict_label_ids,
     render_comparison,
     span_metrics,
     token_metrics,
 )
-from medner.model import ModelConfig, init_params, save_checkpoint
+from medner.model import ModelConfig, forward, init_params, save_checkpoint
 
 from oracles import all_valid_bio, brute_force_match, is_valid_bio
 
@@ -310,6 +312,35 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
     corpus = Corpus([LabeledRecord("x", [Token("tok")], tags("O"))])
     with pytest.raises(CheckpointError):
         evaluate(path, corpus)
+
+
+def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
+    cfg = ModelConfig(vocab_size=30, n_labels=5, d_model=16, n_heads=2, n_layers=1,
+                      d_ff=32, max_len=12, dropout_rate=0.0)
+    params = init_params(cfg, seed=3)
+    rng = np.random.default_rng(0)
+    rows = [rng.integers(2, 30, size=n).tolist() for n in rng.integers(1, 13, size=200)]
+    shapes = []
+
+    def spy(params, config, ids, mask, **kwargs):
+        shapes.append(ids.shape)
+        return forward(params, config, ids, mask, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", spy)
+    got = predict_label_ids(params, cfg, rows)
+
+    # one row at a time: no padding and no other rows in the batch
+    want = [np.argmax(forward(params, cfg, np.array([row]), need_trace=False)[0][0],
+                      axis=-1).tolist() for row in rows]
+    assert got == want
+    assert sum(b for b, _ in shapes) == len(rows)
+    widths = [t for _, t in shapes]
+    assert widths == sorted(widths)
+    assert len(shapes) < len(rows) / 4
+    for b, t in shapes:
+        assert b == 1 or b * t * max(cfg.d_model, cfg.d_ff, cfg.n_heads * t) * 4 \
+            <= evaluation._BATCH_BYTES
+    assert predict_label_ids(params, cfg, []) == []
 
 
 def test_report_render_keys(small_checkpoint):
