@@ -200,13 +200,9 @@ def cmd_train(args) -> int:
     _require_file(vocab_path, "vocabulary file (run `medner prepare` first)")
     train_c = corpus_mod.load_corpus(train_path)
     val_c = None
-    if os.path.exists(val_path):
-        try:
-            val_c = corpus_mod.load_corpus(val_path)
-        except FormatError as exc:
-            if "empty file" not in str(exc):
-                raise
-            # an empty validation split was prepared; train falls back
+    # a blank val.conll is an empty validation split; train falls back
+    if os.path.exists(val_path) and read_text(val_path).strip():
+        val_c = corpus_mod.load_corpus(val_path)
     vocab = corpus_mod.Vocabulary.load(vocab_path)
 
     inventory = set(train_c.label_inventory)
@@ -272,25 +268,10 @@ def cmd_predict(args) -> int:
     _require_file(args.input, "input file")
     blocks = _parse_token_blocks(read_text(args.input))
 
-    data = load_checkpoint_full(args.checkpoint)
-    if data.vocab is None or data.labels is None:
-        raise FormatError("checkpoint carries no vocabulary/label inventory")
-    vocab = corpus_mod.Vocabulary(list(data.vocab))
-    label_index = corpus_mod.label_index_from_types(data.labels)
-    id_to_tag = [None] * len(label_index)
-    for tag, idx in label_index.items():
-        id_to_tag[idx] = tag
-    label_of = [corpus_mod.TagLabel.from_tag(tag) for tag in id_to_tag]
-
-    id_rows = [[vocab.lookup(tok) for tok in block] for block in blocks]
-    pred_rows = evaluation.predict_label_ids(data.params, data.config, id_rows)
-    out_lines: list[str] = []
-    for b, (block, preds) in enumerate(zip(blocks, pred_rows)):
-        labels = corpus_mod.validate_bio([label_of[i] for i in preds], "repair")
-        if b > 0:
-            out_lines.append("")
-        out_lines.extend(f"{tok}\t{lab.tag}" for tok, lab in zip(block, labels))
-    text = "\n".join(out_lines) + "\n"
+    tagged = evaluation.tag_rows(load_checkpoint_full(args.checkpoint), blocks,
+                                 [f"block {b}" for b in range(1, len(blocks) + 1)])
+    text = "\n\n".join("\n".join(f"{tok}\t{lab.tag}" for tok, lab in zip(block, labels))
+                        for block, labels in zip(blocks, tagged)) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
         print(f"predictions -> {args.out}")

@@ -183,13 +183,12 @@ class Vocabulary:
     """Token <-> id mapping with reserved ids 0 = PAD, 1 = UNK."""
 
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(repr=False, default=None)  # type: ignore[assignment]
+    token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise FormatError(f"vocabulary ids 0/1 must be {PAD_TOKEN}/{UNK_TOKEN}")
-        if self.token_to_id is None:
-            self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise FormatError("vocabulary contains duplicate tokens")
 
@@ -199,16 +198,14 @@ class Vocabulary:
     def lookup(self, text: str) -> int:
         return self.token_to_id.get(text, UNK_ID)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.id_to_token) + "\n")
-
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary file at `path`, one token per line; errors name the file."""
         tokens = read_text(path).splitlines()
-        if len(tokens) < 2:
-            raise FormatError(f"vocabulary file {path} has fewer than 2 lines")
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +444,6 @@ def encode(
             raise FormatError(f"record {record.record_id!r}: unseen tag {lab.tag!r}")
         label_ids.append(label_index[lab.tag])
     return token_ids, label_ids
-
-
-def decode_tokens(token_ids: Sequence[int], vocab: Vocabulary) -> list[str]:
-    return [vocab.id_to_token[i] for i in token_ids]
 
 
 @dataclass

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .corpus import (
     Corpus,
     TagLabel,
-    Vocabulary,
     label_index_from_types,
     spans_from_labels,
     validate_bio,
 )
-from .errors import CheckpointError, FormatError
-from .model import forward, load_checkpoint_full, predict_labels
+from .errors import FormatError
+from .model import CheckpointData, forward, load_checkpoint_full, predict_labels
 
 
 @dataclass(frozen=True)
@@ -210,13 +209,15 @@ def token_metrics(
 _BATCH_BYTES = 64 * 1024
 
 
-def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Argmax label ids per token row, without dropout, in input order.
+def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
+                   ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Forward the token rows without dropout, shortest first; yields each
+    batch's row indices, logits and mask (True at the rows' tokens).
 
-    Rows are batched shortest first, so a batch carries little padding,
-    and a batch takes as many rows as keep its widest activation (the
+    A batch takes as many rows as keep its widest activation (the
     feed-forward layer, the model width or the attention scores) within
-    _BATCH_BYTES. A row's labels do not depend on the rows batched with it.
+    _BATCH_BYTES. Sorting by length leaves little padding, and a row's
+    logits do not depend on the rows batched with it.
     """
     itemsize = next(iter(params.values())).itemsize
 
@@ -224,7 +225,6 @@ def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[
         return width * max(config.d_model, config.d_ff, config.n_heads * width) * itemsize
 
     order = sorted(range(len(id_rows)), key=lambda i: len(id_rows[i]))
-    out: list[list[int]] = [[] for _ in id_rows]
     start = 0
     while start < len(order):
         stop = start + 1
@@ -232,18 +232,40 @@ def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[
                * row_bytes(len(id_rows[order[stop]])) <= _BATCH_BYTES):
             stop += 1
         batch = order[start:stop]
-        width = len(id_rows[batch[-1]])
-        ids = np.zeros((len(batch), width), dtype=np.int64)
-        mask = np.zeros((len(batch), width), dtype=bool)
-        for i, row in enumerate(batch):
-            ids[i, : len(id_rows[row])] = id_rows[row]
-            mask[i, : len(id_rows[row])] = True
+        lengths = np.array([len(id_rows[i]) for i in batch])
+        mask = np.arange(lengths[-1]) < lengths[:, None]
+        ids = np.zeros(mask.shape, dtype=np.int64)
+        ids[mask] = np.concatenate([id_rows[i] for i in batch])
         logits, _ = forward(params, config, ids, mask, need_trace=False)
+        yield batch, logits, mask
+        start = stop
+
+
+def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Argmax label ids per token row, in input order."""
+    out: list[list[int]] = [[] for _ in id_rows]
+    for batch, logits, _ in batched_logits(params, config, id_rows):
         pred = predict_labels(logits)
         for i, row in enumerate(batch):
             out[row] = pred[i, : len(id_rows[row])].tolist()
-        start = stop
     return out
+
+
+def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
+             row_names: Sequence[str]) -> list[list[TagLabel]]:
+    """The checkpoint's BIO-repaired tags for each row of token texts, in
+    input order. A row longer than the model's max_len raises a FormatError
+    naming it by its entry in row_names.
+    """
+    max_len = checkpoint.config.max_len
+    for row, name in zip(token_rows, row_names):
+        if len(row) > max_len:
+            raise FormatError(f"{name} has {len(row)} tokens but the model's "
+                              f"max_len is {max_len}")
+    label_of = [TagLabel.from_tag(tag) for tag in label_index_from_types(checkpoint.labels)]
+    id_rows = [[checkpoint.vocab.lookup(text) for text in row] for row in token_rows]
+    pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)
+    return [validate_bio([label_of[i] for i in row], "repair") for row in pred_ids]
 
 
 def evaluate(
@@ -256,30 +278,19 @@ def evaluate(
     model (an oracle run that must score 1.0 everywhere).
     """
     data = load_checkpoint_full(checkpoint_path)
-    if data.vocab is None or data.labels is None:
-        raise CheckpointError(
-            "checkpoint carries no vocabulary/label inventory; re-export it from training"
-        )
     missing = sorted(set(corpus.label_inventory) - set(data.labels))
     if missing:
         raise FormatError(
             "label inventory mismatch: checkpoint lacks " + ", ".join(missing)
         )
-    vocab = Vocabulary(list(data.vocab))
-    label_index = label_index_from_types(data.labels)
-    id_to_tag = [None] * len(label_index)
-    for tag, idx in label_index.items():
-        id_to_tag[idx] = tag
-
     gold_lists = [list(rec.labels) for rec in corpus.records]
     if gold_as_pred:
-        pred_lists = [list(labels) for labels in gold_lists]
+        pred_lists = gold_lists
     else:
-        id_rows = [[vocab.lookup(t.text) for t in rec.tokens] for rec in corpus.records]
-        label_of = [TagLabel.from_tag(tag) for tag in id_to_tag]
-        pred_ids = predict_label_ids(data.params, data.config, id_rows)
-        pred_lists = [validate_bio([label_of[i] for i in row], "repair") for row in pred_ids]
+        pred_lists = tag_rows(data, [[t.text for t in rec.tokens] for rec in corpus.records],
+                              [f"record {rec.record_id!r}" for rec in corpus.records])
 
+    label_index = label_index_from_types(data.labels)
     span = span_metrics(pred_lists, gold_lists)
     flat_pred = np.array(
         [label_index[lab.tag] for labels in pred_lists for lab in labels], dtype=np.int64
@@ -287,7 +298,7 @@ def evaluate(
     flat_gold = np.array(
         [label_index[lab.tag] for labels in gold_lists for lab in labels], dtype=np.int64
     )
-    token = token_metrics(flat_pred, flat_gold, id_to_tag=id_to_tag)
+    token = token_metrics(flat_pred, flat_gold, id_to_tag=list(label_index))
     return EvalReport(
         n_records=len(corpus.records),
         n_tokens=int(flat_gold.size),

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import label_index_from_types
-from .errors import CheckpointError
+from .corpus import TagLabel, Vocabulary, label_index_from_types
+from .errors import CheckpointError, FormatError
 from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
@@ -397,10 +397,11 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
 #          raw payload: the flat parameter vector, little-endian IEEE-754
 #
 # The manifest carries the model config, the init seed, the precision tag
-# (32 or 64), per-tensor {name, shape, offset, length}, and optionally the
-# vocabulary token list and entity-type inventory so a checkpoint is
-# self-contained for evaluation and prediction. The loader accepts only the
-# canonical manifest (ParamLayout order), an exact-size, finite payload.
+# (32 or 64), per-tensor {name, shape, offset, length}, and the vocabulary
+# token list and entity-type inventory, so a checkpoint is self-contained
+# for evaluation and prediction. The loader accepts only the canonical
+# manifest (ParamLayout order), an exact-size, finite payload, and a
+# vocabulary and inventory that fit the config.
 
 
 @dataclass
@@ -409,8 +410,8 @@ class CheckpointData:
     config: ModelConfig
     seed: int
     precision: int
-    vocab: Optional[list[str]]
-    labels: Optional[list[str]]
+    vocab: Vocabulary
+    labels: list[str]   # entity types; label_index_from_types gives the tags
 
 
 def save_checkpoint(
@@ -418,8 +419,8 @@ def save_checkpoint(
     config: ModelConfig,
     seed: int,
     path,
-    vocab: Optional[list[str]] = None,
-    labels: Optional[list[str]] = None,
+    vocab: list[str],
+    labels: list[str],
 ) -> None:
     layout = ParamLayout(config)
     flat = layout.flatten(params)
@@ -509,19 +510,26 @@ def _decode_checkpoint(blob: bytes) -> CheckpointData:
     if bad is not None:
         raise CheckpointError(f"tensor '{bad}': non-finite values in payload")
     vocab, labels = manifest.get("vocab"), manifest.get("labels")
-    if not all(x is None or isinstance(x, list) and all(isinstance(t, str) for t in x)
+    if not all(isinstance(x, list) and all(isinstance(t, str) for t in x)
                for x in (vocab, labels)):
-        raise CheckpointError("manifest 'vocab' and 'labels' must be lists of strings")
-    if vocab is not None and len(vocab) != config.vocab_size:
+        raise CheckpointError("manifest 'vocab' and 'labels' must be lists of strings "
+                              "(a checkpoint written by `medner train` carries both)")
+    if len(vocab) != config.vocab_size:
         raise CheckpointError(f"manifest 'vocab' has {len(vocab)} tokens but "
                               f"config vocab_size is {config.vocab_size}")
-    n_tags = config.n_labels if labels is None else len(label_index_from_types(labels))
-    if n_tags != config.n_labels:
-        raise CheckpointError(f"manifest 'labels' give {n_tags} tags but "
+    tags = label_index_from_types(labels)
+    if len(tags) != config.n_labels:
+        raise CheckpointError(f"manifest 'labels' give {len(tags)} tags but "
                               f"config n_labels is {config.n_labels}")
+    try:
+        for tag in tags:
+            TagLabel.from_tag(tag)
+        vocabulary = Vocabulary(vocab)
+    except FormatError as exc:
+        raise CheckpointError(f"manifest inventory: {exc}") from None
     return CheckpointData(params=layout.views(flat), config=config,
                           seed=manifest.get("seed", 0), precision=precision,
-                          vocab=vocab, labels=labels)
+                          vocab=vocabulary, labels=labels)
 
 
 def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:

@@ -451,21 +451,23 @@ class TrainResult:
     label_index: dict[str, int]
 
 
-def _val_metrics(params, model_config, batches, gold_labels, id_to_tag):
-    total_loss, total_n = 0.0, 0
-    preds: list[list[TagLabel]] = []
-    for batch in batches:
-        logits, _ = forward(params, model_config, batch.token_ids,
-                            batch.attention_mask, need_trace=False)
-        loss, _ = cross_entropy(logits, batch.label_ids)
-        total_loss += loss * batch.active_count
-        total_n += batch.active_count
+def _val_metrics(params, model_config, records: Sequence[EncodedRecord],
+                 gold_labels, label_of: Sequence[TagLabel]):
+    """Mean validation loss per token and span micro-F1, over the same
+    length-sorted batches that inference uses."""
+    total_loss = 0.0
+    preds: list[list[TagLabel]] = [[] for _ in records]
+    for batch, logits, mask in evaluation.batched_logits(
+            params, model_config, [rec.token_ids for rec in records]):
+        labels = np.full(mask.shape, IGNORE_LABEL, dtype=np.int64)
+        labels[mask] = np.concatenate([records[i].label_ids for i in batch])
+        loss, _ = cross_entropy(logits, labels)
+        total_loss += loss * int(mask.sum())
         pred_ids = predict_labels(logits)
-        for i in range(len(batch.record_ids)):
-            n = int(batch.attention_mask[i].sum())
-            preds.append([TagLabel.from_tag(id_to_tag[j]) for j in pred_ids[i, :n]])
+        for i, row in enumerate(batch):
+            preds[row] = [label_of[j] for j in pred_ids[i, : len(records[row])]]
     span = evaluation.span_metrics(preds, gold_labels)
-    return total_loss / total_n, span.micro.f1
+    return total_loss / sum(map(len, records)), span.micro.f1
 
 
 def train(
@@ -507,9 +509,7 @@ def train(
             f"model has n_labels={model_config.n_labels} but the corpus "
             f"inventory needs {len(label_index)}"
         )
-    id_to_tag = [None] * len(label_index)
-    for tag, idx in label_index.items():
-        id_to_tag[idx] = tag
+    label_of = [TagLabel.from_tag(tag) for tag in label_index]
 
     longest = max(len(r) for r in train_corpus.records)
     if have_val:
@@ -520,11 +520,8 @@ def train(
         )
 
     train_enc = encode_corpus(train_corpus, vocab, label_index)
-    val_batches = None
-    val_gold = None
     if have_val:
         val_enc = encode_corpus(val_corpus, vocab, label_index)
-        val_batches = make_batches(val_enc, train_config.batch_size, shuffle=False)
         val_gold = [list(rec.labels) for rec in val_corpus.records]
 
     layout = ParamLayout(model_config)
@@ -583,8 +580,8 @@ def train(
         train_loss = loss_sum / loss_n
 
         if have_val:
-            val_loss, val_f1 = _val_metrics(params, model_config, val_batches,
-                                            val_gold, id_to_tag)
+            val_loss, val_f1 = _val_metrics(params, model_config, val_enc,
+                                            val_gold, label_of)
             if not math.isfinite(val_loss):
                 abort(epoch, "non-finite validation loss")
             key = val_f1

@@ -174,6 +174,32 @@ def test_tiny_corpus_with_empty_val_split_trains(tmp_path, capsys):
     assert (out_dir / "final.ckpt").exists()
 
 
+def test_blank_val_split_falls_back_to_train_loss(tmp_path, capsys):
+    raw = tmp_path / "raw.conll"
+    raw.write_text("a\tB-D\n\nb\tO\n\nc\tB-D\n\nd\tO\n")
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    (data_dir / "val.conll").write_text(" \n\n\t\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    rows = (out_dir / "trainlog.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "nan" for row in rows)
+
+
+def test_malformed_val_split_exits_3_whatever_its_path(tmp_path, capsys):
+    # the error text contains the path, which contains "empty file"
+    root = tmp_path / "empty file"
+    root.mkdir()
+    raw = root / "raw.conll"
+    raw.write_text("a\tB-D\n\nb\tO\n\nc\tB-D\n\nd\tO\n")
+    cfg, data_dir, out_dir = write_config(root)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    val = data_dir / "val.conll"
+    val.write_text("a\tB-D\textra\n")
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {val}: line 1: malformed line")
+    assert not (out_dir / "final.ckpt").exists()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     raw = gen_corpus(tmp_path)
     monkeypatch.setenv("MEDNER_SEED", "5")
@@ -297,6 +323,14 @@ def _bad_checkpoint(tmp_path, kind):
         rewrite_manifest(path, lambda m: m["vocab"].append("ibuprofen"))
     elif kind == "n_labels":
         rewrite_manifest(path, lambda m: m["labels"].append("Disease"))
+    elif kind == "no_inventory":
+        rewrite_manifest(path, lambda m: (m.pop("vocab"), m.pop("labels")))
+    elif kind == "vocab_duplicate":
+        rewrite_manifest(path, lambda m: m["vocab"].__setitem__(2, "<UNK>"))
+    elif kind == "vocab_no_pad":
+        rewrite_manifest(path, lambda m: m["vocab"].__setitem__(0, "<pad>"))
+    elif kind == "label_type":
+        rewrite_manifest(path, lambda m: m.update(labels=["9Drug"]))
     else:
         blob = bytearray(path.read_bytes())
         blob[-4:] = b"\x00\x00\xc0\x7f"  # float32 NaN
@@ -305,7 +339,8 @@ def _bad_checkpoint(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory",
-                                  "vocab_size", "n_labels"])
+                                  "vocab_size", "n_labels", "no_inventory",
+                                  "vocab_duplicate", "vocab_no_pad", "label_type"])
 def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
     ckpt = _bad_checkpoint(tmp_path, kind)
     gold = tmp_path / "gold.conll"
@@ -316,6 +351,23 @@ def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: "), err
+
+
+@pytest.mark.parametrize("verb", ["eval", "predict"])
+def test_over_length_record_exits_3_naming_it(tmp_path, capsys, verb):
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")  # max_len 8
+    if verb == "eval":
+        data = tmp_path / "gold.conll"
+        data.write_text("# id: short\naspirin\tB-Drug\n\n# id: long\n"
+                        + "aspirin\tO\n" * 9)
+        needle = "record 'long' has 9 tokens but the model's max_len is 8"
+    else:
+        data = tmp_path / "tokens.txt"
+        data.write_text("aspirin\n\n" + "aspirin\n" * 9)
+        needle = "block 2 has 9 tokens but the model's max_len is 8"
+    assert main([verb, str(ckpt), str(data), "--out", str(tmp_path / "out")]) == 3
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("verb", ["prepare", "eval", "predict", "train", "compare"])

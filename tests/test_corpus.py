@@ -3,6 +3,7 @@ and the synthetic generator.
 """
 
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,6 @@ from medner.corpus import (
     build_vocab,
     deidentify,
     encode,
-    decode_tokens,
     gen_synthetic,
     label_index_from_types,
     parse_conll,
@@ -388,14 +388,27 @@ def test_build_vocab_max_size_truncates():
 
 
 def test_vocab_file_roundtrip(tmp_path):
-    vocab = Vocabulary(["<PAD>", "<UNK>", "alpha", "beta"])
     path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    assert Vocabulary.load(path).id_to_token == vocab.id_to_token
+    path.write_text("<PAD>\n<UNK>\nalpha\nbeta\n")
+    vocab = Vocabulary.load(path)
+    assert vocab.id_to_token == ["<PAD>", "<UNK>", "alpha", "beta"]
+    assert vocab.lookup("beta") == 3
     bad = tmp_path / "bad.txt"
     bad.write_text("alpha\nbeta\n")
     with pytest.raises(FormatError):
         Vocabulary.load(bad)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("alpha\nbeta\n", "vocabulary ids 0/1 must be <PAD>/<UNK>"),
+    ("<PAD>\n", "vocabulary ids 0/1 must be <PAD>/<UNK>"),
+    ("<PAD>\n<UNK>\nalpha\nalpha\n", "vocabulary contains duplicate tokens"),
+], ids=["no_pad", "one_line", "duplicate"])
+def test_vocab_load_errors_name_the_file(tmp_path, text, needle):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {needle}")):
+        Vocabulary.load(path)
 
 
 def test_encode_unk_and_roundtrip():
@@ -405,7 +418,7 @@ def test_encode_unk_and_roundtrip():
     token_ids, label_ids = encode(rec, vocab, index)
     assert token_ids == [2, 1]
     assert label_ids == [0, 0]
-    assert decode_tokens([2], vocab) == ["a"]
+    assert [vocab.id_to_token[i] for i in token_ids] == ["a", "<UNK>"]
     # degenerate vocabulary: everything becomes UNK
     bare = Vocabulary(["<PAD>", "<UNK>"])
     assert encode(rec, bare, index)[0] == [1, 1]

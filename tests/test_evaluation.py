@@ -16,6 +16,7 @@ from medner.corpus import (
     build_vocab,
     gen_synthetic,
     label_index_from_types,
+    validate_bio,
 )
 from medner import evaluation
 from medner.errors import CheckpointError, FormatError
@@ -28,11 +29,13 @@ from medner.evaluation import (
     predict_label_ids,
     render_comparison,
     span_metrics,
+    tag_rows,
     token_metrics,
 )
-from medner.model import ModelConfig, forward, init_params, save_checkpoint
+from medner.model import ModelConfig, forward, init_params, load_checkpoint_full, save_checkpoint
 
 from oracles import all_valid_bio, brute_force_match, is_valid_bio
+from test_model import rewrite_manifest
 
 
 def tags(*strings):
@@ -308,7 +311,9 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
     cfg = ModelConfig(vocab_size=4, n_labels=3, d_model=8, n_heads=2, n_layers=1,
                       d_ff=8, max_len=4, dropout_rate=0.0)
     path = tmp_path / "bare.ckpt"
-    save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path)
+    save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
+                    vocab=["<PAD>", "<UNK>", "tok", "x"], labels=["D"])
+    rewrite_manifest(path, lambda m: (m.pop("vocab"), m.pop("labels")))
     corpus = Corpus([LabeledRecord("x", [Token("tok")], tags("O"))])
     with pytest.raises(CheckpointError):
         evaluate(path, corpus)
@@ -410,3 +415,22 @@ def test_parse_comparison_rows():
         parse_comparison_rows("")
     with pytest.raises(FormatError, match="line 2"):
         parse_comparison_rows("A,1.0,2.0\nB,notanumber,3\n")
+
+
+def test_tag_rows_matches_one_row_forwards_repaired(small_checkpoint):
+    path, corpus = small_checkpoint
+    data = load_checkpoint_full(path)
+    rows = [[t.text for t in rec.tokens] for rec in corpus.records] + [["never-seen", "x"]]
+    tag_of = list(label_index_from_types(data.labels))
+    raw = []
+    for row in rows:
+        ids = np.array([[data.vocab.lookup(text) for text in row]])
+        logits, _ = forward(data.params, data.config, ids, need_trace=False)
+        raw.append([TagLabel.from_tag(tag_of[i]) for i in np.argmax(logits[0], axis=-1)])
+    want = [validate_bio(labels, "repair") for labels in raw]
+    assert want != raw  # the untrained model emits invalid I tags to repair
+    assert tag_rows(data, rows, [f"row {i}" for i in range(len(rows))]) == want
+
+    too_long = [["tok"] * (data.config.max_len + 1)]
+    with pytest.raises(FormatError, match="row 0 has 13 tokens but the model's max_len is 12"):
+        tag_rows(data, too_long, ["row 0"])

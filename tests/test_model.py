@@ -364,15 +364,12 @@ def test_checkpoint_roundtrip_bits(tmp_path):
             assert full.params[name].dtype == params[name].dtype
             assert full.params[name].tobytes() == params[name].tobytes(), name
         assert full.seed == 11
-        assert full.vocab == TINY_VOCAB
+        assert full.vocab.id_to_token == TINY_VOCAB
         assert full.labels == TINY_LABELS
 
 
 def test_checkpoint_truncated_payload(tmp_path):
-    cfg = tiny_config()
-    params = init_params(cfg, seed=0)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, cfg, seed=0, path=path)
+    path = _saved_checkpoint(tmp_path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-17])
     with pytest.raises(CheckpointError, match="truncated payload"):
@@ -380,10 +377,7 @@ def test_checkpoint_truncated_payload(tmp_path):
 
 
 def test_checkpoint_unknown_version(tmp_path):
-    cfg = tiny_config()
-    params = init_params(cfg, seed=0)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, cfg, seed=0, path=path)
+    path = _saved_checkpoint(tmp_path)
     blob = path.read_bytes().replace(b"MEDNER-CKPT 1\n", b"MEDNER-CKPT 9\n", 1)
     path.write_bytes(blob)
     with pytest.raises(CheckpointError, match="version"):
@@ -406,9 +400,10 @@ def rewrite_manifest(path, edit):
 
 
 def _saved_checkpoint(tmp_path):
-    cfg = tiny_config()
+    cfg = tiny_config(n_labels=3)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(cfg, seed=0), cfg, seed=0, path=path)
+    save_checkpoint(init_params(cfg, seed=0), cfg, seed=0, path=path,
+                    vocab=TINY_VOCAB, labels=TINY_LABELS)
     return path
 
 
@@ -469,7 +464,7 @@ def test_checkpoint_mistyped_config_or_inventory(tmp_path, edit, needle):
 
 @pytest.mark.parametrize("edit, needle", [
     (lambda m: m.update(vocab=TINY_VOCAB[:4]), "'vocab' has 4 tokens but config vocab_size is 13"),
-    (lambda m: m.update(labels=["Disease", "Drug"]), "'labels' give 5 tags but config n_labels is 4"),
+    (lambda m: m.update(labels=["Disease", "Drug"]), "'labels' give 5 tags but config n_labels is 3"),
 ], ids=["vocab_size", "n_labels"])
 def test_checkpoint_inventory_must_match_config(tmp_path, edit, needle):
     path = _saved_checkpoint(tmp_path)

@@ -10,11 +10,14 @@ import pytest
 
 from medner.corpus import (
     EncodedRecord,
+    TagLabel,
     build_vocab,
+    encode_corpus,
     gen_synthetic,
     label_index_from_types,
 )
 from medner.errors import DivergenceError, NumericalError
+from medner.evaluation import span_metrics
 from medner.model import (
     ForwardTrace,
     ModelConfig,
@@ -468,6 +471,29 @@ def _model_for(corpus, vocab, **kwargs):
                 n_layers=1, d_ff=24, max_len=10, dropout_rate=0.0)
     base.update(kwargs)
     return ModelConfig(**base)
+
+
+def test_val_metrics_match_one_row_passes():
+    corpus = _tiny_corpus(n=40, seed=4)
+    vocab = build_vocab(corpus)
+    cfg = _model_for(corpus, vocab)
+    params = init_params(cfg, seed=4)
+    label_index = label_index_from_types(corpus.label_inventory)
+    label_of = [TagLabel.from_tag(tag) for tag in label_index]
+    records = encode_corpus(corpus, vocab, label_index)
+    gold = [list(rec.labels) for rec in corpus.records]
+
+    loss_sum, preds = 0.0, []
+    for rec in records:
+        logits, _ = forward(params, cfg, np.array([rec.token_ids]), need_trace=False)
+        loss_sum += cross_entropy(logits, np.array([rec.label_ids]))[0] * len(rec)
+        preds.append([label_of[i] for i in np.argmax(logits[0], axis=-1)])
+    want_loss = loss_sum / sum(len(rec) for rec in records)
+
+    loss, f1 = training._val_metrics(params, cfg, records, gold, label_of)
+    # batches sum the per-token losses in another order: float32 rounding
+    assert loss == pytest.approx(want_loss, rel=1e-5)
+    assert f1 == span_metrics(preds, gold).micro.f1 > 0
 
 
 def test_train_loss_decreases_and_log_invariants():
