@@ -241,7 +241,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_token_blocks(text: str) -> list[list[str]]:
+def _parse_token_blocks(text: str, path: str) -> list[list[str]]:
     blocks: list[list[str]] = []
     current: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -254,19 +254,20 @@ def _parse_token_blocks(text: str) -> list[list[str]]:
         if line.startswith("# "):
             continue
         if len(stripped.split()) != 1:
-            raise FormatError(f"line {lineno}: expected one token per line, got {line!r}")
+            raise FormatError(f"{path}: line {lineno}: expected one token per line, "
+                              f"got {line!r}")
         current.append(stripped)
     if current:
         blocks.append(current)
     if not blocks:
-        raise FormatError("empty input: no token blocks found")
+        raise FormatError(f"{path}: empty input: no token blocks found")
     return blocks
 
 
 def cmd_predict(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.input, "input file")
-    blocks = _parse_token_blocks(read_text(args.input))
+    blocks = _parse_token_blocks(read_text(args.input), args.input)
 
     tagged = evaluation.tag_rows(load_checkpoint_full(args.checkpoint), blocks,
                                  [f"block {b}" for b in range(1, len(blocks) + 1)])

@@ -24,7 +24,7 @@ from .corpus import (
     encode_corpus,
     label_index_from_types,
 )
-from .errors import DivergenceError, NumericalError
+from .errors import DivergenceError, FormatError, NumericalError
 from .ioutil import atomic_write_text
 from .model import (
     ForwardTrace,
@@ -77,6 +77,10 @@ class TrainConfig:
             raise ValueError("decay_patience must be >= 1")
         if self.min_lr <= 0:
             raise ValueError("min_lr must be > 0")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ValueError("grad_clip_norm must be > 0")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -331,51 +335,25 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayConfig:
-    factor: float = 0.5
-    patience: int = 3
-    min_lr: float = 1e-7
+def stagnant_epochs(losses: Sequence[float]) -> list[int]:
+    """For each epoch, how many epochs in a row up to it have not improved.
 
-
-def plateau_reductions(losses: Sequence[float], patience: int,
-                       threshold: float = IMPROVEMENT_THRESHOLD) -> int:
-    """Replay reduce-on-plateau over a loss series and count reductions.
-
-    An epoch improves when its loss beats the best seen so far by more
-    than `threshold`; the very first epoch has nothing to beat, so it
-    counts toward the plateau. After `patience` consecutive non-improving
-    epochs a reduction fires and the counter resets.
+    An epoch improves when its loss beats the best loss before it by more
+    than IMPROVEMENT_THRESHOLD; the first epoch has nothing to beat, so it
+    counts as stagnant. This is the only improvement test: the lr schedule
+    and early stopping both read these counts.
     """
+    counts = []
     best: Optional[float] = None
-    bad = 0
-    reductions = 0
+    run = 0
     for loss in losses:
-        if best is not None and loss < best - threshold:
-            best = loss
-            bad = 0
-            continue
-        best = loss if best is None else min(best, loss)
-        bad += 1
-        if bad >= patience:
-            reductions += 1
-            bad = 0
-    return reductions
-
-
-def trailing_stagnation(losses: Sequence[float],
-                        threshold: float = IMPROVEMENT_THRESHOLD) -> int:
-    """Consecutive epochs at the end of the series without an improvement."""
-    best: Optional[float] = None
-    bad = 0
-    for loss in losses:
-        if best is not None and loss < best - threshold:
-            best = loss
-            bad = 0
+        if best is not None and loss < best - IMPROVEMENT_THRESHOLD:
+            run = 0
         else:
-            best = loss if best is None else min(best, loss)
-            bad += 1
-    return bad
+            run += 1
+        best = loss if best is None else min(best, loss)
+        counts.append(run)
+    return counts
 
 
 @dataclass
@@ -408,33 +386,23 @@ class TrainLog:
             )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "TrainLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError("not a trainlog CSV")
-        rows = []
-        for ln in lines[1:]:
-            e, tl, vl, f1, lr = ln.split(",")
-            rows.append(TrainLogRow(int(e), float(tl), float(vl), float(f1), float(lr)))
-        return cls(rows)
 
-
-def lr_schedule(history: Sequence[TrainLogRow], current_lr: float,
-                decay: DecayConfig) -> float:
+def lr_schedule(history: Sequence[TrainLogRow], config: TrainConfig) -> float:
     """Learning rate for the next epoch given the epochs logged so far.
 
-    Pure replay of the plateau rule on the monitored loss series (val loss,
-    or train loss when there is no validation split), anchored at the lr
-    recorded for epoch 1; every reduction multiplies by `factor`, floored
-    at `min_lr`.
+    Replays the plateau rule on the monitored loss series (val loss, or
+    train loss when there is no validation split): a reduction fires at
+    every epoch whose stagnation count is a positive multiple of
+    `decay_patience`. The lr is the one recorded for epoch 1 times
+    `decay_factor` per reduction, floored at `min_lr`, and never above
+    the lr of epoch 1.
     """
     if not history:
         raise ValueError("history must be non-empty")
-    losses = [row.monitored_loss for row in history]
-    reductions = plateau_reductions(losses, decay.patience)
-    new_lr = max(history[0].learning_rate * decay.factor**reductions, decay.min_lr)
-    return min(new_lr, current_lr)
+    counts = stagnant_epochs([row.monitored_loss for row in history])
+    reductions = sum(1 for c in counts if c > 0 and c % config.decay_patience == 0)
+    first = history[0].learning_rate
+    return min(first, max(first * config.decay_factor**reductions, config.min_lr))
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +412,9 @@ def lr_schedule(history: Sequence[TrainLogRow], current_lr: float,
 
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]        # after the final epoch
-    best_params: dict[str, np.ndarray]   # highest val span-F1 (earliest on ties)
-    best_epoch: int
+    params: dict[str, np.ndarray]  # after the final epoch
+    best_epoch: int                # the epoch saved as best.ckpt
     log: TrainLog
-    label_index: dict[str, int]
 
 
 def _val_metrics(params, model_config, records: Sequence[EncodedRecord],
@@ -511,13 +477,12 @@ def train(
         )
     label_of = [TagLabel.from_tag(tag) for tag in label_index]
 
-    longest = max(len(r) for r in train_corpus.records)
-    if have_val:
-        longest = max(longest, max(len(r) for r in val_corpus.records))
-    if longest > model_config.max_len:
-        raise ValueError(
-            f"longest record has {longest} tokens but max_len is {model_config.max_len}"
-        )
+    splits = [("train", train_corpus)] + ([("validation", val_corpus)] if have_val else [])
+    for split_name, split_corpus in splits:
+        for rec in split_corpus.records:
+            if len(rec) > model_config.max_len:
+                raise FormatError(f"{split_name} record {rec.record_id!r} has {len(rec)} "
+                                  f"tokens but max_len is {model_config.max_len}")
 
     train_enc = encode_corpus(train_corpus, vocab, label_index)
     if have_val:
@@ -533,8 +498,6 @@ def train(
         if model_config.dropout_rate > 0 else None
     )
     shuffle_rng = random.Random(train_config.seed)
-    decay = DecayConfig(train_config.decay_factor, train_config.decay_patience,
-                        train_config.min_lr)
 
     lr = train_config.learning_rate
     log = TrainLog()
@@ -600,19 +563,14 @@ def train(
             best_flat = flat.copy()
         last_good = flat.copy()
 
-        lr = lr_schedule(log.rows, lr, decay)
+        lr = lr_schedule(log.rows, train_config)
         if train_config.early_stop_patience is not None:
-            stale = trailing_stagnation([r.monitored_loss for r in log.rows])
+            stale = stagnant_epochs([r.monitored_loss for r in log.rows])[-1]
             if stale >= train_config.early_stop_patience:
                 logger.info("early stop after epoch %d (%d stagnant epochs)",
                             epoch, stale)
                 break
 
-    if best_epoch == 0:  # no epoch improved on -inf: cannot happen, guard anyway
-        best_flat = flat.copy()
-        best_epoch = len(log.rows)
-
     if out_dir is not None:
         save_outputs(flat, best_flat)
-    return TrainResult(params=params, best_params=layout.views(best_flat),
-                       best_epoch=best_epoch, log=log, label_index=label_index)
+    return TrainResult(params=params, best_epoch=best_epoch, log=log)

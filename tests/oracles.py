@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute-force and shares no code with the
 package: span extraction enumerates every candidate run, the matcher
-intersects span sets built that way, and the binary cross-entropy
-evaluates the textbook two-class formula directly.
+intersects span sets built that way, the binary cross-entropy
+evaluates the textbook two-class formula directly, and the plateau
+schedule recomputes every epoch's improvement from the whole prefix.
 """
 
 from __future__ import annotations
@@ -63,6 +64,37 @@ def binary_cross_entropy(y: list[int], y_prime: list[float]) -> float:
     for yi, pi in zip(y, y_prime):
         total += yi * math.log(pi) + (1 - yi) * math.log(1 - pi)
     return -total / n
+
+
+def plateau_schedule(losses: list[float], initial_lr: float, factor: float,
+                     patience: int, min_lr: float,
+                     threshold: float = 1e-6) -> list[tuple[int, float]]:
+    """(stagnation count, lr for the next epoch) after each epoch.
+
+    Epoch k improves iff k > 0 and losses[k] < min(losses[:k]) - threshold.
+    The count walks back from k to the last improving epoch. Reductions
+    come from a reduce-on-plateau counter that resets on improvement and
+    after each reduction; the lr is initial_lr * factor**reductions,
+    floored at min_lr and never above initial_lr.
+    """
+    improved = [k > 0 and losses[k] < min(losses[:k]) - threshold
+                for k in range(len(losses))]
+    out = []
+    bad = reductions = 0
+    for k in range(len(losses)):
+        count = 0
+        while count <= k and not improved[k - count]:
+            count += 1
+        if improved[k]:
+            bad = 0
+        else:
+            bad += 1
+            if bad == patience:
+                reductions += 1
+                bad = 0
+        lr = min(initial_lr, max(initial_lr * factor**reductions, min_lr))
+        out.append((count, lr))
+    return out
 
 
 def split_sizes(n: int, train_frac: Fraction, val_frac: Fraction) -> tuple[int, int, int]:

@@ -262,6 +262,28 @@ def test_train_divergence_exit_code_4(tmp_path, capsys):
     assert (out_dir / "final.ckpt").exists()
 
 
+def test_train_over_length_record_exits_3_naming_it(tmp_path, capsys):
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("max_len = 16", "max_len = 4"))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: train record '") and "but max_len is 4" in err, err
+    assert not (out_dir / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("setting", ["early_stop_patience = 0", "grad_clip_norm = -1"])
+def test_train_rejects_bad_clip_and_early_stop(tmp_path, capsys, setting):
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{setting}\n"))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert setting.split()[0] in capsys.readouterr().err
+    assert not (out_dir / "final.ckpt").exists()
+
+
 def test_train_rerun_identical_trainlog(tmp_path):
     raw = gen_corpus(tmp_path)
     cfg, data_dir, out_dir = write_config(tmp_path)
@@ -410,11 +432,22 @@ def test_predict_roundtrip(pipeline, tmp_path, capsys):
     assert capsys.readouterr().out == tagged
 
 
-def test_predict_empty_input(pipeline, tmp_path):
+def test_predict_empty_input(pipeline, tmp_path, capsys):
     _, _, out_dir = pipeline
     empty = tmp_path / "empty.txt"
     empty.write_text("\n\n")
+    capsys.readouterr()
     assert main(["predict", str(out_dir / "best.ckpt"), str(empty)]) == 3
+    assert capsys.readouterr().err == f"error: {empty}: empty input: no token blocks found\n"
+
+
+def test_predict_two_tokens_on_a_line_names_the_file(tmp_path, capsys):
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n\na b\n")
+    assert main(["predict", str(ckpt), str(tokens)]) == 3
+    assert capsys.readouterr().err == (f"error: {tokens}: line 3: expected one token "
+                                       "per line, got 'a b'\n")
 
 
 # ---------------------------------------------------------------------------

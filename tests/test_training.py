@@ -15,8 +15,9 @@ from medner.corpus import (
     encode_corpus,
     gen_synthetic,
     label_index_from_types,
+    parse_conll,
 )
-from medner.errors import DivergenceError, NumericalError
+from medner.errors import DivergenceError, FormatError, NumericalError
 from medner.evaluation import span_metrics
 from medner.model import (
     ForwardTrace,
@@ -33,7 +34,6 @@ from medner.model import (
 )
 from medner import training
 from medner.training import (
-    DecayConfig,
     TrainConfig,
     TrainLog,
     TrainLogRow,
@@ -43,11 +43,16 @@ from medner.training import (
     init_adam_state,
     lr_schedule,
     make_batches,
-    plateau_reductions,
+    stagnant_epochs,
     train,
 )
 
-from oracles import binary_cross_entropy, finite_difference_grads, max_relative_error
+from oracles import (
+    binary_cross_entropy,
+    finite_difference_grads,
+    max_relative_error,
+    plateau_schedule,
+)
 
 LN2 = 0.69314718055994531
 
@@ -358,47 +363,59 @@ def _history(losses, lr):
     ]
 
 
+HALVING = TrainConfig(decay_factor=0.5, decay_patience=3, min_lr=1e-7)
+
+
 def test_schedule_improving_unchanged():
-    decay = DecayConfig(factor=0.5, patience=3, min_lr=1e-7)
-    lr = lr_schedule(_history([1.0, 0.9, 0.8], 1e-3), 1e-3, decay)
+    lr = lr_schedule(_history([1.0, 0.9, 0.8], 1e-3), HALVING)
     assert lr == 1e-3
 
 
 def test_schedule_flat_series_halves_after_3_and_6():
-    decay = DecayConfig(factor=0.5, patience=3, min_lr=1e-7)
-    lr = 1e-3
     seen = []
-    rows = []
     for epoch in range(1, 7):
-        rows = _history([1.0] * epoch, 1e-3)
-        lr = lr_schedule(rows, lr, decay)
-        seen.append(lr)
+        seen.append(lr_schedule(_history([1.0] * epoch, 1e-3), HALVING))
     assert seen == [1e-3, 1e-3, 5e-4, 5e-4, 5e-4, 2.5e-4]
 
 
 def test_schedule_min_lr_floor():
-    decay = DecayConfig(factor=0.5, patience=1, min_lr=1e-4)
-    lr = lr_schedule(_history([1.0] * 20, 1e-3), 1e-3, decay)
+    config = TrainConfig(decay_factor=0.5, decay_patience=1, min_lr=1e-4)
+    lr = lr_schedule(_history([1.0] * 20, 1e-3), config)
     assert lr == 1e-4
 
 
 def test_schedule_counter_resets_on_improvement():
-    decay = DecayConfig(factor=0.5, patience=3, min_lr=1e-7)
     # improvements at epochs 2 and 3 keep resetting the counter
-    lr = lr_schedule(_history([1.0, 0.5, 0.25, 0.25, 0.25], 1e-3), 1e-3, decay)
+    lr = lr_schedule(_history([1.0, 0.5, 0.25, 0.25, 0.25], 1e-3), HALVING)
     assert lr == 1e-3
-    lr = lr_schedule(_history([1.0, 0.5, 0.25, 0.25, 0.25, 0.25], 1e-3), 1e-3, decay)
+    lr = lr_schedule(_history([1.0, 0.5, 0.25, 0.25, 0.25, 0.25], 1e-3), HALVING)
     assert lr == 5e-4
 
 
 def test_plateau_threshold_is_absolute():
-    assert plateau_reductions([1.0, 1.0 - 5e-7, 1.0 - 8e-7], patience=3) == 1
-    assert plateau_reductions([1.0, 1.0 - 1e-3, 1.0 - 2e-3], patience=3) == 0
+    assert stagnant_epochs([1.0, 1.0 - 5e-7, 1.0 - 8e-7]) == [1, 2, 3]
+    assert stagnant_epochs([1.0, 1.0 - 1e-3, 1.0 - 2e-3]) == [1, 0, 0]
+
+
+def test_schedule_matches_brute_force_oracle():
+    rng = np.random.default_rng(5)
+    steps = [-1e-3, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 1e-3]
+    for _ in range(300):
+        losses = [float(x) for x in 1.0 + np.cumsum(rng.choice(steps, rng.integers(1, 25)))]
+        factor = float(rng.choice([0.5, 0.3, 0.9]))
+        patience = int(rng.integers(1, 6))
+        initial = float(rng.choice([1e-3, 1e-6, 1e-8]))  # 1e-8 is below min_lr
+        config = TrainConfig(decay_factor=factor, decay_patience=patience, min_lr=1e-7)
+        want = plateau_schedule(losses, initial, factor, patience, 1e-7)
+        assert stagnant_epochs(losses) == [count for count, _ in want]
+        rows = _history(losses, initial)
+        assert [lr_schedule(rows[:k], config) for k in range(1, len(rows) + 1)] == \
+            [lr for _, lr in want]
 
 
 def test_schedule_requires_history():
     with pytest.raises(ValueError):
-        lr_schedule([], 1e-3, DecayConfig())
+        lr_schedule([], TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +585,14 @@ def test_train_early_stop():
     tc = TrainConfig(learning_rate=1e-12, batch_size=4, max_epochs=50, seed=1,
                      early_stop_patience=4)
     result = train(corpus, None, vocab, mc, tc)
-    assert len(result.log.rows) < 50
+    losses = [r.train_loss for r in result.log.rows]
+    want = plateau_schedule(losses, tc.learning_rate, tc.decay_factor,
+                            tc.decay_patience, tc.min_lr)
+    counts = [count for count, _ in want]
+    assert len(losses) == next(k + 1 for k, c in enumerate(counts)
+                               if c >= tc.early_stop_patience)
+    # 1e-12 is below min_lr: the floor must not raise it
+    assert all(r.learning_rate == 1e-12 for r in result.log.rows)
 
 
 def test_train_divergence_retains_last_good(tmp_path):
@@ -614,6 +638,18 @@ def test_train_validates_label_space():
         train(corpus, None, vocab, bad, TrainConfig(learning_rate=1e-3, max_epochs=1))
 
 
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_train_over_length_record_names_it_and_its_split(split):
+    short = parse_conll("# id: short\nx\tB-D\ny\tO\n")
+    long = parse_conll("# id: long\nx\tB-D\n" + "y\tO\n" * 5)
+    train_c, val_c = (long, short) if split == "train" else (short, long)
+    vocab = build_vocab(train_c)
+    mc = _model_for(train_c, vocab, max_len=5)
+    with pytest.raises(FormatError, match=f"^{split} record 'long' has 6 tokens "
+                                          "but max_len is 5$"):
+        train(train_c, val_c, vocab, mc, TrainConfig(max_epochs=1))
+
+
 def test_train_overfit_small_batch():
     """Loss collapses on a fixed tiny batch (short version of the full
     500-epoch acceptance run)."""
@@ -646,12 +682,11 @@ def test_trainlog_csv_roundtrip():
         TrainLogRow(1, 1.234567, 1.5, 0.25, 1e-3),
         TrainLogRow(2, 0.9, math.nan, math.nan, 5e-4),
     ])
-    text = log.to_csv()
-    assert text.splitlines()[0] == "epoch,train_loss,val_loss,val_span_f1,lr"
-    assert "1,1.23457,1.5,0.25,0.001" in text
-    parsed = TrainLog.from_csv(text)
-    assert parsed.rows[0].train_loss == pytest.approx(1.23457)
-    assert math.isnan(parsed.rows[1].val_loss)
+    assert log.to_csv().splitlines() == [
+        "epoch,train_loss,val_loss,val_span_f1,lr",
+        "1,1.23457,1.5,0.25,0.001",
+        "2,0.9,nan,nan,0.0005",
+    ]
 
 
 def test_trainconfig_validation():
@@ -661,3 +696,7 @@ def test_trainconfig_validation():
         TrainConfig(decay_factor=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="early_stop_patience"):
+        TrainConfig(early_stop_patience=0)
+    with pytest.raises(ValueError, match="grad_clip_norm"):
+        TrainConfig(grad_clip_norm=0.0)
