@@ -6,9 +6,10 @@ from an INI-style config file (sections [data], [split], [model],
 [train], [output]); flags override file values, and MEDNER_SEED is the
 fallback seed when neither a flag nor the config provides one.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure (divergence/NaN). Outputs are written to a temp file and renamed
-into place, so failures never leave partial files behind.
+Exit codes: 0 success, 2 usage error, 3 data/format error or a file that
+cannot be read or written (a closed stdout included), 4 numerical failure
+(divergence/NaN), 130 interrupted. Outputs are written to a temp file and
+renamed into place, so failures never leave partial files behind.
 """
 
 from __future__ import annotations
@@ -381,9 +382,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     try:
-        return globals()[args.func](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = globals()[args.func](args)
+        sys.stdout.flush()
+        return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone. Point stdout at devnull so the flush
+        # at exit cannot fail again (Python's signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        name = exc.filename2 or exc.filename  # a failed rename names its target
+        where = "" if name is None else f"{name}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 3
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

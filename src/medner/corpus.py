@@ -10,12 +10,13 @@ comment forms are structured:
     # types: T1 T2 ...    declares entity types beyond those present in the
                           records (lets a label inventory round-trip)
 
-Tags are ``O`` or ``B-TYPE`` / ``I-TYPE`` with TYPE matching
-``[A-Za-z][A-Za-z0-9_]*``.
+Tokens are non-empty and hold no whitespace. Tags are ``O`` or
+``B-TYPE`` / ``I-TYPE`` with TYPE matching ``[A-Za-z][A-Za-z0-9_]*``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -47,19 +48,6 @@ ID_PLACEHOLDER = "<ID>"
 
 
 @dataclass(frozen=True)
-class Token:
-    """A single whitespace-free text unit."""
-
-    text: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise FormatError("token text must be non-empty")
-        if _WS_RE.search(self.text):
-            raise FormatError(f"token text contains whitespace: {self.text!r}")
-
-
-@dataclass(frozen=True)
 class TagLabel:
     """A BIO tag: position in {B, I, O} plus an entity type (empty for O)."""
 
@@ -77,8 +65,10 @@ class TagLabel:
             raise FormatError(f"invalid entity type {self.entity_type!r}")
 
     @classmethod
+    @functools.cache
     def from_tag(cls, tag: str) -> "TagLabel":
-        """Parse ``O`` / ``B-TYPE`` / ``I-TYPE``."""
+        """Parse ``O`` / ``B-TYPE`` / ``I-TYPE``. Returns one shared instance
+        per tag; an invalid tag raises on every call."""
         if tag == "O":
             return cls("O")
         if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "I"):
@@ -92,15 +82,17 @@ class TagLabel:
         return self.position if self.position == "O" else f"{self.position}-{self.entity_type}"
 
 
-O_LABEL = TagLabel("O")
+O_LABEL = TagLabel.from_tag("O")
 
 
 @dataclass
 class LabeledRecord:
-    """One record: aligned token and label sequences of equal length >= 1."""
+    """One record: aligned token texts and labels of equal length >= 1.
+    Token texts are non-empty and hold no whitespace; parse_conll checks
+    this where text enters from a file."""
 
     record_id: str
-    tokens: list[Token]
+    tokens: list[str]
     labels: list[TagLabel]
 
     def __post_init__(self):
@@ -222,7 +214,7 @@ def parse_conll(text: str) -> Corpus:
     """
     records: list[LabeledRecord] = []
     declared_types: set[str] = set()
-    block_tokens: list[Token] = []
+    block_tokens: list[str] = []
     block_labels: list[TagLabel] = []
     block_id: str | None = None
     ordinal = 0
@@ -253,13 +245,14 @@ def parse_conll(text: str) -> Corpus:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise FormatError(f"line {lineno}: malformed line {line!r} (want token<TAB>tag)")
+        token, tag = parts
+        if _WS_RE.search(token):
+            raise FormatError(f"line {lineno}: token text contains whitespace: {token!r}")
         try:
-            token = Token(parts[0])
-            label = TagLabel.from_tag(parts[1])
+            block_labels.append(TagLabel.from_tag(tag))
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         block_tokens.append(token)
-        block_labels.append(label)
     close_block()
 
     if not records and not declared_types:
@@ -277,7 +270,7 @@ def write_conll(corpus: Corpus) -> str:
             lines.append("")
         lines.append(f"# id: {rec.record_id}")
         for tok, lab in zip(rec.tokens, rec.labels):
-            lines.append(f"{tok.text}\t{lab.tag}")
+            lines.append(f"{tok}\t{lab.tag}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,7 +313,7 @@ def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> list[TagLa
                         f"same-type entity",
                         index=i,
                     )
-                lab = TagLabel("B", lab.entity_type)
+                lab = TagLabel.from_tag(f"B-{lab.entity_type}")
         out.append(lab)
     return out
 
@@ -359,14 +352,14 @@ def deidentify(record: LabeledRecord) -> LabeledRecord:
 
     Idempotent: placeholders match none of the patterns.
     """
-    new_tokens: list[Token] = []
+    new_tokens: list[str] = []
     for tok in record.tokens:
-        if _PHI_BRACKET_RE.match(tok.text):
-            tok = Token(PHI_PLACEHOLDER)
-        elif _DATE_RE.match(tok.text):
-            tok = Token(DATE_PLACEHOLDER)
-        elif _ID_RUN_RE.search(tok.text):
-            tok = Token(ID_PLACEHOLDER)
+        if _PHI_BRACKET_RE.match(tok):
+            tok = PHI_PLACEHOLDER
+        elif _DATE_RE.match(tok):
+            tok = DATE_PLACEHOLDER
+        elif _ID_RUN_RE.search(tok):
+            tok = ID_PLACEHOLDER
         new_tokens.append(tok)
     return LabeledRecord(record.record_id, new_tokens, list(record.labels))
 
@@ -416,7 +409,7 @@ def build_vocab(train: Corpus, min_freq: int = 1, max_size: int = 50000) -> Voca
     """
     if max_size < 2:
         raise ValueError("max_size must be >= 2 to hold PAD and UNK")
-    counts = Counter(tok.text for rec in train.records for tok in rec.tokens)
+    counts = Counter(tok for rec in train.records for tok in rec.tokens)
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
@@ -437,7 +430,7 @@ def encode(
     record: LabeledRecord, vocab: Vocabulary, label_index: dict[str, int]
 ) -> tuple[list[int], list[int]]:
     """Map tokens to vocabulary ids (UNK for unknown) and tags to label ids."""
-    token_ids = [vocab.lookup(tok.text) for tok in record.tokens]
+    token_ids = [vocab.lookup(tok) for tok in record.tokens]
     label_ids = []
     for lab in record.labels:
         if lab.tag not in label_index:
@@ -559,7 +552,7 @@ def gen_synthetic(
             pool = pools[etype]
             for j in range(elen):
                 toks.append(rng.choice(pool))
-                labs.append(TagLabel("B" if j == 0 else "I", etype))
+                labs.append(TagLabel.from_tag(("B-" if j == 0 else "I-") + etype))
 
         emit_filler(rng.randint(0, 2))
         while len(toks) < target:
@@ -571,6 +564,6 @@ def gen_synthetic(
             if len(toks) >= target:
                 break
             emit_filler(rng.randint(1, min(3, target - len(toks))))
-        records.append(LabeledRecord(f"{i:04d}", [Token(t) for t in toks], labs))
+        records.append(LabeledRecord(f"{i:04d}", toks, labs))
 
     return Corpus(records, label_inventory=types)

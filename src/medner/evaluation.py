@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,31 +155,14 @@ def span_metrics(
     return SpanMetrics(micro=micro, per_type=per_type)
 
 
-def token_metrics(
-    pred_label_ids,
-    gold_label_ids,
-    mask=None,
-    id_to_tag: Optional[Sequence[str]] = None,
-) -> TokenMetrics:
-    """One-vs-rest counts per label over non-ignored positions; the micro
-    average pools counts over all non-O labels.
+def token_metrics(pred_label_ids, gold_label_ids, id_to_tag: Sequence[str]) -> TokenMetrics:
+    """One-vs-rest counts per label, label id i being tag id_to_tag[i]; the
+    micro average pools counts over all non-O labels.
     """
     pred = np.asarray(pred_label_ids)
     gold = np.asarray(gold_label_ids)
     if pred.shape != gold.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gold {gold.shape}")
-    if mask is None:
-        mask = np.ones(pred.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != pred.shape:
-            raise ValueError(f"mask shape {mask.shape} != labels shape {pred.shape}")
-    pred = pred[mask]
-    gold = gold[mask]
-    if id_to_tag is None:
-        n = int(max(pred.max(initial=0), gold.max(initial=0))) + 1
-        id_to_tag = [str(i) for i in range(n)]
-
     per_label: dict[str, PRF] = {}
     pooled = [0, 0, 0]
     for label_id, tag in enumerate(id_to_tag):
@@ -287,7 +270,7 @@ def evaluate(
     if gold_as_pred:
         pred_lists = gold_lists
     else:
-        pred_lists = tag_rows(data, [[t.text for t in rec.tokens] for rec in corpus.records],
+        pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
                               [f"record {rec.record_id!r}" for rec in corpus.records])
 
     label_index = label_index_from_types(data.labels)

@@ -30,6 +30,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # the write or the rename failed
+            os.unlink(tmp)

@@ -179,40 +179,6 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    return_weights: bool = False,
-):
-    """Scaled dot-product attention: rowsoftmax(q k^T / sqrt(d_k)) v.
-
-    q, k are n x d_k, v is n x d_v; mask is a boolean vector over the n
-    key positions (True = attend). Masked keys get -inf score bias and
-    therefore exactly zero weight. With return_weights=True the result is
-    (output, weights) so callers can inspect the attention rows.
-    """
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ValueError(
-            f"incompatible shapes q{q.shape} k{k.shape} v{v.shape}"
-        )
-    scores = q @ k.T / math.sqrt(q.shape[1])
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (k.shape[0],):
-            raise ValueError(f"mask shape {mask.shape} != ({k.shape[0]},)")
-        if not mask.any():
-            raise ValueError("all positions masked")
-        scores = np.where(mask[None, :], scores, -np.inf)
-    weights = softmax(scores, axis=-1)
-    out = weights @ v
-    return (out, weights) if return_weights else out
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh-approximate GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
 

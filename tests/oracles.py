@@ -4,7 +4,8 @@ Everything here is deliberately brute-force and shares no code with the
 package: span extraction enumerates every candidate run, the matcher
 intersects span sets built that way, the binary cross-entropy
 evaluates the textbook two-class formula directly, and the plateau
-schedule recomputes every epoch's improvement from the whole prefix.
+schedule recomputes every epoch's improvement from the whole prefix,
+and attention works one query row and one key at a time in plain floats.
 """
 
 from __future__ import annotations
@@ -55,6 +56,32 @@ def all_valid_bio(length: int, types: list[str]) -> list[tuple[str, ...]]:
         for seq in itertools.product(alphabet, repeat=length)
         if is_valid_bio(list(seq))
     ]
+
+
+def reference_attention(q, k, v, mask=None) -> tuple[list[list[float]], list[list[float]]]:
+    """One head's scaled dot-product attention, row by row: query i weighs
+    key j by exp(q_i . k_j / sqrt(d_k)) normalised over the unmasked keys,
+    and masked keys (mask[j] false) weigh exactly 0. Returns (output,
+    weights) as lists of rows."""
+    q, k, v = ([[float(x) for x in row] for row in m] for m in (q, k, v))
+    d_k = len(k[0])
+    if any(len(row) != d_k for row in q) or len(k) != len(v):
+        raise ValueError("incompatible q, k, v shapes")
+    keep = [True] * len(k) if mask is None else [bool(m) for m in mask]
+    if len(keep) != len(k):
+        raise ValueError("mask length differs from the number of keys")
+    if not any(keep):
+        raise ValueError("all positions masked")
+    weights = []
+    for qi in q:
+        scores = [sum(a * b for a, b in zip(qi, kj)) / math.sqrt(d_k) for kj in k]
+        top = max(s for s, m in zip(scores, keep) if m)
+        e = [math.exp(s - top) if m else 0.0 for s, m in zip(scores, keep)]
+        total = sum(e)
+        weights.append([x / total for x in e])
+    out = [[sum(w * vj[c] for w, vj in zip(row, v)) for c in range(len(v[0]))]
+           for row in weights]
+    return out, weights
 
 
 def binary_cross_entropy(y: list[int], y_prime: list[float]) -> float:

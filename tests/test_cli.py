@@ -2,8 +2,16 @@
 reproducibility of outputs.
 """
 
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import medner
 from medner.cli import main
 from medner.corpus import load_corpus, parse_conll, validate_bio
 from medner.model import ModelConfig, init_params, save_checkpoint
@@ -123,6 +131,32 @@ def test_prepare_rerun_byte_identical(tmp_path):
     for name in ("train.conll", "val.conll", "test.conll", "vocab.txt",
                  "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# sha256 of each file prepare writes for the corpus below; a change to
+# parsing, de-identification, BIO repair, splitting, the vocabulary or the
+# writers that moves one byte of these outputs fails here
+PREPARED_SHA256 = {
+    "manifest.json": "36c0408f3fe8685cd85433c0a0fd2fbfcb716a10542fa51d9d465ce95bd30852",
+    "test.conll": "8b5ccb78ec731cc6466264ca91fa3ee149cd90f1337250268f642dbacde1e282",
+    "train.conll": "0c8697308bb064e9d48970144bd32121e8ca063fb72860978e5db8941cfdb041",
+    "val.conll": "438d6236bb3cf035972057e2239c025bcda63f2f3597672510ca9c0fa31c5baa",
+    "vocab.txt": "82c266a7ff0a4eb8ed89dac959f8fd7360302ace28205be42e37427423152818",
+}
+
+
+def test_prepare_outputs_are_pinned(tmp_path):
+    raw = gen_corpus(tmp_path)
+    with raw.open("a", encoding="utf-8") as fh:
+        fh.write("\n# id: extra-1\nSeen\tO\n12/03/2019\tO\nzatoril\tI-Drug\n"
+                 "[**Name**]\tI-Drug\n\n# id: extra-2\nmrn:99887766\tB-Disease\n"
+                 "x\tI-Disease\ny\tI-Drug\n")
+    out = tmp_path / "prep"
+    assert main(["prepare", str(raw), "--out", str(out), "--seed", "5", "--repair",
+                 "--min-freq", "2"]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in sorted(PREPARED_SHA256)}
+    assert got == PREPARED_SHA256
 
 
 def test_prepare_applies_deid(tmp_path):
@@ -511,3 +545,109 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-synthetic"])  # --out is required
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# process boundary: real processes, checked for exit code and traceback
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(medner.__file__).resolve().parents[1])
+
+
+def medner_process(args, unbuffered=False, **kwargs):
+    """`python -m medner.cli args` as a child process, with SIGINT at its
+    default so the child turns it into KeyboardInterrupt even when this
+    process runs with SIGINT ignored. Its stdout is block-buffered, as in
+    a shell pipeline, unless `unbuffered`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    flags = ["-u"] if unbuffered else []
+    return subprocess.Popen(
+        [sys.executable, *flags, "-m", "medner.cli", *map(str, args)], env=env, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL), **kwargs)
+
+
+def finished(proc, timeout=120):
+    _, err = proc.communicate(timeout=timeout)
+    assert "Traceback" not in err, err
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("verb", ["gen-synthetic", "prepare", "train", "eval", "predict"])
+def test_unwritable_out_exits_3_naming_it(tmp_path, verb):
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, _ = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    gold = tmp_path / "gold.conll"
+    gold.write_text("aspirin\tB-Drug\n")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "out"
+    argv = {"gen-synthetic": ["gen-synthetic", "--out", out, "--n-records", "5"],
+            "prepare": ["prepare", raw, "--out", out],
+            "train": ["train", "--config", cfg, "--out", out],
+            "eval": ["eval", ckpt, gold, "--out", out],
+            "predict": ["predict", ckpt, tokens, "--out", out]}[verb]
+    code, err = finished(medner_process(argv, stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE))
+    assert code == 3
+    assert err.startswith("error: ") and str(blocker) in err, err
+
+
+@pytest.mark.parametrize("verb", ["gen-synthetic", "predict"])
+def test_out_naming_a_directory_exits_3_and_leaves_no_temp_file(tmp_path, capsys, verb):
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n")
+    out = tmp_path / "taken"
+    out.mkdir()
+    argv = {"gen-synthetic": ["gen-synthetic", "--out", str(out), "--n-records", "5"],
+            "predict": ["predict", str(ckpt), str(tokens), "--out", str(out)]}[verb]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and ".tmp." not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "taken", "tokens.txt"]
+
+
+@pytest.mark.parametrize("verb", ["eval", "predict"])
+def test_closed_stdout_exits_3_without_traceback(tmp_path, verb):
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    gold = tmp_path / "gold.conll"
+    gold.write_text("aspirin\tB-Drug\n\naspirin\tO\n")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n")
+    argv = {"eval": ["eval", ckpt, gold, "--out", tmp_path / "closed"],
+            "predict": ["predict", ckpt, tokens]}[verb]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = medner_process(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    code, err = finished(proc)
+    assert code == 3
+    assert err.startswith("error: stdout: "), err
+    if verb == "eval":
+        assert main([str(a) for a in argv[:-1]] + [str(tmp_path / "open")]) == 0
+        report = (tmp_path / "open" / "eval_report.txt").read_bytes()
+        assert (tmp_path / "closed" / "eval_report.txt").read_bytes() == report
+
+
+def test_interrupted_train_exits_130_without_traceback(tmp_path):
+    raw = gen_corpus(tmp_path)
+    cfg, _, _ = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("max_epochs = 4", "max_epochs = 100000"))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    proc = medner_process(["train", "--config", cfg], unbuffered=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith("epoch 1:")
+        proc.send_signal(signal.SIGINT)
+        code, err = finished(proc)
+    finally:
+        proc.kill()
+    assert code == 130
+    assert err == "interrupted\n"

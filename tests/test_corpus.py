@@ -13,13 +13,13 @@ from medner.corpus import (
     LabeledRecord,
     SplitSpec,
     TagLabel,
-    Token,
     Vocabulary,
     build_vocab,
     deidentify,
     encode,
     gen_synthetic,
     label_index_from_types,
+    load_corpus,
     parse_conll,
     spans_from_labels,
     split,
@@ -38,7 +38,7 @@ def tags(*strings):
 
 
 def make_record(rid, texts, labels):
-    return LabeledRecord(rid, [Token(t) for t in texts], labels)
+    return LabeledRecord(rid, list(texts), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +46,28 @@ def make_record(rid, texts, labels):
 # ---------------------------------------------------------------------------
 
 
-def test_token_rejects_whitespace_and_empty():
-    with pytest.raises(FormatError):
-        Token("")
-    with pytest.raises(FormatError):
-        Token("two words")
-    with pytest.raises(FormatError):
-        Token("tab\tched")
-    assert Token("aspirin").text == "aspirin"
+# a space, a no-break space and an empty token, each on line 3
+BAD_TOKEN_LINES = [
+    ("two words\tO", "token text contains whitespace: 'two words'"),
+    ("no\u00a0break\tO", "token text contains whitespace: 'no\\xa0break'"),
+    ("\tO", "malformed line '\\tO'"),
+]
+
+
+def test_parse_rejects_whitespace_and_empty_tokens():
+    for line, message in BAD_TOKEN_LINES:
+        with pytest.raises(FormatError) as exc:
+            parse_conll(f"aspirin\tB-Drug\n\n{line}\n")
+        assert str(exc.value).startswith(f"line 3: {message}"), exc.value
+
+
+def test_load_corpus_token_errors_name_the_file(tmp_path):
+    path = tmp_path / "corpus.conll"
+    for line, message in BAD_TOKEN_LINES:
+        path.write_text(f"aspirin\tB-Drug\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}: line 3: {message}"), exc.value
 
 
 def test_taglabel_invariants():
@@ -67,6 +81,26 @@ def test_taglabel_invariants():
         TagLabel.from_tag("X-Drug")
     assert TagLabel.from_tag("B-Drug").tag == "B-Drug"
     assert TagLabel.from_tag("O").tag == "O"
+
+
+def test_from_tag_shares_one_instance_per_tag():
+    assert TagLabel.from_tag("B-Drug") is TagLabel.from_tag("B-Drug")
+    assert TagLabel.from_tag("O") is TagLabel.from_tag("O")
+    for _ in range(2):  # a failed parse is not cached
+        with pytest.raises(FormatError, match="unparseable tag 'I-'"):
+            TagLabel.from_tag("I-")
+
+
+def test_parse_and_repair_give_the_shared_labels():
+    text = write_conll(gen_synthetic(50, ["Disease", "Drug"], vocab_size=40, max_len=10,
+                                     seed=4))
+    labels = [lab for rec in parse_conll(text).records for lab in rec.labels]
+    assert all(lab is TagLabel.from_tag(lab.tag) for lab in labels)
+    assert len({id(lab) for lab in labels}) == len({lab.tag for lab in labels}) == 5
+
+    repaired = validate_bio(tags("I-Drug", "O", "I-Disease", "I-Drug"), "repair")
+    assert [lab.tag for lab in repaired] == ["B-Drug", "O", "B-Disease", "B-Drug"]
+    assert all(lab is TagLabel.from_tag(lab.tag) for lab in repaired)
 
 
 def test_record_requires_aligned_nonempty():
@@ -94,7 +128,7 @@ def test_parse_single_block():
     corpus = parse_conll("Aspirin\tB-Drug\n50\tI-Drug\nmg\tI-Drug\ndaily\tO\n")
     assert len(corpus) == 1
     rec = corpus.records[0]
-    assert [t.text for t in rec.tokens] == ["Aspirin", "50", "mg", "daily"]
+    assert rec.tokens == ["Aspirin", "50", "mg", "daily"]
     assert [l.tag for l in rec.labels] == ["B-Drug", "I-Drug", "I-Drug", "O"]
     assert rec.record_id == "0000"
 
@@ -278,7 +312,7 @@ def test_spans_match_brute_force_exhaustive():
 )
 def test_deid_patterns(text, expected):
     rec = make_record("r", [text], tags("O"))
-    assert deidentify(rec).tokens[0].text == expected
+    assert deidentify(rec).tokens[0] == expected
 
 
 def test_deid_idempotent_and_label_preserving():
@@ -289,7 +323,7 @@ def test_deid_idempotent_and_label_preserving():
     )
     once = deidentify(rec)
     twice = deidentify(once)
-    assert [t.text for t in once.tokens] == [t.text for t in twice.tokens]
+    assert once.tokens == twice.tokens
     assert once.labels == rec.labels
     assert len(once.tokens) == len(rec.tokens)
 
@@ -471,7 +505,7 @@ def test_gen_synthetic_disjoint_pools():
     for rec in corpus.records:
         for tok, lab in zip(rec.tokens, rec.labels):
             kind = lab.entity_type if lab.position != "O" else "O"
-            by_kind.setdefault(kind, set()).add(tok.text)
+            by_kind.setdefault(kind, set()).add(tok)
     kinds = list(by_kind)
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:

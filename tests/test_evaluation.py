@@ -12,7 +12,6 @@ from medner.corpus import (
     Corpus,
     LabeledRecord,
     TagLabel,
-    Token,
     build_vocab,
     gen_synthetic,
     label_index_from_types,
@@ -237,17 +236,9 @@ def test_token_hand_tally():
     assert m.micro.f1 == pytest.approx(0.8)
 
 
-def test_token_ignore_mask():
-    gold = np.array([[1, 1], [1, -1]])
-    pred = np.array([[1, 0], [1, 0]])
-    mask = gold >= 0
-    m = token_metrics(pred, gold, mask, id_to_tag=["O", "B-D"])
-    assert m.per_label["B-D"] == PRF(2, 0, 1)
-
-
 def test_token_shape_mismatch():
     with pytest.raises(ValueError):
-        token_metrics(np.zeros(3), np.zeros(4))
+        token_metrics(np.zeros(3), np.zeros(4), ["O"])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +293,7 @@ def test_evaluate_counts_consistent(small_checkpoint):
 
 def test_evaluate_inventory_mismatch_names_labels(small_checkpoint):
     path, _ = small_checkpoint
-    alien = Corpus([LabeledRecord("x", [Token("tok")], tags("B-Virus"))])
+    alien = Corpus([LabeledRecord("x", ["tok"], tags("B-Virus"))])
     with pytest.raises(FormatError, match="Virus"):
         evaluate(path, alien)
 
@@ -314,7 +305,7 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
     save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
                     vocab=["<PAD>", "<UNK>", "tok", "x"], labels=["D"])
     rewrite_manifest(path, lambda m: (m.pop("vocab"), m.pop("labels")))
-    corpus = Corpus([LabeledRecord("x", [Token("tok")], tags("O"))])
+    corpus = Corpus([LabeledRecord("x", ["tok"], tags("O"))])
     with pytest.raises(CheckpointError):
         evaluate(path, corpus)
 
@@ -420,7 +411,7 @@ def test_parse_comparison_rows():
 def test_tag_rows_matches_one_row_forwards_repaired(small_checkpoint):
     path, corpus = small_checkpoint
     data = load_checkpoint_full(path)
-    rows = [[t.text for t in rec.tokens] for rec in corpus.records] + [["never-seen", "x"]]
+    rows = [rec.tokens for rec in corpus.records] + [["never-seen", "x"]]
     tag_of = list(label_index_from_types(data.labels))
     raw = []
     for row in rows:
@@ -429,7 +420,9 @@ def test_tag_rows_matches_one_row_forwards_repaired(small_checkpoint):
         raw.append([TagLabel.from_tag(tag_of[i]) for i in np.argmax(logits[0], axis=-1)])
     want = [validate_bio(labels, "repair") for labels in raw]
     assert want != raw  # the untrained model emits invalid I tags to repair
-    assert tag_rows(data, rows, [f"row {i}" for i in range(len(rows))]) == want
+    got = tag_rows(data, rows, [f"row {i}" for i in range(len(rows))])
+    assert got == want
+    assert all(lab is TagLabel.from_tag(lab.tag) for labels in got for lab in labels)
 
     too_long = [["tok"] * (data.config.max_len + 1)]
     with pytest.raises(FormatError, match="row 0 has 13 tokens but the model's max_len is 12"):
