@@ -167,20 +167,49 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, n
 # ---------------------------------------------------------------------------
 # Core ops
 # ---------------------------------------------------------------------------
+#
+# softmax, gelu_grad, layer_norm, forward and training.backward compute in
+# place where that measured faster. Each in-place step is the same IEEE
+# operation as the expression it stands for, in the same order (a + b and
+# a * b commute exactly), so results are the same to the bit; what goes is
+# a new array and a pass over memory per temporary, which at desk-scale
+# widths cost more than the arithmetic.
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) along `axis`."""
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax (max-subtraction) along the last axis."""
     z = np.asarray(z)
     if z.size == 0:
         raise ValueError("softmax of empty input")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = z - _row_max(z)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """np.max(z, axis=-1, keepdims=True), by pairwise np.maximum over halves.
+
+    numpy's max over a short last axis costs several times a sum over it;
+    halving the row with np.maximum, the odd column folded into the first,
+    costs under half as much on attention scores at training batch sizes. A max is exact, so the result is the same value,
+    NaN included; a zero may come back with the other sign, and z - max
+    then gives the same exp.
+    """
+    while z.shape[-1] > 1:
+        half = z.shape[-1] // 2
+        folded = np.maximum(z[..., :half], z[..., half : 2 * half])
+        if z.shape[-1] % 2:
+            np.maximum(folded[..., :1], z[..., -1:], out=folded[..., :1])
+        z = folded
+    return z
+
+
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximate GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+
+    Returns the activation and the tanh term, which gelu_grad takes back
+    instead of computing it again.
 
     The cube is written x * x * x, not x**3: numpy has no fast path for an
     exponent of 3 and falls back to a generic pow that costs about a hundred
@@ -188,13 +217,26 @@ def gelu(x: np.ndarray) -> np.ndarray:
     a training run. The product rounds twice where pow rounds once, so a
     float32 output can differ from the pow form in its last bit.
     """
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of gelu, with the same multiplications for the powers."""
     t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of gelu at x, given the tanh term t that gelu returned:
+    0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2), each
+    operation in that order, in three new arrays."""
+    grad = np.add(t, 1.0)
+    grad *= 0.5
+    slope = np.multiply(x, 0.5)
+    work = np.square(t)
+    slope *= np.subtract(1.0, work, out=work)
+    slope *= _GELU_C
+    np.multiply(x, x, out=work)
+    work *= 3.0 * _GELU_A
+    work += 1.0
+    slope *= work
+    grad += slope
+    return grad
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -203,12 +245,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     On a constant vector the centered input is exactly zero, so the output
     is the bias vector (epsilon guards the zero variance).
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = centered * inv
-    return gain * x_hat + bias, x_hat, inv
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    y = np.square(x_hat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    x_hat *= inv
+    np.multiply(x_hat, gain, out=y)
+    y += bias
+    return y, x_hat, inv
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +279,7 @@ class LayerTrace:
     h2: np.ndarray          # B,T,D LN2 output
     u: np.ndarray           # B,T,Dff pre-activation
     act: np.ndarray         # B,T,Dff gelu(u)
+    gelu_tanh: np.ndarray   # B,T,Dff the tanh term of gelu(u), for gelu_grad
     ff_drop: Optional[np.ndarray]    # B,T,Dff mask or None
 
 
@@ -259,6 +303,13 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     b, h, t, dk = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place."""
+    y = x @ w
+    y += b
+    return y
 
 
 def _dropout_mask(rng, shape, rate: float, dtype) -> np.ndarray:
@@ -303,18 +354,21 @@ def forward(
     scale = 1.0 / math.sqrt(config.d_k)
     key_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
 
-    x = params["emb.tok"][ids] + params["emb.pos"][:t][None, :, :]
+    x = params["emb.tok"][ids]
+    x += params["emb.pos"][:t]
     trace = ForwardTrace(token_ids=ids, mask=mask, x0=x) if need_trace else None
 
     for layer in range(config.n_layers):
         pfx = f"enc.{layer}."
         p = {name[len(pfx):]: arr for name, arr in params.items() if name.startswith(pfx)}
         h, hat1, inv1 = layer_norm(x, p["ln1.g"], p["ln1.b"])
-        q = _split_heads(h @ p["attn.wq"] + p["attn.bq"], config.n_heads)
-        k = _split_heads(h @ p["attn.wk"] + p["attn.bk"], config.n_heads)
-        v = _split_heads(h @ p["attn.wv"] + p["attn.bv"], config.n_heads)
-        scores = q @ k.swapaxes(-1, -2) * dtype.type(scale) + key_bias
-        probs = softmax(scores, axis=-1)
+        q = _split_heads(_affine(h, p["attn.wq"], p["attn.bq"]), config.n_heads)
+        k = _split_heads(_affine(h, p["attn.wk"], p["attn.bk"]), config.n_heads)
+        v = _split_heads(_affine(h, p["attn.wv"], p["attn.bv"]), config.n_heads)
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= dtype.type(scale)
+        scores += key_bias
+        probs = softmax(scores)
         if dropping:
             attn_drop = _dropout_mask(dropout_rng, probs.shape, rate, dtype)
             probs_used = probs * attn_drop
@@ -322,26 +376,29 @@ def forward(
             attn_drop = None
             probs_used = probs
         ctx = _merge_heads(probs_used @ v)
-        x_mid = x + (ctx @ p["attn.wo"] + p["attn.bo"])
+        x_mid = _affine(ctx, p["attn.wo"], p["attn.bo"])
+        x_mid += x
         h2, hat2, inv2 = layer_norm(x_mid, p["ln2.g"], p["ln2.b"])
-        u = h2 @ p["ff.w1"] + p["ff.b1"]
-        act = gelu(u)
+        u = _affine(h2, p["ff.w1"], p["ff.b1"])
+        act, gelu_tanh = gelu(u)
         if dropping:
             ff_drop = _dropout_mask(dropout_rng, act.shape, rate, dtype)
             act_used = act * ff_drop
         else:
             ff_drop = None
             act_used = act
-        x_out = x_mid + (act_used @ p["ff.w2"] + p["ff.b2"])
+        x_out = _affine(act_used, p["ff.w2"], p["ff.b2"])
+        x_out += x_mid
         if need_trace:
             trace.layers.append(LayerTrace(
                 x_in=x, ln1_hat=hat1, ln1_inv=inv1, h=h, q=q, k=k, v=v,
                 probs=probs, attn_drop=attn_drop, ctx=ctx, x_mid=x_mid,
-                ln2_hat=hat2, ln2_inv=inv2, h2=h2, u=u, act=act, ff_drop=ff_drop,
+                ln2_hat=hat2, ln2_inv=inv2, h2=h2, u=u, act=act, gelu_tanh=gelu_tanh,
+                ff_drop=ff_drop,
             ))
         x = x_out
 
-    logits = x @ params["head.w"] + params["head.b"]
+    logits = _affine(x, params["head.w"], params["head.b"])
     if need_trace:
         trace.final = x
         trace.logits = logits

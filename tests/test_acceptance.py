@@ -27,12 +27,12 @@ from medner.model import ModelConfig, forward, init_params, softmax
 from medner.training import (
     TrainConfig,
     TrainLogRow,
-    backward,
     cross_entropy,
     lr_schedule,
     train,
 )
 
+from helpers import backward_grads
 from oracles import (
     all_valid_bio,
     binary_cross_entropy,
@@ -190,7 +190,7 @@ def test_criterion_gradient_oracle():
 
         logits, trace = forward(params, cfg, ids, mask)
         _, dlogits = cross_entropy(logits, labels)
-        grads = backward(params, cfg, trace, dlogits)
+        grads = backward_grads(params, cfg, trace, dlogits)
 
         def loss_fn(p):
             lg, _ = forward(p, cfg, ids, mask, need_trace=False)

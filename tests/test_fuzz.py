@@ -1,0 +1,93 @@
+"""Seeded byte-mutation fuzzing of every file a user hands the CLI.
+
+Each mutant of a checkpoint, an eval corpus, a prepare input or a predict
+input must either work (exit 0) or be rejected as bad data (exit 3). It
+must not raise, exit with another code, or print a traceback.
+"""
+
+import numpy as np
+import pytest
+
+from medner.cli import main
+
+from test_cli import gen_corpus, write_config
+
+MUTANTS_PER_TARGET = 250
+
+# bytes that the parsers give meaning to, spliced in as well as random ones
+TOKENS = [b"\t", b"\n", b"\n\n", b"# id: x\n", b"B-", b"I-", b"O", b"B-Drug", b" ", b"\r",
+          b"\xff", b"\x00", b"\xc3", b"\xe2\x80\xa8", b"{", b"}", b"\"", b"9", b"-1", b"1e999"]
+
+
+def mutate(blob: bytes, rng: np.random.Generator, head: int) -> bytes:
+    """One to three random edits; half of them land in the first `head` bytes."""
+    out = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        end = len(out) if rng.random() < 0.5 else min(head, len(out))
+        at = int(rng.integers(0, end + 1))
+        op = int(rng.integers(0, 5))
+        if op == 0 and at < len(out):          # overwrite one byte
+            out[at] = int(rng.integers(0, 256))
+        elif op == 1:                          # splice in a meaningful token
+            out[at:at] = TOKENS[int(rng.integers(len(TOKENS)))]
+        elif op == 2:                          # delete a short run
+            del out[at : at + int(rng.integers(1, 9))]
+        elif op == 3:                          # truncate
+            del out[at:]
+        else:                                  # duplicate a short run
+            out[at:at] = out[at : at + int(rng.integers(1, 17))]
+    return bytes(out)
+
+
+def _payload_start(ckpt: bytes) -> int:
+    """Offset of a checkpoint's float payload: after the magic line, the
+    manifest length line, the manifest and its newline."""
+    magic, length, _ = ckpt.split(b"\n", 2)
+    return len(magic) + len(length) + 2 + int(length) + 1
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_base")
+    raw = gen_corpus(root)
+    cfg, data_dir, out_dir = write_config(root)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    test_conll = data_dir / "test.conll"
+    tokens = root / "tokens.txt"
+    tokens.write_text("\n\n".join(
+        "\n".join(line.split("\t")[0] for line in block.splitlines() if "\t" in line)
+        for block in test_conll.read_text().split("\n\n") if "\t" in block) + "\n")
+    return {"raw": raw, "ckpt": out_dir / "best.ckpt", "test": test_conll, "tokens": tokens}
+
+
+TARGETS = {
+    # target: (base file, argv given the mutant's path and a scratch dir)
+    "eval_checkpoint": ("ckpt", lambda f, m, d: ["eval", m, f["test"], "--out", d]),
+    "eval_corpus": ("test", lambda f, m, d: ["eval", f["ckpt"], m, "--out", d]),
+    "prepare_input": ("raw", lambda f, m, d: ["prepare", m, "--out", d]),
+    "predict_input": ("tokens", lambda f, m, d: ["predict", f["ckpt"], m, "--out", d / "t"]),
+}
+
+
+@pytest.mark.parametrize("target", list(TARGETS))
+def test_mutated_input_exits_0_or_3_without_traceback(target, trained, tmp_path, capsys):
+    base_key, argv_for = TARGETS[target]
+    base = trained[base_key].read_bytes()
+    head = _payload_start(base) if target == "eval_checkpoint" else len(base)
+    rng = np.random.default_rng(sorted(TARGETS).index(target))
+    mutant = tmp_path / "mutant"
+    codes = {}
+    for i in range(MUTANTS_PER_TARGET):
+        mutant.write_bytes(mutate(base, rng, head))
+        argv = [str(a) for a in argv_for(trained, mutant, tmp_path / "out")]
+        try:
+            rc = main(argv)
+        except Exception as exc:  # any escape breaks the contract; name the mutant
+            pytest.fail(f"{target} mutant {i} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert rc in (0, 3), (target, i, rc, err)
+        assert "Traceback" not in err, (target, i, err)
+        codes[rc] = codes.get(rc, 0) + 1
+    # the mutants reach both outcomes, so they exercise loading and rejecting
+    assert set(codes) == {0, 3}, codes

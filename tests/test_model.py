@@ -21,6 +21,7 @@ from medner.model import (
     gelu,
     gelu_grad,
     init_params,
+    layer_norm,
     load_checkpoint_full,
     param_shapes,
     predict_labels,
@@ -84,6 +85,26 @@ def test_softmax_extreme_inputs_stable():
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
         softmax(np.array([]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_matches_the_np_max_form_bit_for_bit(dtype):
+    """softmax finds the row max by halving; it must give the bits of the
+    textbook form, on every key length forward can see, with masked -inf
+    keys, signed zeros and a NaN row."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 34):
+        z = rng.normal(scale=4.0, size=(3, 2, 5, n)).astype(dtype)
+        z[0, 0, :, rng.random(n) < 0.3] = -np.inf
+        z[0, 0, :, 0] = 0.0
+        z[1, 0] = np.where(rng.random((5, n)) < 0.5, -0.0, 0.0)
+        z[1, 1, 0, rng.integers(n)] = np.nan
+        z[2, 1, :, rng.integers(n)] = 1e30
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        want = e / np.sum(e, axis=-1, keepdims=True)
+        got = softmax(z)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), n
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +182,61 @@ def test_gelu_and_grad_match_scalar_reference(dtype):
     eps = np.finfo(dtype).eps
     x = np.linspace(-8, 8, 4001).astype(dtype)
     ref, ref_grad = gelu_reference(x)
-    for fn, want in ((gelu, ref), (gelu_grad, ref_grad)):
-        got = fn(x)
+    y, t = gelu(x)
+    for name, got, want in (("gelu", y, ref), ("gelu_grad", gelu_grad(x, t), ref_grad)):
         assert got.dtype == dtype
-        np.testing.assert_allclose(got, want, rtol=8 * eps, atol=64 * eps, err_msg=fn.__name__)
+        np.testing.assert_allclose(got, want, rtol=8 * eps, atol=64 * eps, err_msg=name)
 
 
 def test_gelu_grad_matches_central_differences():
     x = np.linspace(-5, 5, 101)
     h = 1e-5
-    numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
-    np.testing.assert_allclose(gelu_grad(x), numeric, rtol=1e-8, atol=1e-9)
+    numeric = (gelu(x + h)[0] - gelu(x - h)[0]) / (2 * h)
+    np.testing.assert_allclose(gelu_grad(x, gelu(x)[1]), numeric, rtol=1e-8, atol=1e-9)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_saturates_finite(dtype):
     x = np.array([-30, -10, 10, 30], dtype=dtype)
-    np.testing.assert_array_equal(gelu(x), [0, 0, 10, 30])
-    np.testing.assert_array_equal(gelu_grad(x), [0, 0, 1, 1])
+    y, t = gelu(x)
+    np.testing.assert_array_equal(y, [0, 0, 10, 30])
+    np.testing.assert_array_equal(gelu_grad(x, t), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_ops_give_the_bits_of_their_formulas(dtype):
+    """gelu, gelu_grad and layer_norm compute in place; every element must
+    equal the plain numpy expression of the same formula."""
+    rng = np.random.default_rng(8)
+    x = (rng.normal(size=(3, 5, 24)) * rng.choice([1e-3, 1.0, 8.0], size=(3, 5, 1))).astype(dtype)
+    x[0, 0] = 2.5  # a constant row
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * (x * x * x)))
+    y, got_t = gelu(x)
+    assert got_t.tobytes() == t.tobytes()
+    assert y.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+    want = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3.0 * a * (x * x))
+    assert gelu_grad(x, t).tobytes() == want.tobytes()
+
+    gain = rng.normal(size=24).astype(dtype)
+    bias = rng.normal(size=24).astype(dtype)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5)
+    x_hat = centered * inv
+    for got, want in zip(layer_norm(x, gain, bias), (gain * x_hat + bias, x_hat, inv)):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_forward_keeps_the_gelu_tanh_of_each_layer():
+    cfg = ModelConfig(vocab_size=9, n_labels=3, d_model=8, n_heads=2, n_layers=2,
+                      d_ff=12, max_len=5, dropout_rate=0.0)
+    params = init_params(cfg, seed=2)
+    _, trace = forward(params, cfg, np.array([[1, 2, 3], [4, 5, 6]]))
+    for lt in trace.layers:
+        act, t = gelu(lt.u)
+        assert lt.act.tobytes() == act.tobytes()
+        assert lt.gelu_tanh.tobytes() == t.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +327,7 @@ def test_forward_zero_params_uniform():
     ids = np.zeros((1, 3), dtype=int)
     logits, _ = forward(params, cfg, ids)
     assert not logits.any()
-    np.testing.assert_allclose(softmax(logits, axis=-1),
-                               1.0 / cfg.n_labels, atol=1e-7)
+    np.testing.assert_allclose(softmax(logits), 1.0 / cfg.n_labels, atol=1e-7)
 
 
 def test_forward_attention_rows_stochastic_and_masked():
@@ -346,7 +403,7 @@ def test_predict_labels_softmax_invariant():
     rng = np.random.default_rng(3)
     logits = rng.normal(scale=4, size=(100, 5))
     np.testing.assert_array_equal(
-        predict_labels(logits), predict_labels(softmax(logits, axis=-1))
+        predict_labels(logits), predict_labels(softmax(logits))
     )
 
 

@@ -2,8 +2,10 @@
 the plateau schedule, batching, and the training loop.
 """
 
+import dataclasses
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from medner.training import (
     train,
 )
 
+from helpers import backward_grads
 from oracles import (
     binary_cross_entropy,
     finite_difference_grads,
@@ -164,7 +167,7 @@ def test_backward_matches_finite_differences():
 
     logits, trace = forward(params, cfg, ids, mask)
     _, dlogits = cross_entropy(logits, labels)
-    grads = backward(params, cfg, trace, dlogits)
+    grads = backward_grads(params, cfg, trace, dlogits)
     fd = finite_difference_grads(
         lambda p: _loss_on(p, cfg, ids, mask, labels), params
     )
@@ -184,7 +187,7 @@ def test_backward_with_dropout_masks_in_trace():
     labels = rng.integers(0, cfg.n_labels, size=(1, 3))
     logits, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(3))
     _, dlogits = cross_entropy(logits, labels)
-    grads = backward(params, cfg, trace, dlogits)
+    grads = backward_grads(params, cfg, trace, dlogits)
 
     def fixed_mask_loss(p):
         x = p["emb.tok"][ids] + p["emb.pos"][:3][None]
@@ -197,11 +200,11 @@ def test_backward_with_dropout_masks_in_trace():
             q = _split_heads(h @ pl["attn.wq"] + pl["attn.bq"], cfg.n_heads)
             k = _split_heads(h @ pl["attn.wk"] + pl["attn.bk"], cfg.n_heads)
             v = _split_heads(h @ pl["attn.wv"] + pl["attn.bv"], cfg.n_heads)
-            probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_k), axis=-1)
+            probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_k))
             ctx = _merge_heads((probs * lt.attn_drop) @ v)
             x = x + ctx @ pl["attn.wo"] + pl["attn.bo"]
             h2, _, _ = layer_norm(x, pl["ln2.g"], pl["ln2.b"])
-            act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"]) * lt.ff_drop
+            act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"])[0] * lt.ff_drop
             x = x + act @ pl["ff.w2"] + pl["ff.b2"]
         logits = x @ p["head.w"] + p["head.b"]
         return cross_entropy(logits, labels)[0]
@@ -220,10 +223,22 @@ def test_backward_linear_in_upstream_gradient():
     labels = rng.integers(0, cfg.n_labels, size=(1, 4))
     logits, trace = forward(params, cfg, ids)
     _, dlogits = cross_entropy(logits, labels)
-    g1 = backward(params, cfg, trace, dlogits)
-    g2 = backward(params, cfg, trace, 2.0 * dlogits)
+    g1 = backward_grads(params, cfg, trace, dlogits)
+    g2 = backward_grads(params, cfg, trace, 2.0 * dlogits)
     for name in params:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_backward_gives_the_bits_of_its_formula(dtype):
+    rng = np.random.default_rng(9)
+    dy, x_hat = rng.normal(size=(2, 2, 3, 16)).astype(dtype)
+    inv = rng.uniform(0.1, 10.0, size=(3, 1)).astype(dtype)
+    gain = rng.normal(size=16).astype(dtype)
+    dxhat = dy * gain
+    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True))
+    assert training._layer_norm_backward(dy, x_hat, inv, gain).tobytes() == want.tobytes()
 
 
 def test_backward_trace_mismatch():
@@ -232,10 +247,75 @@ def test_backward_trace_mismatch():
     ids = np.zeros((1, 3), dtype=int)
     logits, trace = forward(params, cfg, ids)
     with pytest.raises(ValueError, match="mismatch"):
-        backward(params, cfg, trace, np.zeros((1, 4, cfg.n_labels)))
+        backward_grads(params, cfg, trace, np.zeros((1, 4, cfg.n_labels)))
     traceless = ForwardTrace(token_ids=ids, mask=np.ones_like(ids, bool), x0=trace.x0)
     with pytest.raises(ValueError, match="need_trace"):
-        backward(params, cfg, traceless, np.zeros_like(logits))
+        backward_grads(params, cfg, traceless, np.zeros_like(logits))
+
+
+def _traced_batch(cfg, params, seed, shape, n_ids=None):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, n_ids or cfg.vocab_size, size=shape)
+    mask = np.ones(shape, dtype=bool)
+    mask[-1, shape[1] // 2:] = False
+    labels = np.where(mask, rng.integers(0, cfg.n_labels, size=shape), -1)
+    logits, trace = forward(params, cfg, ids, mask)
+    return trace, cross_entropy(logits, labels)[1]
+
+
+def _joined(grads):
+    return np.concatenate([a.ravel() for a in grads.values()])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_overwrites_stale_buffers(dtype):
+    """Whatever the reused gradient vector held, backward leaves exactly
+    the gradients it writes into a zeroed one."""
+    cfg = tiny_config(vocab_size=13, max_len=6, n_layers=2)
+    params = init_params(cfg, seed=5, dtype=dtype)
+    trace, dlogits = _traced_batch(cfg, params, 6, (3, 6))
+    zeroed = _joined(backward_grads(params, cfg, trace, dlogits, fill=0.0))
+    assert np.isfinite(zeroed).all()
+    for fill in (np.nan, np.inf, -7.0):
+        got = _joined(backward_grads(params, cfg, trace, dlogits, fill=fill))
+        assert got.tobytes() == zeroed.tobytes(), fill
+
+
+def test_backward_second_call_leaves_no_residue():
+    """A shorter batch with other token ids, into the vector the longer
+    batch filled: no row of emb.tok or of emb.pos keeps its old value."""
+    cfg = tiny_config(vocab_size=13, max_len=6)
+    params = init_params(cfg, seed=7, dtype=np.float32)
+    layout = ParamLayout(cfg)
+    reused = np.zeros(layout.size, dtype=np.float32)
+    grads = layout.views(reused)
+    backward(params, cfg, *_traced_batch(cfg, params, 8, (3, 6), n_ids=6), grads)
+    assert np.abs(grads["emb.pos"][3:]).sum() > 0
+    trace, dlogits = _traced_batch(cfg, params, 9, (2, 3))
+    trace = dataclasses.replace(trace, token_ids=trace.token_ids % 7 + 6)  # ids 6..12
+    backward(params, cfg, trace, dlogits, grads)
+    assert reused.tobytes() == _joined(backward_grads(params, cfg, trace, dlogits)).tobytes()
+    assert not grads["emb.tok"][:6].any()
+    assert not grads["emb.pos"][3:].any()
+
+
+def test_token_embedding_gradient_matches_sequential_loop():
+    """The emb.tok gradient is the gradient of each input position added
+    into its token's row one position at a time, in batch order. With
+    token ids all distinct, the rows of emb.tok are those per-position
+    gradients themselves, so the reference can be built from them."""
+    cfg = tiny_config(vocab_size=24, max_len=6)
+    params = init_params(cfg, seed=11, dtype=np.float32)
+    trace, dlogits = _traced_batch(cfg, params, 12, (4, 6), n_ids=3)
+    got = backward_grads(params, cfg, trace, dlogits)["emb.tok"]
+    distinct = np.arange(24).reshape(4, 6)
+    per_position = backward_grads(params, cfg, dataclasses.replace(trace, token_ids=distinct),
+                                  dlogits)["emb.tok"]
+    want = np.zeros_like(got)
+    for pos, tok in enumerate(trace.token_ids.reshape(-1)):
+        want[tok] += per_position[pos]
+    assert got.tobytes() == want.tobytes()
+    assert not got[3:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +362,14 @@ def test_adam_deterministic_runs():
 def test_adam_matches_per_tensor_reference():
     """The flat in-place update is bit-identical to Adam applied tensor by
     tensor with the same elementwise operation order."""
+    _check_adam_against_per_tensor_reference(clip=None)
+
+
+def test_adam_clipped_matches_per_tensor_reference():
+    _check_adam_against_per_tensor_reference(clip=1.0)
+
+
+def _check_adam_against_per_tensor_reference(clip):
     cfg = tiny_config()
     layout = ParamLayout(cfg)
     ref = init_params(cfg, seed=3)
@@ -293,7 +381,11 @@ def test_adam_matches_per_tensor_reference():
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
     for t in range(1, 6):
         grads = {n: grad_rng.normal(size=a.shape).astype(np.float32) for n, a in ref.items()}
-        adam_step(flat, layout.flatten(grads), state, lr)
+        adam_step(flat, layout.flatten(grads), state, lr, grad_clip_norm=clip)
+        if clip is not None:
+            norm = training.global_grad_norm(layout.flatten(grads))
+            assert norm > clip
+            grads = {n: g * (clip / norm) for n, g in grads.items()}
         for n, g in grads.items():
             m[n] = b1 * m[n] + (1.0 - b1) * g
             v[n] = b2 * v[n] + (1.0 - b2) * (g * g)
@@ -348,6 +440,8 @@ def test_adam_shape_mismatch():
         adam_step(params, np.zeros(3), init_adam_state(params), lr=0.1)
     with pytest.raises(ValueError):
         adam_step(params, np.zeros(2), init_adam_state(np.zeros(3)), lr=0.1)
+    with pytest.raises(ValueError, match="dtype"):
+        adam_step(params, np.zeros(2, dtype=np.float32), init_adam_state(params), lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +518,38 @@ def test_schedule_requires_history():
 
 
 def _encoded(n, length=4):
+    """n records; record i starts with token id i + 2, so rows tell records apart."""
     return [
-        EncodedRecord(f"r{i}", [(i + j) % 7 + 2 for j in range(length)],
-                      [j % 3 for j in range(length)])
+        EncodedRecord(f"r{i}", [i + 2] + [(i + j) % 7 + 2 for j in range(1, length)],
+                      [(i + j) % 3 for j in range(length)])
         for i in range(n)
     ]
 
 
+def _rows(batches):
+    """Each batch row's real token ids and labels, in batch order."""
+    return [(tuple(ids[real]), tuple(labels[real]))
+            for b in batches
+            for ids, labels, real in zip(b.token_ids, b.label_ids, b.attention_mask)]
+
+
 def test_batch_sizes_35_over_16():
-    batches = make_batches(_encoded(35), batch_size=16)
+    batches = make_batches(_encoded(35), batch_size=16, seed=0)
     assert [b.token_ids.shape[0] for b in batches] == [16, 16, 3]
 
 
-def test_batches_preserve_order_without_shuffle():
-    batches = make_batches(_encoded(5), batch_size=2, shuffle=False)
-    assert [rid for b in batches for rid in b.record_ids] == [f"r{i}" for i in range(5)]
+def test_batches_follow_the_seeded_shuffle():
+    records = _encoded(5)
+    order = list(records)
+    random.Random(4).shuffle(order)
+    batches = make_batches(records, batch_size=2, seed=4)
+    assert _rows(batches) == [(tuple(r.token_ids), tuple(r.label_ids)) for r in order]
 
 
 def test_batches_partition_records():
-    records = _encoded(23)
-    batches = make_batches(records, batch_size=4, seed=3, shuffle=True)
-    ids = [rid for b in batches for rid in b.record_ids]
-    assert sorted(ids) == sorted(r.record_id for r in records)
-    assert len(set(ids)) == len(ids)
+    records = [*_encoded(22), EncodedRecord("short", [40], [1])]
+    rows = _rows(make_batches(records, batch_size=4, seed=3))
+    assert sorted(rows) == sorted((tuple(r.token_ids), tuple(r.label_ids)) for r in records)
 
 
 def test_batch_padding_invariant():
@@ -454,23 +557,26 @@ def test_batch_padding_invariant():
         EncodedRecord("a", [2, 3, 4], [0, 1, 2]),
         EncodedRecord("b", [5], [1]),
     ]
-    (batch,) = make_batches(records, batch_size=8)
+    (batch,) = make_batches(records, batch_size=8, seed=0)
+    long_row = int(np.argmax(batch.attention_mask.sum(axis=1)))
+    short_row = 1 - long_row
     assert batch.token_ids.shape == (2, 3)
-    np.testing.assert_array_equal(batch.attention_mask,
-                                  [[True, True, True], [True, False, False]])
-    np.testing.assert_array_equal(batch.label_ids, [[0, 1, 2], [1, -1, -1]])
-    np.testing.assert_array_equal(batch.token_ids[1], [5, 0, 0])
+    np.testing.assert_array_equal(batch.attention_mask[long_row], [True, True, True])
+    np.testing.assert_array_equal(batch.attention_mask[short_row], [True, False, False])
+    np.testing.assert_array_equal(batch.label_ids[long_row], [0, 1, 2])
+    np.testing.assert_array_equal(batch.label_ids[short_row], [1, -1, -1])
+    np.testing.assert_array_equal(batch.token_ids[short_row], [5, 0, 0])
     assert batch.active_count == 4
     assert ((batch.label_ids == -1) == ~batch.attention_mask).all()
 
 
 def test_batches_shuffle_deterministic():
     records = _encoded(20)
-    a = make_batches(records, batch_size=6, seed=5, shuffle=True)
-    b = make_batches(records, batch_size=6, seed=5, shuffle=True)
-    assert [x.record_ids for x in a] == [x.record_ids for x in b]
-    c = make_batches(records, batch_size=6, seed=6, shuffle=True)
-    assert [x.record_ids for x in a] != [x.record_ids for x in c]
+    a = make_batches(records, batch_size=6, seed=5)
+    b = make_batches(records, batch_size=6, seed=5)
+    assert _rows(a) == _rows(b)
+    c = make_batches(records, batch_size=6, seed=6)
+    assert _rows(a) != _rows(c)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +718,9 @@ def test_train_divergence_names_nonfinite_gradient_tensor(tmp_path, monkeypatch)
     real_backward = training.backward
 
     def poisoned_backward(*args):
-        grads = real_backward(*args)
+        real_backward(*args)
+        grads = args[-1]
         grads["enc.0.ff.b1"][2] = np.nan
-        return grads
 
     monkeypatch.setattr(training, "backward", poisoned_backward)
     corpus = _tiny_corpus(4)
