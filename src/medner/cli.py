@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import logging
 import os
 import sys
+import typing
 from typing import Optional
 
 import numpy as np
@@ -40,8 +42,29 @@ logger = logging.getLogger("medner")
 # ---------------------------------------------------------------------------
 
 
+# The dataclass whose fields each of these sections sets; the data, not the
+# file, gives ModelConfig its vocab_size and n_labels
+CONFIG_CLASSES = {"split": corpus_mod.SplitSpec, "model": ModelConfig, "train": TrainConfig}
+DATA_FIELDS = ("vocab_size", "n_labels")
+
+
+def _field_casts(cls) -> dict:
+    """Config key -> float or int, for each field of cls a file may set."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: float if float in (hints[f.name], *typing.get_args(hints[f.name])) else int
+            for f in dataclasses.fields(cls) if f.name not in DATA_FIELDS}
+
+
+# Every key a config file may set, by section
+CONFIG_KEYS = {"data": {"dir", "min_freq", "max_vocab"},
+               **{name: set(_field_casts(cls)) for name, cls in CONFIG_CLASSES.items()},
+               "output": {"dir", "precision"}}
+
+
 def _load_config(path: Optional[str]) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """The config file at `path`, values read literally (no interpolation).
+    An unknown section or key is a usage error naming it."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     if path is not None:
         if not os.path.exists(path):
             raise FormatError(f"config file not found: {path}")
@@ -49,20 +72,26 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
             cp.read_string(read_text(path), source=path)
         except configparser.Error as exc:
             raise FormatError(f"{path}: {exc}") from None
+    # [DEFAULT] first: its keys would otherwise show up in every section
+    for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"{path}: [{section}]: unknown section "
+                             f"(known: {', '.join(CONFIG_KEYS)})")
+        for key in cp.options(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ValueError(f"{path}: [{section}] {key}: unknown key "
+                                 f"(known: {', '.join(sorted(CONFIG_KEYS[section]))})")
     return cp
 
 
 def _cfg(cp, section: str, key: str, cast, default):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key).strip()
-        if raw:
-            try:
-                return cast(raw)
-            except ValueError:
-                raise FormatError(
-                    f"config [{section}] {key}: cannot parse {raw!r}"
-                ) from None
-    return default
+    raw = cp.get(section, key, fallback="").strip()
+    if not raw:
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        raise FormatError(f"config [{section}] {key}: cannot parse {raw!r}") from None
 
 
 def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default: int) -> int:
@@ -79,42 +108,15 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default:
     return default
 
 
-def _split_spec(cp, flag_seed: Optional[int]) -> corpus_mod.SplitSpec:
-    config_seed = _cfg(cp, "split", "seed", int, None)
-    return corpus_mod.SplitSpec(
-        train_frac=_cfg(cp, "split", "train_frac", float, 0.70),
-        val_frac=_cfg(cp, "split", "val_frac", float, 0.15),
-        test_frac=_cfg(cp, "split", "test_frac", float, 0.15),
-        seed=_resolve_seed(flag_seed, config_seed, 0),
-    )
-
-
-def _model_config(cp, vocab_size: int, n_labels: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        n_labels=n_labels,
-        d_model=_cfg(cp, "model", "d_model", int, 64),
-        n_heads=_cfg(cp, "model", "n_heads", int, 4),
-        n_layers=_cfg(cp, "model", "n_layers", int, 2),
-        d_ff=_cfg(cp, "model", "d_ff", int, 128),
-        max_len=_cfg(cp, "model", "max_len", int, 128),
-        dropout_rate=_cfg(cp, "model", "dropout_rate", float, 0.1),
-    )
-
-
-def _train_config(cp, flag_seed: Optional[int]) -> TrainConfig:
-    config_seed = _cfg(cp, "train", "seed", int, None)
-    return TrainConfig(
-        learning_rate=_cfg(cp, "train", "learning_rate", float, 2e-5),
-        batch_size=_cfg(cp, "train", "batch_size", int, 16),
-        max_epochs=_cfg(cp, "train", "max_epochs", int, 20),
-        decay_factor=_cfg(cp, "train", "decay_factor", float, 0.5),
-        decay_patience=_cfg(cp, "train", "decay_patience", int, 3),
-        min_lr=_cfg(cp, "train", "min_lr", float, 1e-7),
-        seed=_resolve_seed(flag_seed, config_seed, 0),
-        grad_clip_norm=_cfg(cp, "train", "grad_clip_norm", float, None),
-        early_stop_patience=_cfg(cp, "train", "early_stop_patience", int, None),
-    )
+def _config(cp, section: str, flag_seed: Optional[int] = None, **given):
+    """The section's dataclass from `given`, the values the file sets, and
+    the defaults; a seed goes by flag, file, MEDNER_SEED, then 0."""
+    casts = _field_casts(CONFIG_CLASSES[section])
+    values = {key: _cfg(cp, section, key, cast, None) for key, cast in casts.items()}
+    values = {key: value for key, value in values.items() if value is not None}
+    if "seed" in casts:
+        values["seed"] = _resolve_seed(flag_seed, values.get("seed"), 0)
+    return CONFIG_CLASSES[section](**given, **values)
 
 
 def _precision_dtype(precision: int):
@@ -130,6 +132,18 @@ def _require_file(path, hint: str):
         raise FormatError(f"{hint} not found: {path}")
 
 
+def _load_gold(path, check_bio: bool = True) -> corpus_mod.Corpus:
+    """The labeled corpus at `path`. With check_bio, gold labels must be
+    strict BIO; the error names the file and the record."""
+    corpus = corpus_mod.load_corpus(path)
+    for rec in corpus.records if check_bio else ():
+        try:
+            corpus_mod.validate_bio(rec.labels, "strict")
+        except BioViolationError as exc:
+            raise FormatError(f"{path}: record {rec.record_id!r}: {exc}") from None
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -141,23 +155,16 @@ def cmd_prepare(args) -> int:
     min_freq = args.min_freq if args.min_freq is not None else _cfg(cp, "data", "min_freq", int, 1)
     max_vocab = args.max_vocab if args.max_vocab is not None else _cfg(cp, "data", "max_vocab", int, 50000)
     _require_file(args.corpus, "corpus file")
-    corpus = corpus_mod.load_corpus(args.corpus)
+    corpus = _load_gold(args.corpus, check_bio=not args.repair)
 
-    deid = [corpus_mod.deidentify(rec) for rec in corpus.records]
-    cleaned = []
-    for rec in deid:
-        if args.repair:
-            labels = corpus_mod.validate_bio(rec.labels, "repair")
-            cleaned.append(corpus_mod.LabeledRecord(rec.record_id, rec.tokens, labels))
-        else:
-            try:
-                corpus_mod.validate_bio(rec.labels, "strict")
-            except BioViolationError as exc:
-                raise FormatError(f"record {rec.record_id!r}: {exc}") from None
-            cleaned.append(rec)
+    cleaned = [corpus_mod.deidentify(rec) for rec in corpus.records]
+    if args.repair:
+        cleaned = [corpus_mod.LabeledRecord(rec.record_id, rec.tokens,
+                                            corpus_mod.validate_bio(rec.labels, "repair"))
+                   for rec in cleaned]
     prepared = corpus_mod.Corpus(cleaned, label_inventory=corpus.label_inventory)
 
-    spec = _split_spec(cp, args.seed)
+    spec = _config(cp, "split", args.seed)
     train_c, val_c, test_c = corpus_mod.split(prepared, spec)
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):
         if not part.records:
@@ -168,8 +175,7 @@ def cmd_prepare(args) -> int:
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):
         atomic_write_text(os.path.join(out_dir, f"{name}.conll"),
                           corpus_mod.write_conll(part))
-    vocab_tmp = os.path.join(out_dir, "vocab.txt")
-    atomic_write_text(vocab_tmp, "\n".join(vocab.id_to_token) + "\n")
+    atomic_write_text(os.path.join(out_dir, "vocab.txt"), "\n".join(vocab.id_to_token) + "\n")
     manifest = {
         "source": os.path.basename(args.corpus),
         "seed": spec.seed,
@@ -199,19 +205,19 @@ def cmd_train(args) -> int:
     vocab_path = os.path.join(data_dir, "vocab.txt")
     _require_file(train_path, "prepared training split (run `medner prepare` first)")
     _require_file(vocab_path, "vocabulary file (run `medner prepare` first)")
-    train_c = corpus_mod.load_corpus(train_path)
+    train_c = _load_gold(train_path)
     val_c = None
     # a blank val.conll is an empty validation split; train falls back
     if os.path.exists(val_path) and read_text(val_path).strip():
-        val_c = corpus_mod.load_corpus(val_path)
+        val_c = _load_gold(val_path)
     vocab = corpus_mod.Vocabulary.load(vocab_path)
 
     inventory = set(train_c.label_inventory)
     if val_c is not None:
         inventory |= set(val_c.label_inventory)
     n_labels = len(corpus_mod.label_index_from_types(inventory))
-    model_config = _model_config(cp, vocab_size=len(vocab), n_labels=n_labels)
-    train_config = _train_config(cp, args.seed)
+    model_config = _config(cp, "model", vocab_size=len(vocab), n_labels=n_labels)
+    train_config = _config(cp, "train", args.seed)
 
     def progress(row):
         print(f"epoch {row.epoch}: train_loss={row.train_loss:.6g} "
@@ -230,7 +236,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.corpus, "corpus file")
-    corpus = corpus_mod.load_corpus(args.corpus)
+    corpus = _load_gold(args.corpus)
     report = evaluation.evaluate(args.checkpoint, corpus,
                                  gold_as_pred=args.gold_as_pred)
     out_dir = args.out or "."

@@ -2,8 +2,10 @@
 
 Parameters are name -> ndarray views into one flat vector whose layout
 (names, shapes, order, offsets) only ParamLayout knows; the checkpoint
-payload is that vector. The forward pass records every intermediate needed
-for exact backpropagation in a ForwardTrace; training.backward consumes it.
+payload is that vector. It holds learned tensors only: forward computes
+the fixed sinusoidal positions. The forward pass records every
+intermediate needed for exact backpropagation in a ForwardTrace;
+training.backward consumes it.
 Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
 """
@@ -26,7 +28,7 @@ from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = "MEDNER-CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -67,10 +69,7 @@ class ModelConfig:
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes, in checkpoint payload order."""
     d, f = config.d_model, config.d_ff
-    shapes: dict[str, tuple[int, ...]] = {
-        "emb.tok": (config.vocab_size, d),
-        "emb.pos": (config.max_len, d),
-    }
+    shapes: dict[str, tuple[int, ...]] = {"emb.tok": (config.vocab_size, d)}
     for layer in range(config.n_layers):
         p = f"enc.{layer}"
         shapes[f"{p}.attn.wq"] = (d, d)
@@ -145,15 +144,13 @@ def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.nda
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains, fixed
-    sinusoidal position table. Deterministic given (config, seed, dtype).
+    """Glorot-uniform weights, zero biases, unit layer-norm gains.
+    Deterministic given (config, seed, dtype).
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
-        if name == "emb.pos":
-            params[name] = sinusoidal_positions(config.max_len, config.d_model, dtype)
-        elif len(shape) == 2:
+        if len(shape) == 2:
             fan_in, fan_out = shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -263,7 +260,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 class LayerTrace:
     """Intermediates of one encoder layer, as produced by forward."""
 
-    x_in: np.ndarray        # B,T,D layer input
     ln1_hat: np.ndarray     # B,T,D normalized input
     ln1_inv: np.ndarray     # B,T,1
     h: np.ndarray           # B,T,D LN1 output
@@ -273,7 +269,6 @@ class LayerTrace:
     probs: np.ndarray       # B,H,T,T attention rows (pre-dropout)
     attn_drop: Optional[np.ndarray]  # B,H,T,T inverted-dropout mask or None
     ctx: np.ndarray         # B,T,D merged head outputs (pre output projection)
-    x_mid: np.ndarray       # B,T,D after attention residual
     ln2_hat: np.ndarray
     ln2_inv: np.ndarray
     h2: np.ndarray          # B,T,D LN2 output
@@ -289,7 +284,6 @@ class ForwardTrace:
 
     token_ids: np.ndarray
     mask: np.ndarray
-    x0: np.ndarray          # B,T,D embedded input
     layers: list[LayerTrace] = field(default_factory=list)
     final: np.ndarray = None  # type: ignore[assignment]
     logits: np.ndarray = None  # type: ignore[assignment]
@@ -329,7 +323,8 @@ def forward(
     token_ids: B x T ints; mask: B x T booleans (True = real token). With
     dropout_rng=None (or dropout_rate 0) the pass is deterministic; with a
     seeded generator, dropout is applied after attention probabilities and
-    after the FF activation, and masks are recorded in the trace.
+    after the FF activation, and masks are recorded in the trace. The
+    input is the token embeddings plus sinusoidal_positions(T, d_model).
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
@@ -355,8 +350,8 @@ def forward(
     key_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
 
     x = params["emb.tok"][ids]
-    x += params["emb.pos"][:t]
-    trace = ForwardTrace(token_ids=ids, mask=mask, x0=x) if need_trace else None
+    x += sinusoidal_positions(t, config.d_model, dtype)
+    trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
 
     for layer in range(config.n_layers):
         pfx = f"enc.{layer}."
@@ -391,10 +386,9 @@ def forward(
         x_out += x_mid
         if need_trace:
             trace.layers.append(LayerTrace(
-                x_in=x, ln1_hat=hat1, ln1_inv=inv1, h=h, q=q, k=k, v=v,
-                probs=probs, attn_drop=attn_drop, ctx=ctx, x_mid=x_mid,
-                ln2_hat=hat2, ln2_inv=inv2, h2=h2, u=u, act=act, gelu_tanh=gelu_tanh,
-                ff_drop=ff_drop,
+                ln1_hat=hat1, ln1_inv=inv1, h=h, q=q, k=k, v=v, probs=probs,
+                attn_drop=attn_drop, ctx=ctx, ln2_hat=hat2, ln2_inv=inv2, h2=h2, u=u,
+                act=act, gelu_tanh=gelu_tanh, ff_drop=ff_drop,
             ))
         x = x_out
 
@@ -424,7 +418,8 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
 # token list and entity-type inventory, so a checkpoint is self-contained
 # for evaluation and prediction. The loader accepts only the canonical
 # manifest (ParamLayout order), an exact-size, finite payload, and a
-# vocabulary and inventory that fit the config.
+# vocabulary and inventory that fit the config. Version 1 also stored the
+# position table; it is rejected as an unsupported version like any other.
 
 
 @dataclass

@@ -37,6 +37,7 @@ from .model import (
     init_params,
     predict_labels,
     save_checkpoint,
+    softmax,
 )
 
 logger = logging.getLogger(__name__)
@@ -150,16 +151,12 @@ def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.
     if labels[active].max() >= n_classes:
         raise ValueError("label id out of range")
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-
     rows, cols = np.nonzero(active)
     true = labels[rows, cols]
-    p_true = probs[rows, cols, true]
+    dlogits = softmax(logits)
+    p_true = dlogits[rows, cols, true]
     loss = float(-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n)
 
-    dlogits = probs.copy()
     dlogits[rows, cols, true] -= 1.0
     dlogits /= n
     dlogits[~active] = 0.0
@@ -206,7 +203,7 @@ def backward(
         )
     if len(trace.layers) != config.n_layers:
         raise ValueError("trace/config mismatch: wrong layer count")
-    if trace.x0.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
+    if trace.final.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
         raise ValueError("trace/params mismatch: wrong model width")
 
     d = config.d_model
@@ -280,10 +277,6 @@ def backward(
     tok.fill(0.0)
     cells = trace.token_ids.reshape(-1, 1) * d + np.arange(d)
     np.add.at(tok.reshape(-1), cells.reshape(-1), dx.reshape(-1))
-    t = trace.x0.shape[1]
-    pos = grads["emb.pos"]
-    np.sum(dx, axis=0, out=pos[:t])
-    pos[t:] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,7 @@ def init_adam_state(params: np.ndarray) -> AdamState:
 
 
 def global_grad_norm(grads: np.ndarray) -> float:
-    return math.sqrt(float((grads.astype(np.float64) ** 2).sum()))
+    return math.sqrt(float(np.square(grads, dtype=np.float64).sum()))
 
 
 def adam_step(
@@ -494,7 +487,7 @@ def train(
     (earliest on ties); without a validation split, scheduling and best
     selection fall back to the training loss. On divergence the last good
     parameters are written out (when out_dir is set) and DivergenceError
-    is raised. The sinusoidal position table is kept fixed.
+    is raised.
     """
     if not train_corpus.records:
         raise ValueError("training split is empty")
@@ -573,7 +566,6 @@ def train(
             if not math.isfinite(loss):
                 abort(epoch, "non-finite loss")
             backward(params, model_config, trace, dlogits, grads)
-            grads["emb.pos"].fill(0.0)  # position table stays sinusoidal
             try:
                 adam_step(flat, grad_flat, state, lr, train_config.grad_clip_norm)
             except NumericalError:

@@ -3,6 +3,7 @@ reproducibility of outputs.
 """
 
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import medner
 from medner.cli import main
 from medner.corpus import load_corpus, parse_conll, validate_bio
-from medner.model import ModelConfig, init_params, save_checkpoint
+from medner.model import ModelConfig, init_params, save_checkpoint, sinusoidal_positions
 
 from test_model import rewrite_manifest
 
@@ -245,6 +246,44 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
             == (out_flag / "train.conll").read_bytes())
 
 
+@pytest.mark.parametrize("section, line, needle", [
+    ("train", "learning_rat = 1e-3", "[train] learning_rat: unknown key"),
+    ("model", "dropout_rte = 0.1", "[model] dropout_rte: unknown key"),
+    ("outptu", "dir = elsewhere", "[outptu]: unknown section"),
+])
+@pytest.mark.parametrize("verb", ["prepare", "train"])
+def test_config_unknown_key_or_section_exits_2_naming_it(tmp_path, capsys, verb,
+                                                          section, line, needle):
+    """A misspelt key or section is not ignored: train would otherwise run
+    at the default learning rate and exit 0."""
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    text, header = cfg.read_text(), f"[{section}]\n"
+    cfg.write_text(text.replace(header, header + line + "\n") if header in text
+                   else text + "\n" + header + line + "\n")
+    argv = (["prepare", str(raw), "--config", str(cfg), "--out", str(tmp_path / "again")]
+            if verb == "prepare" else ["train", "--config", str(cfg)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {needle} (known: ")
+    assert not (out_dir / "final.ckpt").exists()
+    assert not (tmp_path / "again").exists()
+
+
+def test_config_values_are_read_literally(tmp_path, capsys):
+    """No interpolation: a '%' is a plain character, so '%(x)s' is a value
+    that does not parse (exit 3, no traceback) and a '%' in a path is kept."""
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, _ = write_config(tmp_path)
+    text = cfg.read_text()
+    cfg.write_text(text.replace("seed = 11", "seed = %(x)s", 1))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "error: config [split] seed: cannot parse '%(x)s'\n"
+    cfg.write_text(text.replace(str(data_dir), str(tmp_path / "100%prepared")))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    assert (tmp_path / "100%prepared" / "train.conll").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval / predict
 # ---------------------------------------------------------------------------
@@ -407,6 +446,69 @@ def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: "), err
+
+
+def _version_1_checkpoint(path):
+    """The tiny checkpoint in format 1, which also stored the sinusoidal
+    position table, as tensor 'emb.pos' right after 'emb.tok'."""
+    _tiny_checkpoint(path)
+    _, length, rest = path.read_bytes().split(b"\n", 2)
+    manifest = json.loads(rest[:int(length)])
+    payload = rest[int(length) + 1:]
+    cfg = manifest["config"]
+    table = sinusoidal_positions(cfg["max_len"], cfg["d_model"]).astype("<f4").tobytes()
+    at = manifest["tensors"][0]["length"]
+    for entry in manifest["tensors"][1:]:
+        entry["offset"] += len(table)
+    manifest["tensors"].insert(1, {"name": "emb.pos", "shape": [cfg["max_len"], cfg["d_model"]],
+                                   "offset": at, "length": len(table)})
+    manifest["format_version"] = 1
+    header = json.dumps(manifest).encode()
+    path.write_bytes(b"MEDNER-CKPT 1\n%d\n" % len(header) + header + b"\n"
+                     + payload[:at] + table + payload[at:])
+    return path
+
+
+def test_version_1_checkpoint_exits_3_naming_file_and_version(tmp_path, capsys):
+    """Format 1 has no reader: such a file is retrained, not converted."""
+    ckpt = _version_1_checkpoint(tmp_path / "v1.ckpt")
+    gold = tmp_path / "gold.conll"
+    gold.write_text("aspirin\tB-Drug\n")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\n")
+    for argv in (["eval", str(ckpt), str(gold)], ["predict", str(ckpt), str(tokens)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: unsupported checkpoint version '1'\n")
+
+
+@pytest.mark.parametrize("where", ["eval", "train.conll", "val.conll", "prepare"])
+def test_invalid_gold_bio_exits_3_naming_file_and_record(tmp_path, capsys, where):
+    """Gold labels are checked once, where the corpus is loaded: the error
+    names the file and the record, and train stops before its first epoch."""
+    bad_record = "# id: r7\naspirin\tO\naspirin\tI-Drug\n"
+    needle = "record 'r7': index 1: I-Drug does not continue a same-type entity\n"
+    if where == "eval":
+        bad = tmp_path / "gold.conll"
+        bad.write_text(bad_record)
+        argv = ["eval", str(_tiny_checkpoint(tmp_path / "model.ckpt")), str(bad),
+                "--out", str(tmp_path / "out")]
+    elif where == "prepare":
+        bad = tmp_path / "raw.conll"
+        bad.write_text("aspirin\tB-Drug\n\n" + bad_record)
+        argv = ["prepare", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        cfg, data_dir, out_dir = write_config(tmp_path)
+        assert main(["prepare", str(gen_corpus(tmp_path)), "--config", str(cfg)]) == 0
+        bad = data_dir / where
+        bad.write_text(bad.read_text() + "\n" + bad_record)
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {needle}"
+    assert "epoch" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("verb", ["eval", "predict"])

@@ -1,8 +1,9 @@
 """Seeded byte-mutation fuzzing of every file a user hands the CLI.
 
 Each mutant of a checkpoint, an eval corpus, a prepare input or a predict
-input must either work (exit 0) or be rejected as bad data (exit 3). It
-must not raise, exit with another code, or print a traceback.
+input must either work (exit 0) or be rejected as bad data (exit 3). A
+mutant config may also be a usage error (exit 2). None may raise, exit
+with another code, or print a traceback.
 """
 
 import numpy as np
@@ -17,6 +18,10 @@ MUTANTS_PER_TARGET = 250
 # bytes that the parsers give meaning to, spliced in as well as random ones
 TOKENS = [b"\t", b"\n", b"\n\n", b"# id: x\n", b"B-", b"I-", b"O", b"B-Drug", b" ", b"\r",
           b"\xff", b"\x00", b"\xc3", b"\xe2\x80\xa8", b"{", b"}", b"\"", b"9", b"-1", b"1e999"]
+
+# values that the config parser, the casts or the config classes give meaning to
+CONFIG_VALUES = [b"%(x)s", b"%", b"nan", b"inf", b"1e999", b"-1", b"0", b"", b"1_0", b"0x10",
+                 b"true", b"0.5", b"[split]", b"a = b"]
 
 
 def mutate(blob: bytes, rng: np.random.Generator, head: int) -> bytes:
@@ -39,6 +44,19 @@ def mutate(blob: bytes, rng: np.random.Generator, head: int) -> bytes:
     return bytes(out)
 
 
+def mutate_config(blob: bytes, rng: np.random.Generator) -> bytes:
+    """Half the time a byte mutation; otherwise one key's value replaced by
+    one of CONFIG_VALUES."""
+    if rng.random() < 0.5:
+        return mutate(blob, rng, len(blob))
+    lines = blob.split(b"\n")
+    keyed = [i for i, line in enumerate(lines) if b"=" in line]
+    i = keyed[int(rng.integers(len(keyed)))]
+    value = CONFIG_VALUES[int(rng.integers(len(CONFIG_VALUES)))]
+    lines[i] = lines[i].split(b"=")[0] + b"= " + value
+    return b"\n".join(lines)
+
+
 def _payload_start(ckpt: bytes) -> int:
     """Offset of a checkpoint's float payload: after the magic line, the
     manifest length line, the manifest and its newline."""
@@ -58,7 +76,25 @@ def trained(tmp_path_factory):
     tokens.write_text("\n\n".join(
         "\n".join(line.split("\t")[0] for line in block.splitlines() if "\t" in line)
         for block in test_conll.read_text().split("\n\n") if "\t" in block) + "\n")
-    return {"raw": raw, "ckpt": out_dir / "best.ckpt", "test": test_conll, "tokens": tokens}
+    return {"raw": raw, "ckpt": out_dir / "best.ckpt", "test": test_conll, "tokens": tokens,
+            "cfg": cfg}
+
+
+def exit_codes(name: str, mutants, argv, mutant, allowed, capsys) -> dict[int, int]:
+    """Write each mutant to `mutant` and run `argv`; count the exit codes.
+    Fails on an escaped exception, a code not in `allowed` or a traceback."""
+    codes: dict[int, int] = {}
+    for i, blob in enumerate(mutants):
+        mutant.write_bytes(blob)
+        try:
+            rc = main([str(a) for a in argv])
+        except Exception as exc:  # any escape breaks the contract; name the mutant
+            pytest.fail(f"{name} mutant {i} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert rc in allowed, (name, i, rc, err)
+        assert "Traceback" not in err, (name, i, err)
+        codes[rc] = codes.get(rc, 0) + 1
+    return codes
 
 
 TARGETS = {
@@ -77,17 +113,19 @@ def test_mutated_input_exits_0_or_3_without_traceback(target, trained, tmp_path,
     head = _payload_start(base) if target == "eval_checkpoint" else len(base)
     rng = np.random.default_rng(sorted(TARGETS).index(target))
     mutant = tmp_path / "mutant"
-    codes = {}
-    for i in range(MUTANTS_PER_TARGET):
-        mutant.write_bytes(mutate(base, rng, head))
-        argv = [str(a) for a in argv_for(trained, mutant, tmp_path / "out")]
-        try:
-            rc = main(argv)
-        except Exception as exc:  # any escape breaks the contract; name the mutant
-            pytest.fail(f"{target} mutant {i} raised {exc!r}")
-        err = capsys.readouterr().err
-        assert rc in (0, 3), (target, i, rc, err)
-        assert "Traceback" not in err, (target, i, err)
-        codes[rc] = codes.get(rc, 0) + 1
+    codes = exit_codes(target, (mutate(base, rng, head) for _ in range(MUTANTS_PER_TARGET)),
+                       argv_for(trained, mutant, tmp_path / "out"), mutant, (0, 3), capsys)
     # the mutants reach both outcomes, so they exercise loading and rejecting
     assert set(codes) == {0, 3}, codes
+
+
+def test_mutated_config_exits_0_2_or_3_without_traceback(trained, tmp_path, capsys):
+    """prepare with a mutated config. --out keeps a mutated [data] dir from
+    sending the outputs outside tmp_path."""
+    base = trained["cfg"].read_bytes()
+    rng = np.random.default_rng(len(TARGETS))
+    mutant = tmp_path / "mutant.ini"
+    codes = exit_codes("config", (mutate_config(base, rng) for _ in range(MUTANTS_PER_TARGET)),
+                       ["prepare", trained["raw"], "--config", mutant, "--out", tmp_path / "out"],
+                       mutant, (0, 2, 3), capsys)
+    assert set(codes) == {0, 2, 3}, codes

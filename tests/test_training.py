@@ -32,6 +32,8 @@ from medner.model import (
     init_params,
     layer_norm,
     load_checkpoint_full,
+    param_shapes,
+    sinusoidal_positions,
     softmax,
 )
 from medner import training
@@ -190,7 +192,7 @@ def test_backward_with_dropout_masks_in_trace():
     grads = backward_grads(params, cfg, trace, dlogits)
 
     def fixed_mask_loss(p):
-        x = p["emb.tok"][ids] + p["emb.pos"][:3][None]
+        x = p["emb.tok"][ids] + sinusoidal_positions(3, cfg.d_model, np.float64)
         for layer, lt in enumerate(trace.layers):
             pl = {k: p[f"enc.{layer}.{k}"] for k in (
                 "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bk",
@@ -248,7 +250,7 @@ def test_backward_trace_mismatch():
     logits, trace = forward(params, cfg, ids)
     with pytest.raises(ValueError, match="mismatch"):
         backward_grads(params, cfg, trace, np.zeros((1, 4, cfg.n_labels)))
-    traceless = ForwardTrace(token_ids=ids, mask=np.ones_like(ids, bool), x0=trace.x0)
+    traceless = ForwardTrace(token_ids=ids, mask=np.ones_like(ids, bool))
     with pytest.raises(ValueError, match="need_trace"):
         backward_grads(params, cfg, traceless, np.zeros_like(logits))
 
@@ -283,20 +285,19 @@ def test_backward_overwrites_stale_buffers(dtype):
 
 def test_backward_second_call_leaves_no_residue():
     """A shorter batch with other token ids, into the vector the longer
-    batch filled: no row of emb.tok or of emb.pos keeps its old value."""
+    batch filled: no row of emb.tok keeps its old value."""
     cfg = tiny_config(vocab_size=13, max_len=6)
     params = init_params(cfg, seed=7, dtype=np.float32)
     layout = ParamLayout(cfg)
     reused = np.zeros(layout.size, dtype=np.float32)
     grads = layout.views(reused)
     backward(params, cfg, *_traced_batch(cfg, params, 8, (3, 6), n_ids=6), grads)
-    assert np.abs(grads["emb.pos"][3:]).sum() > 0
+    assert np.abs(grads["emb.tok"][:6]).sum() > 0
     trace, dlogits = _traced_batch(cfg, params, 9, (2, 3))
     trace = dataclasses.replace(trace, token_ids=trace.token_ids % 7 + 6)  # ids 6..12
     backward(params, cfg, trace, dlogits, grads)
     assert reused.tobytes() == _joined(backward_grads(params, cfg, trace, dlogits)).tobytes()
     assert not grads["emb.tok"][:6].any()
-    assert not grads["emb.pos"][3:].any()
 
 
 def test_token_embedding_gradient_matches_sequential_loop():
@@ -768,14 +769,22 @@ def test_train_overfit_small_batch():
 
 
 def test_positions_stay_sinusoidal():
+    """Training has no position table to move: the trained parameters are
+    the learned tensors only, and forward still adds the first T rows of
+    the sinusoidal table to the token embeddings."""
     corpus = _tiny_corpus(6)
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, seed=1)
     result = train(corpus, None, vocab, mc, tc)
     fresh = init_params(mc, seed=tc.seed)
-    np.testing.assert_array_equal(result.params["emb.pos"], fresh["emb.pos"])
+    assert list(result.params) == list(param_shapes(mc)) == list(fresh)
     assert not np.array_equal(result.params["emb.tok"], fresh["emb.tok"])
+    ids = np.array([[2, 3, 4]])
+    _, trace = forward(result.params, mc, ids)
+    x = result.params["emb.tok"][ids] + sinusoidal_positions(3, mc.d_model)
+    h, _, _ = layer_norm(x, result.params["enc.0.ln1.g"], result.params["enc.0.ln1.b"])
+    assert trace.layers[0].h.tobytes() == h.tobytes()
 
 
 # ---------------------------------------------------------------------------
