@@ -169,7 +169,7 @@ def cmd_prepare(args) -> int:
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):
         if not part.records:
             logger.warning("%s split is empty under the current fractions", name)
-    vocab = corpus_mod.build_vocab(train_c, min_freq=min_freq, max_size=max_vocab)
+    vocab = corpus_mod.build_vocab(train_c, min_freq=min_freq, max_vocab=max_vocab)
 
     os.makedirs(out_dir, exist_ok=True)
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):

@@ -402,19 +402,21 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
 # ---------------------------------------------------------------------------
 
 
-def build_vocab(train: Corpus, min_freq: int = 1, max_size: int = 50000) -> Vocabulary:
+def build_vocab(train: Corpus, min_freq: int = 1, max_vocab: int = 50000) -> Vocabulary:
     """Count tokens in the training split only; keep those with frequency
     >= min_freq, highest frequency first (ties lexicographic), truncated
-    to max_size ids total including PAD/UNK.
+    to max_vocab ids total including PAD/UNK.
     """
-    if max_size < 2:
-        raise ValueError("max_size must be >= 2 to hold PAD and UNK")
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+    if max_vocab < 2:
+        raise ValueError(f"max_vocab must be >= 2 to hold PAD and UNK, got {max_vocab}")
     counts = Counter(tok for rec in train.records for tok in rec.tokens)
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept[: max_size - 2])
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + kept[: max_vocab - 2])
 
 
 def label_index_from_types(entity_types: Iterable[str]) -> dict[str, int]:

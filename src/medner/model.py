@@ -8,6 +8,14 @@ intermediate needed for exact backpropagation in a ForwardTrace;
 training.backward consumes it.
 Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
+
+Activations are packed: forward takes a padded B x T batch, but every
+position-wise layer (embedding, layer norms, projections, GELU, dropout,
+head) works on one N x width matrix of the batch's N real tokens, row i
+being flat position rows[i] with rows = np.flatnonzero(mask). Attention
+alone scatters q, k and v into the padded B x H x T x d_k layout, where
+the key bias hides the padding, and gathers its context back to N rows.
+Logits come back padded, 0 at padded positions.
 """
 
 from __future__ import annotations
@@ -258,35 +266,38 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 @dataclass
 class LayerTrace:
-    """Intermediates of one encoder layer, as produced by forward."""
+    """Intermediates of one encoder layer, as produced by forward. N x ·
+    arrays hold the batch's real tokens only (packed rows); the B x H x T x ·
+    attention tensors keep the padded layout."""
 
-    ln1_hat: np.ndarray     # B,T,D normalized input
-    ln1_inv: np.ndarray     # B,T,1
-    h: np.ndarray           # B,T,D LN1 output
-    q: np.ndarray           # B,H,T,dk
+    ln1_hat: np.ndarray     # N,D normalized input
+    ln1_inv: np.ndarray     # N,1
+    h: np.ndarray           # N,D LN1 output
+    q: np.ndarray           # B,H,T,dk; 0 at padded positions
     k: np.ndarray
     v: np.ndarray
     probs: np.ndarray       # B,H,T,T attention rows (pre-dropout)
     attn_drop: Optional[np.ndarray]  # B,H,T,T inverted-dropout mask or None
-    ctx: np.ndarray         # B,T,D merged head outputs (pre output projection)
-    ln2_hat: np.ndarray
-    ln2_inv: np.ndarray
-    h2: np.ndarray          # B,T,D LN2 output
-    u: np.ndarray           # B,T,Dff pre-activation
-    act: np.ndarray         # B,T,Dff gelu(u)
-    gelu_tanh: np.ndarray   # B,T,Dff the tanh term of gelu(u), for gelu_grad
-    ff_drop: Optional[np.ndarray]    # B,T,Dff mask or None
+    ctx: np.ndarray         # N,D merged head outputs (pre output projection)
+    ln2_hat: np.ndarray     # N,D
+    ln2_inv: np.ndarray     # N,1
+    h2: np.ndarray          # N,D LN2 output
+    u: np.ndarray           # N,Dff pre-activation
+    act: np.ndarray         # N,Dff gelu(u)
+    gelu_tanh: np.ndarray   # N,Dff the tanh term of gelu(u), for gelu_grad
+    ff_drop: Optional[np.ndarray]    # N,Dff mask or None
 
 
 @dataclass
 class ForwardTrace:
-    """Everything backward needs; mask flags the padded positions."""
+    """Everything backward needs; mask (B,T) flags the real tokens, and
+    its flat nonzero positions are the packed rows."""
 
-    token_ids: np.ndarray
-    mask: np.ndarray
+    token_ids: np.ndarray   # B,T
+    mask: np.ndarray        # B,T
     layers: list[LayerTrace] = field(default_factory=list)
-    final: np.ndarray = None  # type: ignore[assignment]
-    logits: np.ndarray = None  # type: ignore[assignment]
+    final: np.ndarray = None  # type: ignore[assignment]  # N,D last hidden states
+    logits: np.ndarray = None  # type: ignore[assignment]  # B,T,labels; 0 at padding
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -297,6 +308,23 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     b, h, t, dk = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+
+
+def _pack_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The N x width matrix of x's (B x T x width) positions `rows`, in
+    order; a view of x when every position is real and x is contiguous."""
+    flat = x.reshape(-1, x.shape[-1])
+    return flat if len(rows) == len(flat) else flat[rows]
+
+
+def _unpack_rows(x: np.ndarray, rows: np.ndarray, b: int, t: int) -> np.ndarray:
+    """_pack_rows undone: a B x T x width array holding x's rows at `rows`
+    and 0 elsewhere; a view of x when every position is real."""
+    if len(rows) == b * t:
+        return x.reshape(b, t, x.shape[-1])
+    out = np.zeros((b * t, x.shape[-1]), dtype=x.dtype)
+    out[rows] = x
+    return out.reshape(b, t, x.shape[-1])
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,6 +353,8 @@ def forward(
     seeded generator, dropout is applied after attention probabilities and
     after the FF activation, and masks are recorded in the trace. The
     input is the token embeddings plus sinusoidal_positions(T, d_model).
+    Only the real tokens are computed (see the module docstring); the
+    B x T x n_labels logits are 0 at padded positions.
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
@@ -348,18 +378,22 @@ def forward(
     dropping = dropout_rng is not None and rate > 0.0
     scale = 1.0 / math.sqrt(config.d_k)
     key_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
+    rows = np.flatnonzero(mask)
 
-    x = params["emb.tok"][ids]
-    x += sinusoidal_positions(t, config.d_model, dtype)
+    def heads(y: np.ndarray) -> np.ndarray:
+        return _split_heads(_unpack_rows(y, rows, b, t), config.n_heads)
+
+    x = params["emb.tok"][ids.reshape(-1)[rows]]
+    x += sinusoidal_positions(t, config.d_model, dtype)[rows % t]
     trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
 
     for layer in range(config.n_layers):
         pfx = f"enc.{layer}."
         p = {name[len(pfx):]: arr for name, arr in params.items() if name.startswith(pfx)}
         h, hat1, inv1 = layer_norm(x, p["ln1.g"], p["ln1.b"])
-        q = _split_heads(_affine(h, p["attn.wq"], p["attn.bq"]), config.n_heads)
-        k = _split_heads(_affine(h, p["attn.wk"], p["attn.bk"]), config.n_heads)
-        v = _split_heads(_affine(h, p["attn.wv"], p["attn.bv"]), config.n_heads)
+        q = heads(_affine(h, p["attn.wq"], p["attn.bq"]))
+        k = heads(_affine(h, p["attn.wk"], p["attn.bk"]))
+        v = heads(_affine(h, p["attn.wv"], p["attn.bv"]))
         scores = q @ k.swapaxes(-1, -2)
         scores *= dtype.type(scale)
         scores += key_bias
@@ -370,7 +404,7 @@ def forward(
         else:
             attn_drop = None
             probs_used = probs
-        ctx = _merge_heads(probs_used @ v)
+        ctx = _pack_rows(_merge_heads(probs_used @ v), rows)
         x_mid = _affine(ctx, p["attn.wo"], p["attn.bo"])
         x_mid += x
         h2, hat2, inv2 = layer_norm(x_mid, p["ln2.g"], p["ln2.b"])
@@ -392,7 +426,7 @@ def forward(
             ))
         x = x_out
 
-    logits = _affine(x, params["head.w"], params["head.b"])
+    logits = _unpack_rows(_affine(x, params["head.w"], params["head.b"]), rows, b, t)
     if need_trace:
         trace.final = x
         trace.logits = logits

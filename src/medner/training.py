@@ -31,7 +31,9 @@ from .model import (
     ModelConfig,
     ParamLayout,
     _merge_heads,
+    _pack_rows,
     _split_heads,
+    _unpack_rows,
     forward,
     gelu_grad,
     init_params,
@@ -208,12 +210,15 @@ def backward(
 
     d = config.d_model
     scale = 1.0 / math.sqrt(config.d_k)
+    b, t = trace.mask.shape
+    rows = np.flatnonzero(trace.mask)
 
-    final2 = trace.final.reshape(-1, d)
-    dlog2 = dlogits.reshape(-1, config.n_labels)
-    np.matmul(final2.T, dlog2, out=grads["head.w"])
-    np.sum(dlog2, axis=0, out=grads["head.b"])
-    dx = dlogits @ params["head.w"].T
+    # Every N x · array below holds the real tokens only (model._pack_rows);
+    # attention's B x H x T x · gradients are 0 at padded queries and keys.
+    dlog = _pack_rows(dlogits, rows)
+    np.matmul(trace.final.T, dlog, out=grads["head.w"])
+    np.sum(dlog, axis=0, out=grads["head.b"])
+    dx = dlog @ params["head.w"].T
 
     for layer in reversed(range(config.n_layers)):
         lt = trace.layers[layer]
@@ -221,27 +226,26 @@ def backward(
 
         # FF sublayer: x_out = x_mid + dropout(gelu(h2 w1 + b1)) w2 + b2
         act_used = lt.act if lt.ff_drop is None else lt.act * lt.ff_drop
-        np.matmul(act_used.reshape(-1, config.d_ff).T, dx.reshape(-1, d),
-                  out=grads[f"{pfx}.ff.w2"])
-        np.sum(dx, axis=(0, 1), out=grads[f"{pfx}.ff.b2"])
+        np.matmul(act_used.T, dx, out=grads[f"{pfx}.ff.w2"])
+        np.sum(dx, axis=0, out=grads[f"{pfx}.ff.b2"])
         dact = dx @ params[f"{pfx}.ff.w2"].T
         if lt.ff_drop is not None:
             dact *= lt.ff_drop
         du = gelu_grad(lt.u, lt.gelu_tanh)
         du *= dact
-        np.matmul(lt.h2.reshape(-1, d).T, du.reshape(-1, config.d_ff),
-                  out=grads[f"{pfx}.ff.w1"])
-        np.sum(du, axis=(0, 1), out=grads[f"{pfx}.ff.b1"])
+        np.matmul(lt.h2.T, du, out=grads[f"{pfx}.ff.w1"])
+        np.sum(du, axis=0, out=grads[f"{pfx}.ff.b1"])
         dh2 = du @ params[f"{pfx}.ff.w1"].T
-        np.sum(dh2 * lt.ln2_hat, axis=(0, 1), out=grads[f"{pfx}.ln2.g"])
-        np.sum(dh2, axis=(0, 1), out=grads[f"{pfx}.ln2.b"])
+        np.sum(dh2 * lt.ln2_hat, axis=0, out=grads[f"{pfx}.ln2.g"])
+        np.sum(dh2, axis=0, out=grads[f"{pfx}.ln2.b"])
         dx_mid = _layer_norm_backward(dh2, lt.ln2_hat, lt.ln2_inv, params[f"{pfx}.ln2.g"])
         dx_mid += dx
 
         # attention sublayer: x_mid = x_in + (ctx wo + bo)
-        np.matmul(lt.ctx.reshape(-1, d).T, dx_mid.reshape(-1, d), out=grads[f"{pfx}.attn.wo"])
-        np.sum(dx_mid, axis=(0, 1), out=grads[f"{pfx}.attn.bo"])
-        dctx = _split_heads(dx_mid @ params[f"{pfx}.attn.wo"].T, config.n_heads)
+        np.matmul(lt.ctx.T, dx_mid, out=grads[f"{pfx}.attn.wo"])
+        np.sum(dx_mid, axis=0, out=grads[f"{pfx}.attn.bo"])
+        dctx = _split_heads(_unpack_rows(dx_mid @ params[f"{pfx}.attn.wo"].T, rows, b, t),
+                            config.n_heads)
         probs_used = lt.probs if lt.attn_drop is None else lt.probs * lt.attn_drop
         dv = probs_used.swapaxes(-1, -2) @ dctx
         dprobs = dctx @ lt.v.swapaxes(-1, -2)
@@ -256,18 +260,16 @@ def backward(
         dk = dscores.swapaxes(-1, -2) @ lt.q
         dk *= scale
 
-        h2d = lt.h.reshape(-1, d)
         dh = np.zeros_like(lt.h)
-        for wname, bname, dmat in (
-            ("attn.wq", "attn.bq", _merge_heads(dq)),
-            ("attn.wk", "attn.bk", _merge_heads(dk)),
-            ("attn.wv", "attn.bv", _merge_heads(dv)),
+        for wname, bname, dheads in (
+            ("attn.wq", "attn.bq", dq), ("attn.wk", "attn.bk", dk), ("attn.wv", "attn.bv", dv),
         ):
-            np.matmul(h2d.T, dmat.reshape(-1, d), out=grads[f"{pfx}.{wname}"])
-            np.sum(dmat, axis=(0, 1), out=grads[f"{pfx}.{bname}"])
+            dmat = _pack_rows(_merge_heads(dheads), rows)
+            np.matmul(lt.h.T, dmat, out=grads[f"{pfx}.{wname}"])
+            np.sum(dmat, axis=0, out=grads[f"{pfx}.{bname}"])
             dh += dmat @ params[f"{pfx}.{wname}"].T
-        np.sum(dh * lt.ln1_hat, axis=(0, 1), out=grads[f"{pfx}.ln1.g"])
-        np.sum(dh, axis=(0, 1), out=grads[f"{pfx}.ln1.b"])
+        np.sum(dh * lt.ln1_hat, axis=0, out=grads[f"{pfx}.ln1.g"])
+        np.sum(dh, axis=0, out=grads[f"{pfx}.ln1.b"])
         dx = _layer_norm_backward(dh, lt.ln1_hat, lt.ln1_inv, params[f"{pfx}.ln1.g"])
         dx += dx_mid
 
@@ -275,7 +277,7 @@ def backward(
     # adds as a 2-D add.at over rows, at a third of its cost.
     tok = grads["emb.tok"]
     tok.fill(0.0)
-    cells = trace.token_ids.reshape(-1, 1) * d + np.arange(d)
+    cells = trace.token_ids.reshape(-1)[rows, None] * d + np.arange(d)
     np.add.at(tok.reshape(-1), cells.reshape(-1), dx.reshape(-1))
 
 

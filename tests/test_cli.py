@@ -192,6 +192,28 @@ def test_prepare_strict_bio_failure_names_record(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("min_freq", "-3", "min_freq must be >= 1, got -3"),
+    ("min_freq", "0", "min_freq must be >= 1, got 0"),
+    ("max_vocab", "1", "max_vocab must be >= 2 to hold PAD and UNK, got 1"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_prepare_out_of_range_vocab_setting_exits_2_naming_it(tmp_path, capsys, source,
+                                                              key, value, needle):
+    """A vocabulary setting below its floor is a usage error, not silently
+    read as the floor, whether it comes from the flag or the config."""
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, _ = write_config(tmp_path)
+    if source == "flag":
+        argv = ["prepare", str(raw), "--config", str(cfg), f"--{key.replace('_', '-')}", value]
+    else:
+        cfg.write_text(cfg.read_text().replace("[data]\n", f"[data]\n{key} = {value}\n"))
+        argv = ["prepare", str(raw), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not data_dir.exists()
+
+
 def test_prepare_missing_file(tmp_path, capsys):
     assert main(["prepare", str(tmp_path / "nope.conll")]) == 3
 

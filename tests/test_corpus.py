@@ -416,9 +416,9 @@ def test_build_vocab_tie_lexicographic():
 
 def test_build_vocab_max_size_truncates():
     corpus = Corpus([make_record("1", ["a", "b", "c"], tags("O", "O", "O"))])
-    assert len(build_vocab(corpus, max_size=3)) == 3
-    with pytest.raises(ValueError):
-        build_vocab(corpus, max_size=1)
+    assert len(build_vocab(corpus, max_vocab=3)) == 3
+    with pytest.raises(ValueError, match="max_vocab"):
+        build_vocab(corpus, max_vocab=1)
 
 
 def test_vocab_file_roundtrip(tmp_path):

@@ -2,9 +2,12 @@
 
 Each mutant of a checkpoint, an eval corpus, a prepare input or a predict
 input must either work (exit 0) or be rejected as bad data (exit 3). A
-mutant config may also be a usage error (exit 2). None may raise, exit
-with another code, or print a traceback.
+mutant config may also be a usage error (exit 2), and a mutant training
+split or vocabulary may also make training diverge (exit 4). None may
+raise, exit with another code, or print a traceback.
 """
+
+import shutil
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from medner.cli import main
 from test_cli import gen_corpus, write_config
 
 MUTANTS_PER_TARGET = 250
+# a mutant costs a one-epoch train here, not a load and a tagging pass
+TRAIN_MUTANTS_PER_FILE = 100
 
 # bytes that the parsers give meaning to, spliced in as well as random ones
 TOKENS = [b"\t", b"\n", b"\n\n", b"# id: x\n", b"B-", b"I-", b"O", b"B-Drug", b" ", b"\r",
@@ -77,7 +82,7 @@ def trained(tmp_path_factory):
         "\n".join(line.split("\t")[0] for line in block.splitlines() if "\t" in line)
         for block in test_conll.read_text().split("\n\n") if "\t" in block) + "\n")
     return {"raw": raw, "ckpt": out_dir / "best.ckpt", "test": test_conll, "tokens": tokens,
-            "cfg": cfg}
+            "cfg": cfg, "data": data_dir}
 
 
 def exit_codes(name: str, mutants, argv, mutant, allowed, capsys) -> dict[int, int]:
@@ -129,3 +134,22 @@ def test_mutated_config_exits_0_2_or_3_without_traceback(trained, tmp_path, caps
                        ["prepare", trained["raw"], "--config", mutant, "--out", tmp_path / "out"],
                        mutant, (0, 2, 3), capsys)
     assert set(codes) == {0, 2, 3}, codes
+
+
+@pytest.mark.parametrize("name", ["train.conll", "vocab.txt"])
+def test_mutated_train_input_exits_0_3_or_4_without_traceback(name, trained, tmp_path,
+                                                                capsys):
+    """train for one epoch on a copy of the prepared data dir with one of
+    its files mutated."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(trained["data"], data_dir)
+    cfg = tmp_path / "one_epoch.ini"
+    cfg.write_text(trained["cfg"].read_text()
+                   .replace("max_epochs = 4", "max_epochs = 1")
+                   .replace(str(trained["data"]), str(data_dir)))
+    base = (data_dir / name).read_bytes()
+    rng = np.random.default_rng(len(TARGETS) + 1 + (name == "vocab.txt"))
+    codes = exit_codes(name, (mutate(base, rng, len(base)) for _ in range(TRAIN_MUTANTS_PER_FILE)),
+                       ["train", "--config", cfg, "--out", tmp_path / "out"],
+                       data_dir / name, (0, 3, 4), capsys)
+    assert {0, 3} <= set(codes), codes

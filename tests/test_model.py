@@ -322,6 +322,39 @@ def test_forward_no_cross_record_mixing():
     assert not np.array_equal(logits2[1], logits[1])
 
 
+def _ragged_batch(cfg, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, cfg.vocab_size, size=(4, 5))
+    mask = np.arange(5) < np.array([[3], [5], [1], [4]])
+    return ids, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_padded_batch_matches_one_row_passes(dtype):
+    """Each record's real-token logits in a padded, traced batch are those
+    of the record run alone."""
+    cfg = tiny_config(n_layers=2)
+    params = init_params(cfg, seed=3, dtype=dtype)
+    ids, mask = _ragged_batch(cfg, 8)
+    logits, trace = forward(params, cfg, ids, mask, need_trace=True)
+    assert trace.final.shape == (mask.sum(), cfg.d_model)
+    for i, n in enumerate(mask.sum(axis=1)):
+        alone, _ = forward(params, cfg, ids[i:i + 1, :n], need_trace=False)
+        np.testing.assert_allclose(logits[i, :n], alone[0],
+                                   rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-6)
+
+
+@pytest.mark.parametrize("need_trace", [True, False])
+def test_forward_logits_are_zero_at_padded_positions(need_trace):
+    cfg = tiny_config()
+    params = init_params(cfg, seed=4)
+    ids, mask = _ragged_batch(cfg, 9)
+    logits, _ = forward(params, cfg, ids, mask, need_trace=need_trace)
+    assert logits.shape == (4, 5, cfg.n_labels)
+    assert not logits[~mask].any()
+    assert logits[mask].all()
+
+
 def test_forward_zero_params_uniform():
     cfg = tiny_config()
     params = {name: np.zeros(shape, dtype=np.float32)

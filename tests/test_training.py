@@ -217,6 +217,36 @@ def test_backward_with_dropout_masks_in_trace():
         assert err < 1e-5, (name, err)
 
 
+def test_backward_padded_batch_with_dropout_matches_finite_differences():
+    """Records of different lengths with dropout on: the packed FF dropout
+    mask, the attention mask and the padded positions all take part. A
+    generator seeded the same way draws the same masks on every forward
+    (their shapes do not depend on the parameters), so the realized
+    forward pass is a function of the parameters alone."""
+    cfg = tiny_config(dropout_rate=0.25, n_layers=2)
+    rng = np.random.default_rng(21)
+    params = init_params(cfg, seed=22, dtype=np.float64)
+    ids = rng.integers(0, cfg.vocab_size, size=(3, 5))
+    mask = np.arange(5) < np.array([[5], [2], [4]])
+    labels = np.where(mask, rng.integers(0, cfg.n_labels, size=(3, 5)), -1)
+
+    def loss(p):
+        logits, _ = forward(p, cfg, ids, mask, dropout_rng=np.random.default_rng(23),
+                            need_trace=False)
+        return cross_entropy(logits, labels)[0]
+
+    logits, trace = forward(params, cfg, ids, mask, dropout_rng=np.random.default_rng(23))
+    assert all(lt.ff_drop.shape == (mask.sum(), cfg.d_ff) for lt in trace.layers)
+    assert all((lt.ff_drop == 0).any() for lt in trace.layers)
+    _, dlogits = cross_entropy(logits, labels)
+    grads = backward_grads(params, cfg, trace, dlogits)
+    fd = finite_difference_grads(loss, params)
+    assert set(grads) == set(params)
+    for name in params:
+        err = max_relative_error(grads[name], fd[name])
+        assert err < 1e-5, (name, err)
+
+
 def test_backward_linear_in_upstream_gradient():
     cfg = tiny_config()
     rng = np.random.default_rng(4)
