@@ -445,7 +445,6 @@ def encode(
 class EncodedRecord:
     """A record after vocabulary/label encoding, ready for batching."""
 
-    record_id: str
     token_ids: list[int]
     label_ids: list[int]
 
@@ -456,10 +455,7 @@ class EncodedRecord:
 def encode_corpus(
     corpus: Corpus, vocab: Vocabulary, label_index: dict[str, int]
 ) -> list[EncodedRecord]:
-    return [
-        EncodedRecord(rec.record_id, *encode(rec, vocab, label_index))
-        for rec in corpus.records
-    ]
+    return [EncodedRecord(*encode(rec, vocab, label_index)) for rec in corpus.records]
 
 
 # ---------------------------------------------------------------------------

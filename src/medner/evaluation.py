@@ -11,6 +11,7 @@ as the headline.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Sequence
@@ -193,9 +194,10 @@ _BATCH_BYTES = 64 * 1024
 
 
 def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
-                   ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+                   ) -> Iterator[tuple[list[int], np.ndarray]]:
     """Forward the token rows without dropout, shortest first; yields each
-    batch's row indices, logits and mask (True at the rows' tokens).
+    batch's row indices and its packed logits: one row per token, the
+    batch's rows one after another.
 
     A batch takes as many rows as keep its widest activation (the
     feed-forward layer, the model width or the attention scores) within
@@ -220,17 +222,17 @@ def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
         ids = np.zeros(mask.shape, dtype=np.int64)
         ids[mask] = np.concatenate([id_rows[i] for i in batch])
         logits, _ = forward(params, config, ids, mask, need_trace=False)
-        yield batch, logits, mask
+        yield batch, logits
         start = stop
 
 
 def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Argmax label ids per token row, in input order."""
     out: list[list[int]] = [[] for _ in id_rows]
-    for batch, logits, _ in batched_logits(params, config, id_rows):
-        pred = predict_labels(logits)
-        for i, row in enumerate(batch):
-            out[row] = pred[i, : len(id_rows[row])].tolist()
+    for batch, logits in batched_logits(params, config, id_rows):
+        pred = iter(predict_labels(logits).tolist())
+        for row in batch:
+            out[row] = list(itertools.islice(pred, len(id_rows[row])))
     return out
 
 

@@ -15,7 +15,7 @@ head) works on one N x width matrix of the batch's N real tokens, row i
 being flat position rows[i] with rows = np.flatnonzero(mask). Attention
 alone scatters q, k and v into the padded B x H x T x d_k layout, where
 the key bias hides the padding, and gathers its context back to N rows.
-Logits come back padded, 0 at padded positions.
+The logits stay packed too: N x n_labels, one row per real token.
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
     numpy's max over a short last axis costs several times a sum over it;
     halving the row with np.maximum, the odd column folded into the first,
-    costs under half as much on attention scores at training batch sizes. A max is exact, so the result is the same value,
-    NaN included; a zero may come back with the other sign, and z - max
-    then gives the same exp.
+    costs under half as much on attention scores at training batch sizes.
+    A max is exact, so the result is the same value, NaN included; a zero
+    may come back with the other sign, and z - max then gives the same exp.
     """
     while z.shape[-1] > 1:
         half = z.shape[-1] // 2
@@ -291,13 +291,13 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     """Everything backward needs; mask (B,T) flags the real tokens, and
-    its flat nonzero positions are the packed rows."""
+    its flat nonzero positions are the packed rows of `final` and of the
+    logits."""
 
     token_ids: np.ndarray   # B,T
     mask: np.ndarray        # B,T
     layers: list[LayerTrace] = field(default_factory=list)
     final: np.ndarray = None  # type: ignore[assignment]  # N,D last hidden states
-    logits: np.ndarray = None  # type: ignore[assignment]  # B,T,labels; 0 at padding
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -353,8 +353,9 @@ def forward(
     seeded generator, dropout is applied after attention probabilities and
     after the FF activation, and masks are recorded in the trace. The
     input is the token embeddings plus sinusoidal_positions(T, d_model).
-    Only the real tokens are computed (see the module docstring); the
-    B x T x n_labels logits are 0 at padded positions.
+    Only the real tokens are computed (see the module docstring): the
+    logits are N x n_labels, row i scoring the token at flat position
+    np.flatnonzero(mask)[i].
     """
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
@@ -426,11 +427,9 @@ def forward(
             ))
         x = x_out
 
-    logits = _unpack_rows(_affine(x, params["head.w"], params["head.b"]), rows, b, t)
     if need_trace:
         trace.final = x
-        trace.logits = logits
-    return logits, trace
+    return _affine(x, params["head.w"], params["head.b"]), trace
 
 
 def predict_labels(logits: np.ndarray) -> np.ndarray:

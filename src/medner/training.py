@@ -1,11 +1,12 @@
-"""Training machinery: categorical cross-entropy with ignore-index, exact
-backpropagation through the encoder, Adam with optional global-norm
-clipping, reduce-on-plateau learning-rate decay, batching, and the
-epoch loop with per-epoch logging.
+"""Training machinery: categorical cross-entropy, exact backpropagation
+through the encoder, Adam with optional global-norm clipping,
+reduce-on-plateau learning-rate decay, batching, and the epoch loop with
+per-epoch logging.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -44,7 +45,6 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-IGNORE_LABEL = -1
 PROB_CLAMP = 1e-12
 IMPROVEMENT_THRESHOLD = 1e-6
 
@@ -68,8 +68,10 @@ class TrainConfig:
     early_stop_patience: Optional[int] = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        for name in ("learning_rate", "min_lr", "grad_clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must be in (0, 1)")
         if self.batch_size < 1:
@@ -78,25 +80,20 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.decay_patience < 1:
             raise ValueError("decay_patience must be >= 1")
-        if self.min_lr <= 0:
-            raise ValueError("min_lr must be > 0")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass
 class Batch:
-    """A padded batch: PAD ids and ignore labels exactly where mask is False."""
+    """A padded batch of token ids, PAD exactly where mask is False, and
+    the labels of its N real tokens as packed rows."""
 
     token_ids: np.ndarray       # B x T int
     attention_mask: np.ndarray  # B x T bool
-    label_ids: np.ndarray       # B x T int, IGNORE_LABEL at padding
-
-    @property
-    def active_count(self) -> int:
-        return int(self.attention_mask.sum())
+    label_ids: np.ndarray       # N int; i labels flat position np.flatnonzero(mask)[i]
 
 
 def make_batches(
@@ -118,13 +115,10 @@ def make_batches(
         t = max(len(r) for r in chunk)
         ids = np.zeros((len(chunk), t), dtype=np.int64)
         mask = np.zeros((len(chunk), t), dtype=bool)
-        labels = np.full((len(chunk), t), IGNORE_LABEL, dtype=np.int64)
         for i, rec in enumerate(chunk):
-            n = len(rec)
-            ids[i, :n] = rec.token_ids
-            mask[i, :n] = True
-            labels[i, :n] = rec.label_ids
-        batches.append(Batch(ids, mask, labels))
+            ids[i, : len(rec)] = rec.token_ids
+            mask[i, : len(rec)] = True
+        batches.append(Batch(ids, mask, np.concatenate([r.label_ids for r in chunk])))
     return batches
 
 
@@ -134,34 +128,30 @@ def make_batches(
 
 
 def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-softmax probability of the true labels over the
-    non-ignored positions; returns (loss, dloss/dlogits).
+    """Mean negative log-softmax probability of the true labels over N
+    tokens: logits N x n_labels, label_ids N ids in [0, n_labels); returns
+    (loss, dloss/dlogits).
 
-    Positions with label id < 0 contribute nothing to loss or gradient.
     The true-label probability is clamped at 1e-12 before the log; the
-    gradient is (softmax - onehot) / N at active positions, zero elsewhere.
+    gradient is (softmax - onehot) / N.
     """
     logits = np.asarray(logits)
     labels = np.asarray(label_ids)
-    if logits.ndim != 3 or labels.shape != logits.shape[:2]:
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise ValueError(f"shape mismatch: logits {logits.shape}, labels {labels.shape}")
-    n_classes = logits.shape[-1]
-    active = labels >= 0
-    n = int(active.sum())
+    n = len(labels)
     if n == 0:
-        raise ValueError("all positions ignored")
-    if labels[active].max() >= n_classes:
+        raise ValueError("no tokens")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label id out of range")
 
-    rows, cols = np.nonzero(active)
-    true = labels[rows, cols]
+    rows = np.arange(n)
     dlogits = softmax(logits)
-    p_true = dlogits[rows, cols, true]
+    p_true = dlogits[rows, labels]
     loss = float(-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n)
 
-    dlogits[rows, cols, true] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
-    dlogits[~active] = 0.0
     return loss, dlogits
 
 
@@ -191,18 +181,18 @@ def backward(
     grads: dict[str, np.ndarray],
 ) -> None:
     """Exact reverse-mode gradients of the scalar loss whose logit gradient
-    is `dlogits`, written into `grads`: a name -> array map shaped like
-    params, usually ParamLayout.views of one gradient vector that the
-    caller reuses across steps, each C-contiguous. Every element of every
-    tensor is written, so whatever the arrays held before does not matter.
+    is `dlogits`, N x n_labels in the trace's packed row order, written
+    into `grads`: a name -> array map shaped like params, usually
+    ParamLayout.views of one gradient vector that the caller reuses across
+    steps, each C-contiguous. Every element of every tensor is written, so
+    whatever the arrays held before does not matter.
     """
-    if trace.logits is None:
+    if trace.final is None:
         raise ValueError("trace was recorded with need_trace=False")
     dlogits = np.asarray(dlogits)
-    if dlogits.shape != trace.logits.shape:
-        raise ValueError(
-            f"trace/gradient mismatch: logits {trace.logits.shape} vs dlogits {dlogits.shape}"
-        )
+    if dlogits.shape != (len(trace.final), config.n_labels):
+        raise ValueError(f"trace/gradient mismatch: {len(trace.final)} tokens x "
+                         f"{config.n_labels} labels vs dlogits {dlogits.shape}")
     if len(trace.layers) != config.n_layers:
         raise ValueError("trace/config mismatch: wrong layer count")
     if trace.final.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
@@ -215,10 +205,9 @@ def backward(
 
     # Every N x · array below holds the real tokens only (model._pack_rows);
     # attention's B x H x T x · gradients are 0 at padded queries and keys.
-    dlog = _pack_rows(dlogits, rows)
-    np.matmul(trace.final.T, dlog, out=grads["head.w"])
-    np.sum(dlog, axis=0, out=grads["head.b"])
-    dx = dlog @ params["head.w"].T
+    np.matmul(trace.final.T, dlogits, out=grads["head.w"])
+    np.sum(dlogits, axis=0, out=grads["head.b"])
+    dx = dlogits @ params["head.w"].T
 
     for layer in reversed(range(config.n_layers)):
         lt = trace.layers[layer]
@@ -458,15 +447,14 @@ def _val_metrics(params, model_config, records: Sequence[EncodedRecord],
     length-sorted batches that inference uses."""
     total_loss = 0.0
     preds: list[list[TagLabel]] = [[] for _ in records]
-    for batch, logits, mask in evaluation.batched_logits(
+    for batch, logits in evaluation.batched_logits(
             params, model_config, [rec.token_ids for rec in records]):
-        labels = np.full(mask.shape, IGNORE_LABEL, dtype=np.int64)
-        labels[mask] = np.concatenate([records[i].label_ids for i in batch])
+        labels = np.concatenate([records[i].label_ids for i in batch])
         loss, _ = cross_entropy(logits, labels)
-        total_loss += loss * int(mask.sum())
-        pred_ids = predict_labels(logits)
-        for i, row in enumerate(batch):
-            preds[row] = [label_of[j] for j in pred_ids[i, : len(records[row])]]
+        total_loss += loss * len(labels)
+        pred_ids = iter(predict_labels(logits).tolist())
+        for row in batch:
+            preds[row] = [label_of[j] for j in itertools.islice(pred_ids, len(records[row]))]
     span = evaluation.span_metrics(preds, gold_labels)
     return total_loss / sum(map(len, records)), span.micro.f1
 
@@ -573,8 +561,8 @@ def train(
             except NumericalError:
                 abort(epoch, "non-finite gradient in tensor "
                              f"'{layout.first_nonfinite(grad_flat)}'")
-            loss_sum += loss * batch.active_count
-            loss_n += batch.active_count
+            loss_sum += loss * len(batch.label_ids)
+            loss_n += len(batch.label_ids)
         train_loss = loss_sum / loss_n
 
         if have_val:

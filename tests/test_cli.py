@@ -368,14 +368,24 @@ def test_train_over_length_record_exits_3_naming_it(tmp_path, capsys):
     assert not (out_dir / "final.ckpt").exists()
 
 
-@pytest.mark.parametrize("setting", ["early_stop_patience = 0", "grad_clip_norm = -1"])
+@pytest.mark.parametrize("setting", [
+    "early_stop_patience = 0", "grad_clip_norm = -1", "grad_clip_norm = nan",
+    "grad_clip_norm = inf", "learning_rate = nan", "learning_rate = inf",
+    "min_lr = nan", "seed = -1", "--seed -1"])
 def test_train_rejects_bad_clip_and_early_stop(tmp_path, capsys, setting):
+    """A bad [train] value, or a negative --seed, exits 2 naming the field
+    before anything is written."""
     raw = gen_corpus(tmp_path)
     cfg, data_dir, out_dir = write_config(tmp_path)
-    cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{setting}\n"))
+    key = setting.split()[0]
+    flags = setting.split() if key.startswith("--") else []
+    if not flags:  # set the key in [train], replacing its value if it has one
+        head, train_section = cfg.read_text().split("[train]\n")
+        lines = [line for line in train_section.splitlines() if line.split(" = ")[0] != key]
+        cfg.write_text(head + "\n".join(["[train]", setting, *lines]) + "\n")
     assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
-    assert main(["train", "--config", str(cfg)]) == 2
-    assert setting.split()[0] in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg), *flags]) == 2
+    assert f"error: {key.lstrip('-')} must be" in capsys.readouterr().err
     assert not (out_dir / "final.ckpt").exists()
 
 

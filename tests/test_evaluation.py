@@ -326,7 +326,7 @@ def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
     got = predict_label_ids(params, cfg, rows)
 
     # one row at a time: no padding and no other rows in the batch
-    want = [np.argmax(forward(params, cfg, np.array([row]), need_trace=False)[0][0],
+    want = [np.argmax(forward(params, cfg, np.array([row]), need_trace=False)[0],
                       axis=-1).tolist() for row in rows]
     assert got == want
     assert sum(b for b, _ in shapes) == len(rows)
@@ -417,7 +417,7 @@ def test_tag_rows_matches_one_row_forwards_repaired(small_checkpoint):
     for row in rows:
         ids = np.array([[data.vocab.lookup(text) for text in row]])
         logits, _ = forward(data.params, data.config, ids, need_trace=False)
-        raw.append([TagLabel.from_tag(tag_of[i]) for i in np.argmax(logits[0], axis=-1)])
+        raw.append([TagLabel.from_tag(tag_of[i]) for i in np.argmax(logits, axis=-1)])
     want = [validate_bio(labels, "repair") for labels in raw]
     assert want != raw  # the untrained model emits invalid I tags to repair
     got = tag_rows(data, rows, [f"row {i}" for i in range(len(rows))])

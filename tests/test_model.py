@@ -292,8 +292,8 @@ def test_forward_logit_shape():
     params = init_params(cfg, seed=0)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 5))
     logits, trace = forward(params, cfg, ids)
-    assert logits.shape == (2, 5, 4)
-    assert trace.logits.shape == (2, 5, 4)
+    assert logits.shape == (10, 4)
+    assert trace.final.shape == (10, cfg.d_model)
     assert trace.mask.all()
 
 
@@ -306,7 +306,7 @@ def test_forward_batch_permutation_equivariant():
     logits, _ = forward(params, cfg, ids, mask)
     perm = [2, 0, 1]
     logits_p, _ = forward(params, cfg, ids[perm], mask[perm])
-    np.testing.assert_array_equal(logits_p, logits[perm])
+    np.testing.assert_array_equal(logits_p.reshape(3, 4, -1), logits.reshape(3, 4, -1)[perm])
 
 
 def test_forward_no_cross_record_mixing():
@@ -318,8 +318,8 @@ def test_forward_no_cross_record_mixing():
     other = ids.copy()
     other[1] = (other[1] + 3) % cfg.vocab_size
     logits2, _ = forward(params, cfg, other)
-    np.testing.assert_array_equal(logits2[0], logits[0])
-    assert not np.array_equal(logits2[1], logits[1])
+    np.testing.assert_array_equal(logits2[:4], logits[:4])
+    assert not np.array_equal(logits2[4:], logits[4:])
 
 
 def _ragged_batch(cfg, seed):
@@ -331,28 +331,34 @@ def _ragged_batch(cfg, seed):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_padded_batch_matches_one_row_passes(dtype):
-    """Each record's real-token logits in a padded, traced batch are those
-    of the record run alone."""
+    """Each record's rows of the packed logits of a padded, traced batch
+    are the logits of the record run alone."""
     cfg = tiny_config(n_layers=2)
     params = init_params(cfg, seed=3, dtype=dtype)
     ids, mask = _ragged_batch(cfg, 8)
     logits, trace = forward(params, cfg, ids, mask, need_trace=True)
     assert trace.final.shape == (mask.sum(), cfg.d_model)
+    assert logits.shape == (mask.sum(), cfg.n_labels)
+    start = 0
     for i, n in enumerate(mask.sum(axis=1)):
         alone, _ = forward(params, cfg, ids[i:i + 1, :n], need_trace=False)
-        np.testing.assert_allclose(logits[i, :n], alone[0],
+        np.testing.assert_allclose(logits[start:start + n], alone,
                                    rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-6)
+        start += n
 
 
 @pytest.mark.parametrize("need_trace", [True, False])
-def test_forward_logits_are_zero_at_padded_positions(need_trace):
+def test_forward_logits_are_one_row_per_real_token(need_trace):
+    """Padded positions have no logits; with or without a trace, the packed
+    rows are the same."""
     cfg = tiny_config()
     params = init_params(cfg, seed=4)
     ids, mask = _ragged_batch(cfg, 9)
     logits, _ = forward(params, cfg, ids, mask, need_trace=need_trace)
-    assert logits.shape == (4, 5, cfg.n_labels)
-    assert not logits[~mask].any()
-    assert logits[mask].all()
+    assert logits.shape == (mask.sum(), cfg.n_labels)
+    assert logits.all()
+    other, _ = forward(params, cfg, ids, mask, need_trace=not need_trace)
+    assert other.tobytes() == logits.tobytes()
 
 
 def test_forward_zero_params_uniform():

@@ -75,15 +75,15 @@ def tiny_config(**kwargs):
 
 
 def test_ce_confident_correct_is_near_zero():
-    logits = np.array([[[1e9, 0.0]]])
-    labels = np.array([[0]])
+    logits = np.array([[1e9, 0.0]])
+    labels = np.array([0])
     loss, grad = cross_entropy(logits, labels)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(grad).all()
 
 
 def test_ce_uniform_binary_is_ln2():
-    loss, _ = cross_entropy(np.zeros((1, 1, 2)), np.array([[1]]))
+    loss, _ = cross_entropy(np.zeros((1, 2)), np.array([1]))
     assert loss == pytest.approx(LN2, abs=1e-12)
 
 
@@ -93,60 +93,49 @@ def test_ce_matches_binary_form_at_k2():
     rng = np.random.default_rng(42)
     for _ in range(50):
         n = rng.integers(1, 7)
-        logits = rng.normal(scale=3, size=(1, n, 2))
-        labels = rng.integers(0, 2, size=(1, n))
+        logits = rng.normal(scale=3, size=(n, 2))
+        labels = rng.integers(0, 2, size=n)
         loss, _ = cross_entropy(logits, labels)
         y_prime = [
             math.exp(z[1]) / (math.exp(z[0]) + math.exp(z[1]))
-            for z in logits[0]
+            for z in logits
         ]
-        ref = binary_cross_entropy(labels[0].tolist(), y_prime)
+        ref = binary_cross_entropy(labels.tolist(), y_prime)
         assert loss == pytest.approx(ref, abs=1e-9)
 
 
 def test_ce_gradient_closed_form_single_position():
     rng = np.random.default_rng(1)
-    z = rng.normal(size=(1, 1, 4))
-    labels = np.array([[2]])
+    z = rng.normal(size=(1, 4))
+    labels = np.array([2])
     _, grad = cross_entropy(z, labels)
-    p = np.exp(z[0, 0] - z[0, 0].max())
+    p = np.exp(z[0] - z[0].max())
     p /= p.sum()
     for k in range(4):
         expected = p[k] - (1.0 if k == 2 else 0.0)
-        assert grad[0, 0, k] == pytest.approx(expected, abs=1e-12)
-
-
-def test_ce_ignored_positions_zero_gradient():
-    rng = np.random.default_rng(2)
-    logits = rng.normal(size=(2, 3, 4))
-    labels = np.array([[0, -1, 2], [-1, -1, 1]])
-    loss, grad = cross_entropy(logits, labels)
-    assert not grad[0, 1].any() and not grad[1, 0].any() and not grad[1, 1].any()
-    # perturbing an ignored position's logits never changes the loss
-    bumped = logits.copy()
-    bumped[0, 1] += 123.0
-    loss2, _ = cross_entropy(bumped, labels)
-    assert loss2 == loss
-    # N counts only active positions
-    assert grad[0, 0].sum() == pytest.approx(0.0, abs=1e-12)
+        assert grad[0, k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_ce_nonnegative_random():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        logits = rng.normal(scale=5, size=(2, 4, 3))
-        labels = rng.integers(0, 3, size=(2, 4))
+        logits = rng.normal(scale=5, size=(8, 3))
+        labels = rng.integers(0, 3, size=8)
         loss, _ = cross_entropy(logits, labels)
         assert loss >= 0.0
 
 
 def test_ce_errors():
-    with pytest.raises(ValueError, match="all positions ignored"):
-        cross_entropy(np.zeros((1, 2, 3)), np.array([[-1, -1]]))
-    with pytest.raises(ValueError, match="out of range"):
-        cross_entropy(np.zeros((1, 1, 3)), np.array([[3]]))
+    with pytest.raises(ValueError, match="no tokens"):
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+    # every row is a token: -1 is out of range like any id >= n_labels
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, bad]))
     with pytest.raises(ValueError, match="shape"):
-        cross_entropy(np.zeros((1, 2, 3)), np.array([[0, 0, 0]]))
+        cross_entropy(np.zeros((2, 3)), np.array([0, 0, 0]))
+    with pytest.raises(ValueError, match="shape"):  # padded logits
+        cross_entropy(np.zeros((1, 2, 3)), np.array([[0, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,7 @@ def test_backward_matches_finite_differences():
     params = init_params(cfg, seed=1, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(2, 3))
     mask = np.array([[True, True, True], [True, True, False]])
-    labels = np.where(mask, rng.integers(0, cfg.n_labels, size=(2, 3)), -1)
+    labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
 
     logits, trace = forward(params, cfg, ids, mask)
     _, dlogits = cross_entropy(logits, labels)
@@ -186,7 +175,7 @@ def test_backward_with_dropout_masks_in_trace():
     rng = np.random.default_rng(1)
     params = init_params(cfg, seed=2, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(1, 3))
-    labels = rng.integers(0, cfg.n_labels, size=(1, 3))
+    labels = rng.integers(0, cfg.n_labels, size=3)
     logits, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(3))
     _, dlogits = cross_entropy(logits, labels)
     grads = backward_grads(params, cfg, trace, dlogits)
@@ -208,7 +197,7 @@ def test_backward_with_dropout_masks_in_trace():
             h2, _, _ = layer_norm(x, pl["ln2.g"], pl["ln2.b"])
             act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"])[0] * lt.ff_drop
             x = x + act @ pl["ff.w2"] + pl["ff.b2"]
-        logits = x @ p["head.w"] + p["head.b"]
+        logits = x[0] @ p["head.w"] + p["head.b"]
         return cross_entropy(logits, labels)[0]
 
     fd = finite_difference_grads(fixed_mask_loss, params)
@@ -228,7 +217,7 @@ def test_backward_padded_batch_with_dropout_matches_finite_differences():
     params = init_params(cfg, seed=22, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(3, 5))
     mask = np.arange(5) < np.array([[5], [2], [4]])
-    labels = np.where(mask, rng.integers(0, cfg.n_labels, size=(3, 5)), -1)
+    labels = rng.integers(0, cfg.n_labels, size=(3, 5))[mask]
 
     def loss(p):
         logits, _ = forward(p, cfg, ids, mask, dropout_rng=np.random.default_rng(23),
@@ -252,7 +241,7 @@ def test_backward_linear_in_upstream_gradient():
     rng = np.random.default_rng(4)
     params = init_params(cfg, seed=4, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(1, 4))
-    labels = rng.integers(0, cfg.n_labels, size=(1, 4))
+    labels = rng.integers(0, cfg.n_labels, size=4)
     logits, trace = forward(params, cfg, ids)
     _, dlogits = cross_entropy(logits, labels)
     g1 = backward_grads(params, cfg, trace, dlogits)
@@ -279,7 +268,9 @@ def test_backward_trace_mismatch():
     ids = np.zeros((1, 3), dtype=int)
     logits, trace = forward(params, cfg, ids)
     with pytest.raises(ValueError, match="mismatch"):
-        backward_grads(params, cfg, trace, np.zeros((1, 4, cfg.n_labels)))
+        backward_grads(params, cfg, trace, np.zeros((4, cfg.n_labels)))
+    with pytest.raises(ValueError, match="mismatch"):  # padded dlogits
+        backward_grads(params, cfg, trace, logits[None])
     traceless = ForwardTrace(token_ids=ids, mask=np.ones_like(ids, bool))
     with pytest.raises(ValueError, match="need_trace"):
         backward_grads(params, cfg, traceless, np.zeros_like(logits))
@@ -290,7 +281,7 @@ def _traced_batch(cfg, params, seed, shape, n_ids=None):
     ids = rng.integers(0, n_ids or cfg.vocab_size, size=shape)
     mask = np.ones(shape, dtype=bool)
     mask[-1, shape[1] // 2:] = False
-    labels = np.where(mask, rng.integers(0, cfg.n_labels, size=shape), -1)
+    labels = rng.integers(0, cfg.n_labels, size=shape)[mask]
     logits, trace = forward(params, cfg, ids, mask)
     return trace, cross_entropy(logits, labels)[1]
 
@@ -551,7 +542,7 @@ def test_schedule_requires_history():
 def _encoded(n, length=4):
     """n records; record i starts with token id i + 2, so rows tell records apart."""
     return [
-        EncodedRecord(f"r{i}", [i + 2] + [(i + j) % 7 + 2 for j in range(1, length)],
+        EncodedRecord([i + 2] + [(i + j) % 7 + 2 for j in range(1, length)],
                       [(i + j) % 3 for j in range(length)])
         for i in range(n)
     ]
@@ -559,9 +550,12 @@ def _encoded(n, length=4):
 
 def _rows(batches):
     """Each batch row's real token ids and labels, in batch order."""
-    return [(tuple(ids[real]), tuple(labels[real]))
-            for b in batches
-            for ids, labels, real in zip(b.token_ids, b.label_ids, b.attention_mask)]
+    out = []
+    for b in batches:
+        labels = iter(b.label_ids.tolist())
+        for ids, real in zip(b.token_ids, b.attention_mask):
+            out.append((tuple(ids[real]), tuple(next(labels) for _ in range(real.sum()))))
+    return out
 
 
 def test_batch_sizes_35_over_16():
@@ -578,27 +572,31 @@ def test_batches_follow_the_seeded_shuffle():
 
 
 def test_batches_partition_records():
-    records = [*_encoded(22), EncodedRecord("short", [40], [1])]
+    records = [*_encoded(22), EncodedRecord([40], [1])]
     rows = _rows(make_batches(records, batch_size=4, seed=3))
     assert sorted(rows) == sorted((tuple(r.token_ids), tuple(r.label_ids)) for r in records)
 
 
 def test_batch_padding_invariant():
+    """PAD ids exactly at the masked positions, and the labels packed:
+    label_ids[i] labels the token at flat position flatnonzero(mask)[i]."""
     records = [
-        EncodedRecord("a", [2, 3, 4], [0, 1, 2]),
-        EncodedRecord("b", [5], [1]),
+        EncodedRecord([2, 3, 4], [0, 1, 2]),
+        EncodedRecord([5], [1]),
+        EncodedRecord([6, 7, 8, 9, 10], [2, 2, 0, 1, 0]),
+        EncodedRecord([11, 12], [1, 0]),
     ]
     (batch,) = make_batches(records, batch_size=8, seed=0)
-    long_row = int(np.argmax(batch.attention_mask.sum(axis=1)))
-    short_row = 1 - long_row
-    assert batch.token_ids.shape == (2, 3)
-    np.testing.assert_array_equal(batch.attention_mask[long_row], [True, True, True])
-    np.testing.assert_array_equal(batch.attention_mask[short_row], [True, False, False])
-    np.testing.assert_array_equal(batch.label_ids[long_row], [0, 1, 2])
-    np.testing.assert_array_equal(batch.label_ids[short_row], [1, -1, -1])
-    np.testing.assert_array_equal(batch.token_ids[short_row], [5, 0, 0])
-    assert batch.active_count == 4
-    assert ((batch.label_ids == -1) == ~batch.attention_mask).all()
+    assert batch.token_ids.shape == (4, 5)
+    lengths = batch.attention_mask.sum(axis=1)
+    assert sorted(lengths) == [1, 2, 3, 5]
+    np.testing.assert_array_equal(batch.attention_mask, np.arange(5) < lengths[:, None])
+    assert not batch.token_ids[~batch.attention_mask].any()
+    label_of_token = {tok: lab for r in records for tok, lab in zip(r.token_ids, r.label_ids)}
+    rows = np.flatnonzero(batch.attention_mask)
+    assert batch.label_ids.shape == (len(rows),) == (11,)
+    assert batch.label_ids.tolist() == [
+        label_of_token[tok] for tok in batch.token_ids.reshape(-1)[rows]]
 
 
 def test_batches_shuffle_deterministic():
@@ -640,14 +638,21 @@ def test_val_metrics_match_one_row_passes():
     loss_sum, preds = 0.0, []
     for rec in records:
         logits, _ = forward(params, cfg, np.array([rec.token_ids]), need_trace=False)
-        loss_sum += cross_entropy(logits, np.array([rec.label_ids]))[0] * len(rec)
-        preds.append([label_of[i] for i in np.argmax(logits[0], axis=-1)])
+        loss_sum += cross_entropy(logits, np.array(rec.label_ids))[0] * len(rec)
+        preds.append([label_of[i] for i in np.argmax(logits, axis=-1)])
     want_loss = loss_sum / sum(len(rec) for rec in records)
 
     loss, f1 = training._val_metrics(params, cfg, records, gold, label_of)
     # batches sum the per-token losses in another order: float32 rounding
     assert loss == pytest.approx(want_loss, rel=1e-5)
     assert f1 == span_metrics(preds, gold).micro.f1 > 0
+
+    # a padded training batch: the loss of its packed logits and labels is
+    # the token-weighted mean of the one-record losses
+    (batch,) = make_batches(records, batch_size=len(records), seed=4)
+    assert len(set(batch.attention_mask.sum(axis=1).tolist())) > 1
+    logits, _ = forward(params, cfg, batch.token_ids, batch.attention_mask, need_trace=False)
+    assert cross_entropy(logits, batch.label_ids)[0] == pytest.approx(want_loss, rel=1e-5)
 
 
 def test_train_loss_decreases_and_log_invariants():
