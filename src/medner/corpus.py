@@ -155,6 +155,8 @@ class SplitSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {frac}")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -515,6 +517,8 @@ def gen_synthetic(
         raise ValueError("vocab_size must be >= 20")
     if max_len < 4:
         raise ValueError("max_len must be >= 4")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     types = list(entity_types)
     for etype in types:
         if not _TYPE_RE.match(etype):

@@ -3,11 +3,15 @@
 Parameters are name -> ndarray views into one flat vector whose layout
 (names, shapes, order, offsets) only ParamLayout knows; the checkpoint
 payload is that vector. It holds learned tensors only: forward computes
-the fixed sinusoidal positions. The forward pass records every
-intermediate needed for exact backpropagation in a ForwardTrace;
-training.backward consumes it.
+the fixed sinusoidal positions.
 Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
+
+forward is a chain of sublayers (affine, layer_norm, attention,
+feed_forward) whose records it keeps in a ForwardTrace. Each has its
+backward next to it, which writes its parameters' gradients (every
+element, through out=) and returns its input's; training.backward runs
+them in reverse.
 
 Activations are packed: forward takes a padded B x T batch, but every
 position-wise layer (embedding, layer norms, projections, GELU, dropout,
@@ -173,7 +177,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, n
 # Core ops
 # ---------------------------------------------------------------------------
 #
-# softmax, gelu_grad, layer_norm, forward and training.backward compute in
+# softmax, gelu_grad, the sublayers and their backward functions compute in
 # place where that measured faster. Each in-place step is the same IEEE
 # operation as the expression it stands for, in the same order (a + b and
 # a * b commute exactly), so results are the same to the bit; what goes is
@@ -244,6 +248,26 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return grad
 
 
+# ---------------------------------------------------------------------------
+# Sublayers, each backward next to its forward, and the forward pass; p and
+# g are a layer's parameters and gradients as layer_tensors keys them
+# ---------------------------------------------------------------------------
+
+
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place."""
+    y = x @ w
+    y += b
+    return y
+
+
+def affine_backward(dy, x, w, dw, db) -> np.ndarray:
+    """x^T dy into dw and dy's column sums into db; returns dy w^T."""
+    np.matmul(x.T, dy, out=dw)
+    np.sum(dy, axis=0, out=db)
+    return dy @ w.T
+
+
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Per-position layer norm; returns (y, x_hat, inv_std) for backprop.
 
@@ -259,33 +283,135 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return y, x_hat, inv
 
 
-# ---------------------------------------------------------------------------
-# Forward pass
-# ---------------------------------------------------------------------------
+def layer_norm_backward(dy, x_hat, inv, gain, dgain, dbias) -> np.ndarray:
+    """sum(dy x_hat) into dgain and sum(dy) into dbias; returns
+    inv (dxhat - mean(dxhat) - x_hat mean(dxhat x_hat)) with dxhat = dy gain,
+    in place in two new arrays."""
+    np.sum(dy * x_hat, axis=0, out=dgain)
+    np.sum(dy, axis=0, out=dbias)
+    dxhat = dy * gain
+    prod = dxhat * x_hat
+    m2 = prod.mean(axis=-1, keepdims=True)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= np.multiply(x_hat, m2, out=prod)
+    dxhat *= inv
+    return dxhat
 
 
 @dataclass
-class LayerTrace:
-    """Intermediates of one encoder layer, as produced by forward. N x ·
-    arrays hold the batch's real tokens only (packed rows); the B x H x T x ·
-    attention tensors keep the padded layout."""
+class AttentionTrace:
+    """attention's record: packed x and ctx, padded q, k, v and probs."""
 
-    ln1_hat: np.ndarray     # N,D normalized input
-    ln1_inv: np.ndarray     # N,1
-    h: np.ndarray           # N,D LN1 output
+    x: np.ndarray           # N,D attention input (the LN1 output)
+    rows: np.ndarray        # N flat positions of the real tokens
     q: np.ndarray           # B,H,T,dk; 0 at padded positions
     k: np.ndarray
     v: np.ndarray
     probs: np.ndarray       # B,H,T,T attention rows (pre-dropout)
-    attn_drop: Optional[np.ndarray]  # B,H,T,T inverted-dropout mask or None
+    drop: Optional[np.ndarray]  # B,H,T,T inverted-dropout mask or None
     ctx: np.ndarray         # N,D merged head outputs (pre output projection)
-    ln2_hat: np.ndarray     # N,D
-    ln2_inv: np.ndarray     # N,1
-    h2: np.ndarray          # N,D LN2 output
+
+
+def _to_heads(y: np.ndarray, rows: np.ndarray, b: int, t: int, n_heads: int) -> np.ndarray:
+    """The B x H x T x d_k heads of the packed rows y, 0 at the positions
+    not in `rows`; a view of y when every position is real."""
+    if len(rows) != b * t:
+        full = np.zeros((b * t, y.shape[-1]), dtype=y.dtype)
+        full[rows] = y
+        y = full
+    return y.reshape(b, t, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """_to_heads undone: the merged heads of x at positions `rows`, as an
+    N x D matrix in order."""
+    b, h, t, dk = x.shape
+    flat = x.transpose(0, 2, 1, 3).reshape(b * t, h * dk)
+    return flat if len(rows) == len(flat) else flat[rows]
+
+
+def attention(x, p, mask, n_heads: int, dropout=None) -> tuple[np.ndarray, AttentionTrace]:
+    """Multi-head self-attention and its output projection on the packed
+    rows x of a batch whose B x T `mask` flags the real tokens, in the
+    padded B x H x T x d_k layout where a -inf key bias hides padding.
+    `dropout` (shape -> inverted-dropout mask) drops the probabilities."""
+    (b, t), rows, dtype = mask.shape, np.flatnonzero(mask), x.dtype
+    q, k, v = (_to_heads(affine(x, p[f"attn.w{n}"], p[f"attn.b{n}"]), rows, b, t, n_heads)
+               for n in "qkv")
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    scores += np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
+    probs = softmax(scores)
+    drop = None if dropout is None else dropout(probs.shape)
+    ctx = _from_heads((probs if drop is None else probs * drop) @ v, rows)
+    return (affine(ctx, p["attn.wo"], p["attn.bo"]),
+            AttentionTrace(x, rows, q, k, v, probs, drop, ctx))
+
+
+def attention_backward(dy, trace: AttentionTrace, p, g) -> np.ndarray:
+    """Gradients of attention; its B x H x T x · gradients are 0 at padded
+    queries and keys, and softmax gives masked keys (prob 0) none."""
+    b, n_heads, t, d_k = trace.q.shape
+    scale = 1.0 / math.sqrt(d_k)
+    dctx = _to_heads(affine_backward(dy, trace.ctx, p["attn.wo"], g["attn.wo"], g["attn.bo"]),
+                     trace.rows, b, t, n_heads)
+    probs, drop = trace.probs, trace.drop
+    dv = (probs if drop is None else probs * drop).swapaxes(-1, -2) @ dctx
+    dscores = dctx @ trace.v.swapaxes(-1, -2)
+    if drop is not None:
+        dscores *= drop
+    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dq = dscores @ trace.k
+    dq *= scale
+    dk = dscores.swapaxes(-1, -2) @ trace.q
+    dk *= scale
+    dx = np.zeros_like(trace.x)
+    for name, dheads in (("q", dq), ("k", dk), ("v", dv)):
+        dx += affine_backward(_from_heads(dheads, trace.rows), trace.x,
+                              p[f"attn.w{name}"], g[f"attn.w{name}"], g[f"attn.b{name}"])
+    return dx
+
+
+@dataclass
+class FeedForwardTrace:
+    """What feed_forward_backward needs; all N x · packed rows."""
+
+    x: np.ndarray           # N,D input (the LN2 output)
     u: np.ndarray           # N,Dff pre-activation
     act: np.ndarray         # N,Dff gelu(u)
     gelu_tanh: np.ndarray   # N,Dff the tanh term of gelu(u), for gelu_grad
-    ff_drop: Optional[np.ndarray]    # N,Dff mask or None
+    drop: Optional[np.ndarray]  # N,Dff inverted-dropout mask or None
+
+
+def feed_forward(x, p, dropout=None) -> tuple[np.ndarray, FeedForwardTrace]:
+    """dropout(gelu(x w1 + b1)) w2 + b2 on packed rows x."""
+    u = affine(x, p["ff.w1"], p["ff.b1"])
+    act, gelu_tanh = gelu(u)
+    drop = None if dropout is None else dropout(act.shape)
+    return (affine(act if drop is None else act * drop, p["ff.w2"], p["ff.b2"]),
+            FeedForwardTrace(x, u, act, gelu_tanh, drop))
+
+
+def feed_forward_backward(dy, trace: FeedForwardTrace, p, g) -> np.ndarray:
+    drop = trace.drop
+    dact = affine_backward(dy, trace.act if drop is None else trace.act * drop,
+                           p["ff.w2"], g["ff.w2"], g["ff.b2"])
+    if drop is not None:
+        dact *= drop
+    du = gelu_grad(trace.u, trace.gelu_tanh)
+    du *= dact
+    return affine_backward(du, trace.x, p["ff.w1"], g["ff.w1"], g["ff.b1"])
+
+
+@dataclass
+class LayerTrace:
+    """One encoder layer's records: (x_hat, inv) per layer norm, one per sublayer."""
+
+    ln1: tuple[np.ndarray, np.ndarray]
+    attn: AttentionTrace
+    ln2: tuple[np.ndarray, np.ndarray]
+    ff: FeedForwardTrace
 
 
 @dataclass
@@ -300,42 +426,11 @@ class ForwardTrace:
     final: np.ndarray = None  # type: ignore[assignment]  # N,D last hidden states
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
-
-
-def _pack_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The N x width matrix of x's (B x T x width) positions `rows`, in
-    order; a view of x when every position is real and x is contiguous."""
-    flat = x.reshape(-1, x.shape[-1])
-    return flat if len(rows) == len(flat) else flat[rows]
-
-
-def _unpack_rows(x: np.ndarray, rows: np.ndarray, b: int, t: int) -> np.ndarray:
-    """_pack_rows undone: a B x T x width array holding x's rows at `rows`
-    and 0 elsewhere; a view of x when every position is real."""
-    if len(rows) == b * t:
-        return x.reshape(b, t, x.shape[-1])
-    out = np.zeros((b * t, x.shape[-1]), dtype=x.dtype)
-    out[rows] = x
-    return out.reshape(b, t, x.shape[-1])
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b, the bias added in place."""
-    y = x @ w
-    y += b
-    return y
-
-
-def _dropout_mask(rng, shape, rate: float, dtype) -> np.ndarray:
-    return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+def layer_tensors(tensors: dict[str, np.ndarray], layer: int) -> dict[str, np.ndarray]:
+    """Encoder layer `layer`'s entries of a parameter or gradient map,
+    keyed without their "enc.<layer>." prefix: "attn.wq", "ln1.g", ..."""
+    pfx = f"enc.{layer}."
+    return {name[len(pfx):]: arr for name, arr in tensors.items() if name.startswith(pfx)}
 
 
 def forward(
@@ -374,62 +469,28 @@ def forward(
         if not mask.any(axis=1).all():
             raise ValueError("record with all positions masked")
 
-    dtype = params["emb.tok"].dtype
-    rate = config.dropout_rate
-    dropping = dropout_rng is not None and rate > 0.0
-    scale = 1.0 / math.sqrt(config.d_k)
-    key_bias = np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
+    dtype, rate = params["emb.tok"].dtype, config.dropout_rate
+    dropout = None if dropout_rng is None or rate == 0.0 else (  # inverted-dropout masks
+        lambda shape: (dropout_rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate))
     rows = np.flatnonzero(mask)
-
-    def heads(y: np.ndarray) -> np.ndarray:
-        return _split_heads(_unpack_rows(y, rows, b, t), config.n_heads)
-
     x = params["emb.tok"][ids.reshape(-1)[rows]]
     x += sinusoidal_positions(t, config.d_model, dtype)[rows % t]
     trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
 
     for layer in range(config.n_layers):
-        pfx = f"enc.{layer}."
-        p = {name[len(pfx):]: arr for name, arr in params.items() if name.startswith(pfx)}
+        p = layer_tensors(params, layer)
         h, hat1, inv1 = layer_norm(x, p["ln1.g"], p["ln1.b"])
-        q = heads(_affine(h, p["attn.wq"], p["attn.bq"]))
-        k = heads(_affine(h, p["attn.wk"], p["attn.bk"]))
-        v = heads(_affine(h, p["attn.wv"], p["attn.bv"]))
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= dtype.type(scale)
-        scores += key_bias
-        probs = softmax(scores)
-        if dropping:
-            attn_drop = _dropout_mask(dropout_rng, probs.shape, rate, dtype)
-            probs_used = probs * attn_drop
-        else:
-            attn_drop = None
-            probs_used = probs
-        ctx = _pack_rows(_merge_heads(probs_used @ v), rows)
-        x_mid = _affine(ctx, p["attn.wo"], p["attn.bo"])
+        x_mid, attn = attention(h, p, mask, config.n_heads, dropout)
         x_mid += x
         h2, hat2, inv2 = layer_norm(x_mid, p["ln2.g"], p["ln2.b"])
-        u = _affine(h2, p["ff.w1"], p["ff.b1"])
-        act, gelu_tanh = gelu(u)
-        if dropping:
-            ff_drop = _dropout_mask(dropout_rng, act.shape, rate, dtype)
-            act_used = act * ff_drop
-        else:
-            ff_drop = None
-            act_used = act
-        x_out = _affine(act_used, p["ff.w2"], p["ff.b2"])
-        x_out += x_mid
+        x, ff = feed_forward(h2, p, dropout)
+        x += x_mid
         if need_trace:
-            trace.layers.append(LayerTrace(
-                ln1_hat=hat1, ln1_inv=inv1, h=h, q=q, k=k, v=v, probs=probs,
-                attn_drop=attn_drop, ctx=ctx, ln2_hat=hat2, ln2_inv=inv2, h2=h2, u=u,
-                act=act, gelu_tanh=gelu_tanh, ff_drop=ff_drop,
-            ))
-        x = x_out
+            trace.layers.append(LayerTrace((hat1, inv1), attn, (hat2, inv2), ff))
 
     if need_trace:
         trace.final = x
-    return _affine(x, params["head.w"], params["head.b"]), trace
+    return affine(x, params["head.w"], params["head.b"]), trace
 
 
 def predict_labels(logits: np.ndarray) -> np.ndarray:

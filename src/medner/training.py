@@ -31,13 +31,14 @@ from .model import (
     ForwardTrace,
     ModelConfig,
     ParamLayout,
-    _merge_heads,
-    _pack_rows,
-    _split_heads,
-    _unpack_rows,
+    affine_backward,
+    attention_backward,
+    feed_forward_backward,
     forward,
-    gelu_grad,
+    gelu_grad,  # unused here; bench/test_bench.py checks that the tracer wraps it here
     init_params,
+    layer_norm_backward,
+    layer_tensors,
     predict_labels,
     save_checkpoint,
     softmax,
@@ -160,19 +161,6 @@ def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.
 # ---------------------------------------------------------------------------
 
 
-def _layer_norm_backward(dy, x_hat, inv, gain):
-    """inv (dxhat - mean(dxhat) - x_hat mean(dxhat x_hat)) with dxhat = dy gain,
-    in place in two new arrays."""
-    dxhat = dy * gain
-    prod = dxhat * x_hat
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = prod.mean(axis=-1, keepdims=True)
-    dxhat -= m1
-    dxhat -= np.multiply(x_hat, m2, out=prod)
-    dxhat *= inv
-    return dxhat
-
-
 def backward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -198,76 +186,23 @@ def backward(
     if trace.final.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
         raise ValueError("trace/params mismatch: wrong model width")
 
-    d = config.d_model
-    scale = 1.0 / math.sqrt(config.d_k)
-    b, t = trace.mask.shape
-    rows = np.flatnonzero(trace.mask)
-
-    # Every N x · array below holds the real tokens only (model._pack_rows);
-    # attention's B x H x T x · gradients are 0 at padded queries and keys.
-    np.matmul(trace.final.T, dlogits, out=grads["head.w"])
-    np.sum(dlogits, axis=0, out=grads["head.b"])
-    dx = dlogits @ params["head.w"].T
-
+    dx = affine_backward(dlogits, trace.final, params["head.w"], grads["head.w"], grads["head.b"])
     for layer in reversed(range(config.n_layers)):
         lt = trace.layers[layer]
-        pfx = f"enc.{layer}"
-
-        # FF sublayer: x_out = x_mid + dropout(gelu(h2 w1 + b1)) w2 + b2
-        act_used = lt.act if lt.ff_drop is None else lt.act * lt.ff_drop
-        np.matmul(act_used.T, dx, out=grads[f"{pfx}.ff.w2"])
-        np.sum(dx, axis=0, out=grads[f"{pfx}.ff.b2"])
-        dact = dx @ params[f"{pfx}.ff.w2"].T
-        if lt.ff_drop is not None:
-            dact *= lt.ff_drop
-        du = gelu_grad(lt.u, lt.gelu_tanh)
-        du *= dact
-        np.matmul(lt.h2.T, du, out=grads[f"{pfx}.ff.w1"])
-        np.sum(du, axis=0, out=grads[f"{pfx}.ff.b1"])
-        dh2 = du @ params[f"{pfx}.ff.w1"].T
-        np.sum(dh2 * lt.ln2_hat, axis=0, out=grads[f"{pfx}.ln2.g"])
-        np.sum(dh2, axis=0, out=grads[f"{pfx}.ln2.b"])
-        dx_mid = _layer_norm_backward(dh2, lt.ln2_hat, lt.ln2_inv, params[f"{pfx}.ln2.g"])
+        p, g = layer_tensors(params, layer), layer_tensors(grads, layer)
+        dh2 = feed_forward_backward(dx, lt.ff, p, g)
+        dx_mid = layer_norm_backward(dh2, *lt.ln2, p["ln2.g"], g["ln2.g"], g["ln2.b"])
         dx_mid += dx
-
-        # attention sublayer: x_mid = x_in + (ctx wo + bo)
-        np.matmul(lt.ctx.T, dx_mid, out=grads[f"{pfx}.attn.wo"])
-        np.sum(dx_mid, axis=0, out=grads[f"{pfx}.attn.bo"])
-        dctx = _split_heads(_unpack_rows(dx_mid @ params[f"{pfx}.attn.wo"].T, rows, b, t),
-                            config.n_heads)
-        probs_used = lt.probs if lt.attn_drop is None else lt.probs * lt.attn_drop
-        dv = probs_used.swapaxes(-1, -2) @ dctx
-        dprobs = dctx @ lt.v.swapaxes(-1, -2)
-        if lt.attn_drop is not None:
-            dprobs *= lt.attn_drop
-        # softmax rows: masked keys have prob 0 and receive zero gradient
-        dscores = dprobs
-        dscores -= (dprobs * lt.probs).sum(axis=-1, keepdims=True)
-        dscores *= lt.probs
-        dq = dscores @ lt.k
-        dq *= scale
-        dk = dscores.swapaxes(-1, -2) @ lt.q
-        dk *= scale
-
-        dh = np.zeros_like(lt.h)
-        for wname, bname, dheads in (
-            ("attn.wq", "attn.bq", dq), ("attn.wk", "attn.bk", dk), ("attn.wv", "attn.bv", dv),
-        ):
-            dmat = _pack_rows(_merge_heads(dheads), rows)
-            np.matmul(lt.h.T, dmat, out=grads[f"{pfx}.{wname}"])
-            np.sum(dmat, axis=0, out=grads[f"{pfx}.{bname}"])
-            dh += dmat @ params[f"{pfx}.{wname}"].T
-        np.sum(dh * lt.ln1_hat, axis=0, out=grads[f"{pfx}.ln1.g"])
-        np.sum(dh, axis=0, out=grads[f"{pfx}.ln1.b"])
-        dx = _layer_norm_backward(dh, lt.ln1_hat, lt.ln1_inv, params[f"{pfx}.ln1.g"])
+        dh = attention_backward(dx_mid, lt.attn, p, g)
+        dx = layer_norm_backward(dh, *lt.ln1, p["ln1.g"], g["ln1.g"], g["ln1.b"])
         dx += dx_mid
 
     # One 1-D add.at over flat cell indices: per cell the same sequence of
     # adds as a 2-D add.at over rows, at a third of its cost.
-    tok = grads["emb.tok"]
-    tok.fill(0.0)
-    cells = trace.token_ids.reshape(-1)[rows, None] * d + np.arange(d)
-    np.add.at(tok.reshape(-1), cells.reshape(-1), dx.reshape(-1))
+    d = config.d_model
+    grads["emb.tok"].fill(0.0)
+    cells = trace.token_ids.reshape(-1)[np.flatnonzero(trace.mask), None] * d + np.arange(d)
+    np.add.at(grads["emb.tok"].reshape(-1), cells.reshape(-1), dx.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

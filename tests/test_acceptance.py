@@ -264,9 +264,9 @@ def test_criterion_softmax_attention_invariants():
         mask[np.arange(b), rng.integers(0, t, size=b)] = True
         _, trace = forward(params, cfg, ids, mask)
         for lt in trace.layers:
-            row_err = max(row_err, float(np.abs(lt.probs.sum(axis=-1) - 1.0).max()))
-            masked = np.broadcast_to(~mask[:, None, None, :], lt.probs.shape)
-            mask_leak = max(mask_leak, float(np.abs(lt.probs[masked]).max(initial=0.0)))
+            row_err = max(row_err, float(np.abs(lt.attn.probs.sum(axis=-1) - 1.0).max()))
+            masked = np.broadcast_to(~mask[:, None, None, :], lt.attn.probs.shape)
+            mask_leak = max(mask_leak, float(np.abs(lt.attn.probs[masked]).max(initial=0.0)))
     ok = sum_err < 1e-6 and shift_err < 1e-6 and row_err < 1e-6 and mask_leak == 0.0
     _report(
         "softmax sums/shift-invariance and attention row-stochasticity",

@@ -371,22 +371,38 @@ def test_train_over_length_record_exits_3_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [
     "early_stop_patience = 0", "grad_clip_norm = -1", "grad_clip_norm = nan",
     "grad_clip_norm = inf", "learning_rate = nan", "learning_rate = inf",
-    "min_lr = nan", "seed = -1", "--seed -1"])
-def test_train_rejects_bad_clip_and_early_stop(tmp_path, capsys, setting):
-    """A bad [train] value, or a negative --seed, exits 2 naming the field
-    before anything is written."""
+    "min_lr = nan", "seed = -1", "--seed -1", "prepare [split] seed = -1",
+    "prepare --seed=-1", "gen-synthetic --seed -1", "MEDNER_SEED=-5 gen-synthetic"])
+def test_train_rejects_bad_clip_and_early_stop(tmp_path, capsys, monkeypatch, setting):
+    """A bad [train] value, or a negative seed from a flag, the config or
+    MEDNER_SEED, exits 2 naming the field before anything is written. The
+    same holds for the seeds of prepare ([split]) and gen-synthetic:
+    random.Random(-n) seeds like random.Random(n), so a negative seed would
+    silently stand for its absolute value."""
     raw = gen_corpus(tmp_path)
     cfg, data_dir, out_dir = write_config(tmp_path)
-    key = setting.split()[0]
-    flags = setting.split() if key.startswith("--") else []
-    if not flags:  # set the key in [train], replacing its value if it has one
-        head, train_section = cfg.read_text().split("[train]\n")
-        lines = [line for line in train_section.splitlines() if line.split(" = ")[0] != key]
-        cfg.write_text(head + "\n".join(["[train]", setting, *lines]) + "\n")
-    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
-    assert main(["train", "--config", str(cfg), *flags]) == 2
-    assert f"error: {key.lstrip('-')} must be" in capsys.readouterr().err
-    assert not (out_dir / "final.ckpt").exists()
+    words = setting.split()
+    if words[0].startswith("MEDNER_SEED="):
+        monkeypatch.setenv(*words.pop(0).split("="))
+    verb = words.pop(0) if words[0] in ("prepare", "gen-synthetic") else "train"
+    section = words.pop(0).strip("[]") if words and words[0].startswith("[") else "train"
+    flags = words if words and words[0].startswith("--") else []
+    key = (words or ["seed"])[0].lstrip("-").split("=")[0]
+    if words and not flags:  # set the key in [section], dropping it from there on
+        head, rest = cfg.read_text().split(f"[{section}]\n")
+        lines = [line for line in rest.splitlines() if line.split(" = ")[0] != key]
+        cfg.write_text(head + "\n".join([f"[{section}]", " ".join(words), *lines]) + "\n")
+    argv, written = {
+        "gen-synthetic": (["gen-synthetic", "--out", str(tmp_path / "gen.conll")],
+                          tmp_path / "gen.conll"),
+        "prepare": (["prepare", str(raw), "--config", str(cfg)], data_dir),
+        "train": (["train", "--config", str(cfg)], out_dir / "final.ckpt"),
+    }[verb]
+    if verb == "train":
+        assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    assert main(argv + flags) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not written.exists()
 
 
 def test_train_rerun_identical_trainlog(tmp_path):

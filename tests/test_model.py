@@ -1,4 +1,5 @@
-"""Model module: softmax, the attention oracle, forward pass,
+"""Model module: softmax, the attention oracle, forward pass, the
+sublayers' backward functions against finite differences,
 initialization, and the checkpoint format.
 
 Numerical reference values were computed with an independent
@@ -19,11 +20,18 @@ from medner.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
     ParamLayout,
+    affine,
+    affine_backward,
+    attention,
+    attention_backward,
+    feed_forward,
+    feed_forward_backward,
     forward,
     gelu,
     gelu_grad,
     init_params,
     layer_norm,
+    layer_norm_backward,
     load_checkpoint_full,
     param_shapes,
     predict_labels,
@@ -32,7 +40,7 @@ from medner.model import (
     softmax,
 )
 
-from oracles import reference_attention
+from oracles import finite_difference_grads, max_relative_error, reference_attention
 
 # softmax([1, 2, 3]) evaluated at 40 decimal digits
 SOFTMAX_123 = [0.090030573170380458, 0.24472847105479765, 0.66524095577482189]
@@ -236,9 +244,9 @@ def test_forward_keeps_the_gelu_tanh_of_each_layer():
     params = init_params(cfg, seed=2)
     _, trace = forward(params, cfg, np.array([[1, 2, 3], [4, 5, 6]]))
     for lt in trace.layers:
-        act, t = gelu(lt.u)
-        assert lt.act.tobytes() == act.tobytes()
-        assert lt.gelu_tanh.tobytes() == t.tobytes()
+        act, t = gelu(lt.ff.u)
+        assert lt.ff.act.tobytes() == act.tobytes()
+        assert lt.ff.gelu_tanh.tobytes() == t.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +388,10 @@ def test_forward_attention_rows_stochastic_and_masked():
     mask[2, 1:] = False
     _, trace = forward(params, cfg, ids, mask)
     for lt in trace.layers:
-        sums = lt.probs.sum(axis=-1)
+        sums = lt.attn.probs.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-        assert (lt.probs[1, :, :, 3:] < 1e-12).all()
-        assert (lt.probs[2, :, :, 1:] < 1e-12).all()
+        assert (lt.attn.probs[1, :, :, 3:] < 1e-12).all()
+        assert (lt.attn.probs[2, :, :, 1:] < 1e-12).all()
 
 
 def test_forward_attention_matches_reference():
@@ -396,7 +404,7 @@ def test_forward_attention_matches_reference():
     mask = np.ones((2, 4), dtype=bool)
     mask[0, 2:] = False
     _, trace = forward(params, cfg, ids, mask)
-    lt = trace.layers[0]
+    lt = trace.layers[0].attn
     merged = (lt.probs @ lt.v)
     for b in range(2):
         for h in range(cfg.n_heads):
@@ -428,6 +436,78 @@ def test_forward_input_validation():
     with pytest.raises(ValueError, match="all positions masked"):
         forward(params, cfg, np.zeros((1, 2), dtype=int),
                 np.zeros((1, 2), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# sublayer backward functions against central differences, in float64
+# ---------------------------------------------------------------------------
+
+
+def assert_backward_matches_finite_differences(run, back, x, params):
+    """`run(x, params)` is a sublayer's forward returning (y, record) and
+    `back(dy, record, params, grads)` its backward. For the loss sum(y * r)
+    with a fixed random r, the gradients that back writes into grads (all
+    NaN before, so every element must be written) and the input gradient
+    it returns must match central differences."""
+    y, record = run(x, params)
+    r = np.random.default_rng(0).normal(size=y.shape)
+    grads = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
+    dx = back(r, record, params, grads)
+    fd = finite_difference_grads(lambda t: float((run(t["x"], params)[0] * r).sum()),
+                                 {"x": x, **params})
+    for name, got in {"x": dx, **grads}.items():
+        err = max_relative_error(got, fd[name])
+        assert err < 1e-5, (name, err)
+
+
+def random_tensors(rng, **shapes):
+    """Normal tensors by name, "_" in a keyword read as ".": attn_wq -> attn.wq."""
+    return {name.replace("_", "."): rng.normal(size=shape) for name, shape in shapes.items()}
+
+
+def test_affine_backward_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    assert_backward_matches_finite_differences(
+        lambda x, p: (affine(x, p["w"], p["b"]), x),
+        lambda dy, x, p, g: affine_backward(dy, x, p["w"], g["w"], g["b"]),
+        rng.normal(size=(5, 6)), random_tensors(rng, w=(6, 4), b=(4,)))
+
+
+def test_layer_norm_backward_matches_finite_differences():
+    def run(x, p):
+        y, x_hat, inv = layer_norm(x, p["g"], p["b"])
+        return y, (x_hat, inv)
+
+    rng = np.random.default_rng(32)
+    assert_backward_matches_finite_differences(
+        run, lambda dy, rec, p, g: layer_norm_backward(dy, *rec, p["g"], g["g"], g["b"]),
+        rng.normal(size=(5, 8)), random_tensors(rng, g=(8,), b=(8,)))
+
+
+def test_attention_backward_on_a_padded_batch_with_dropout_matches_finite_differences():
+    """Records of lengths 4, 2 and 3 padded to 4, and one fixed dropout
+    mask on the probabilities: the packed rows, the key bias and the
+    dropped probabilities all take part."""
+    rng = np.random.default_rng(33)
+    mask = np.arange(4) < np.array([[4], [2], [3]])
+    drop = (rng.random((3, 2, 4, 4)) >= 0.25) / 0.75
+    assert (drop == 0).any()
+    params = random_tensors(rng, attn_wq=(8, 8), attn_wk=(8, 8), attn_wv=(8, 8),
+                            attn_wo=(8, 8), attn_bq=(8,), attn_bk=(8,), attn_bv=(8,),
+                            attn_bo=(8,))
+    assert_backward_matches_finite_differences(
+        lambda x, p: attention(x, p, mask, 2, dropout=lambda shape: drop),
+        attention_backward, rng.normal(size=(int(mask.sum()), 8)), params)
+
+
+def test_feed_forward_backward_with_dropout_matches_finite_differences():
+    rng = np.random.default_rng(34)
+    drop = (rng.random((5, 12)) >= 0.25) / 0.75
+    assert (drop == 0).any()
+    params = random_tensors(rng, ff_w1=(8, 12), ff_b1=(12,), ff_w2=(12, 8), ff_b2=(8,))
+    assert_backward_matches_finite_differences(
+        lambda x, p: feed_forward(x, p, dropout=lambda shape: drop),
+        feed_forward_backward, rng.normal(size=(5, 8)), params)
 
 
 # ---------------------------------------------------------------------------

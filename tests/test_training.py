@@ -25,18 +25,17 @@ from medner.model import (
     ForwardTrace,
     ModelConfig,
     ParamLayout,
-    _merge_heads,
-    _split_heads,
     forward,
     gelu,
     init_params,
     layer_norm,
+    layer_norm_backward,
     load_checkpoint_full,
     param_shapes,
     sinusoidal_positions,
     softmax,
 )
-from medner import training
+from medner import model, training
 from medner.training import (
     TrainConfig,
     TrainLog,
@@ -168,6 +167,18 @@ def test_backward_matches_finite_differences():
         assert err < 1e-5, (name, err)
 
 
+def split_heads(x, n_heads):
+    """B x T x D -> B x H x T x D/H."""
+    b, t, d = x.shape
+    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    """split_heads undone."""
+    b, h, t, dk = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+
+
 def test_backward_with_dropout_masks_in_trace():
     """With the sampled dropout masks held fixed (recorded in the trace),
     backward is still the exact gradient of the realized forward pass."""
@@ -188,14 +199,14 @@ def test_backward_with_dropout_masks_in_trace():
                 "attn.bv", "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b",
                 "ff.w1", "ff.b1", "ff.w2", "ff.b2")}
             h, _, _ = layer_norm(x, pl["ln1.g"], pl["ln1.b"])
-            q = _split_heads(h @ pl["attn.wq"] + pl["attn.bq"], cfg.n_heads)
-            k = _split_heads(h @ pl["attn.wk"] + pl["attn.bk"], cfg.n_heads)
-            v = _split_heads(h @ pl["attn.wv"] + pl["attn.bv"], cfg.n_heads)
+            q = split_heads(h @ pl["attn.wq"] + pl["attn.bq"], cfg.n_heads)
+            k = split_heads(h @ pl["attn.wk"] + pl["attn.bk"], cfg.n_heads)
+            v = split_heads(h @ pl["attn.wv"] + pl["attn.bv"], cfg.n_heads)
             probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_k))
-            ctx = _merge_heads((probs * lt.attn_drop) @ v)
+            ctx = merge_heads((probs * lt.attn.drop) @ v)
             x = x + ctx @ pl["attn.wo"] + pl["attn.bo"]
             h2, _, _ = layer_norm(x, pl["ln2.g"], pl["ln2.b"])
-            act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"])[0] * lt.ff_drop
+            act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"])[0] * lt.ff.drop
             x = x + act @ pl["ff.w2"] + pl["ff.b2"]
         logits = x[0] @ p["head.w"] + p["head.b"]
         return cross_entropy(logits, labels)[0]
@@ -225,8 +236,8 @@ def test_backward_padded_batch_with_dropout_matches_finite_differences():
         return cross_entropy(logits, labels)[0]
 
     logits, trace = forward(params, cfg, ids, mask, dropout_rng=np.random.default_rng(23))
-    assert all(lt.ff_drop.shape == (mask.sum(), cfg.d_ff) for lt in trace.layers)
-    assert all((lt.ff_drop == 0).any() for lt in trace.layers)
+    assert all(lt.ff.drop.shape == (mask.sum(), cfg.d_ff) for lt in trace.layers)
+    assert all((lt.ff.drop == 0).any() for lt in trace.layers)
     _, dlogits = cross_entropy(logits, labels)
     grads = backward_grads(params, cfg, trace, dlogits)
     fd = finite_difference_grads(loss, params)
@@ -253,13 +264,24 @@ def test_backward_linear_in_upstream_gradient():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layer_norm_backward_gives_the_bits_of_its_formula(dtype):
     rng = np.random.default_rng(9)
-    dy, x_hat = rng.normal(size=(2, 2, 3, 16)).astype(dtype)
-    inv = rng.uniform(0.1, 10.0, size=(3, 1)).astype(dtype)
+    dy, x_hat = rng.normal(size=(2, 6, 16)).astype(dtype)
+    inv = rng.uniform(0.1, 10.0, size=(6, 1)).astype(dtype)
     gain = rng.normal(size=16).astype(dtype)
     dxhat = dy * gain
     want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True))
-    assert training._layer_norm_backward(dy, x_hat, inv, gain).tobytes() == want.tobytes()
+    dgain, dbias = np.empty_like(gain), np.empty_like(gain)
+    assert layer_norm_backward(dy, x_hat, inv, gain, dgain, dbias).tobytes() == want.tobytes()
+    assert dgain.tobytes() == (dy * x_hat).sum(axis=0).tobytes()
+    assert dbias.tobytes() == dy.sum(axis=0).tobytes()
+
+
+def test_training_binds_no_private_name_of_model():
+    """Layering: training chains the sublayers' public backward functions;
+    the packed rows, the heads and the padded layout stay model's own."""
+    private = {id(value): name for name, value in vars(model).items()
+               if name.startswith("_") and not name.startswith("__")}
+    assert [private[id(value)] for value in vars(training).values() if id(value) in private] == []
 
 
 def test_backward_trace_mismatch():
@@ -819,7 +841,7 @@ def test_positions_stay_sinusoidal():
     _, trace = forward(result.params, mc, ids)
     x = result.params["emb.tok"][ids] + sinusoidal_positions(3, mc.d_model)
     h, _, _ = layer_norm(x, result.params["enc.0.ln1.g"], result.params["enc.0.ln1.b"])
-    assert trace.layers[0].h.tobytes() == h.tobytes()
+    assert trace.layers[0].attn.x.tobytes() == h.tobytes()
 
 
 # ---------------------------------------------------------------------------
