@@ -33,7 +33,7 @@ UNK_TOKEN = "<UNK>"
 PAD_ID = 0
 UNK_ID = 1
 
-_TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*\Z")  # \Z: "$" also matches before a final newline
 _WS_RE = re.compile(r"\s")
 
 # De-identification patterns, applied in order: MIMIC-style [** ... **]

@@ -2,8 +2,8 @@
 
 Parameters are name -> ndarray views into one flat vector whose layout
 (names, shapes, order, offsets) only ParamLayout knows; the checkpoint
-payload is that vector. It holds learned tensors only: forward computes
-the fixed sinusoidal positions.
+payload is that vector. It holds learned tensors only: forward adds the
+fixed sinusoidal positions.
 Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
 
@@ -25,6 +25,7 @@ The logits stay packed too: N x n_labels, one row per real token.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -78,28 +79,19 @@ class ModelConfig:
         return asdict(self)
 
 
+# One encoder layer's tensors, named without their "enc.<layer>." prefix,
+# in payload order; param_shapes and layer_tensors both go by this tuple.
+LAYER_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bk", "attn.bv",
+              "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes, in checkpoint payload order."""
     d, f = config.d_model, config.d_ff
+    layer_shapes = [(d, d)] * 4 + [(d,)] * 8 + [(d, f), (f,), (f, d), (d,)]
     shapes: dict[str, tuple[int, ...]] = {"emb.tok": (config.vocab_size, d)}
     for layer in range(config.n_layers):
-        p = f"enc.{layer}"
-        shapes[f"{p}.attn.wq"] = (d, d)
-        shapes[f"{p}.attn.wk"] = (d, d)
-        shapes[f"{p}.attn.wv"] = (d, d)
-        shapes[f"{p}.attn.wo"] = (d, d)
-        shapes[f"{p}.attn.bq"] = (d,)
-        shapes[f"{p}.attn.bk"] = (d,)
-        shapes[f"{p}.attn.bv"] = (d,)
-        shapes[f"{p}.attn.bo"] = (d,)
-        shapes[f"{p}.ln1.g"] = (d,)
-        shapes[f"{p}.ln1.b"] = (d,)
-        shapes[f"{p}.ln2.g"] = (d,)
-        shapes[f"{p}.ln2.b"] = (d,)
-        shapes[f"{p}.ff.w1"] = (d, f)
-        shapes[f"{p}.ff.b1"] = (f,)
-        shapes[f"{p}.ff.w2"] = (f, d)
-        shapes[f"{p}.ff.b2"] = (d,)
+        shapes.update((f"enc.{layer}.{key}", shape) for key, shape in zip(LAYER_KEYS, layer_shapes))
     shapes["head.w"] = (d, config.n_labels)
     shapes["head.b"] = (config.n_labels,)
     return shapes
@@ -144,15 +136,20 @@ class ParamLayout:
                  "length": (b - a) * itemsize} for (name, shape), a, b in self._spans()]
 
 
+@functools.lru_cache(maxsize=16)
 def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sin/cos position table; row 0 is [0, 1, 0, 1, ...]."""
+    """Fixed sin/cos position table; row 0 is [0, 1, 0, 1, ...]. Built once
+    per (max_len, d_model, dtype) and shared, so it is read-only; the first
+    t rows of a table are the table of length t, bit for bit."""
     pe = np.zeros((max_len, d_model), dtype=np.float64)
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(0, d_model, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, idx / d_model)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
-    return pe.astype(dtype)
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -197,21 +194,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
-    """np.max(z, axis=-1, keepdims=True), by pairwise np.maximum over halves.
+    """np.max(z, axis=-1, keepdims=True), as np.maximum.reduce over the
+    first axis of the transposed rows, copied contiguous (see Core ops).
 
-    numpy's max over a short last axis costs several times a sum over it;
-    halving the row with np.maximum, the odd column folded into the first,
-    costs under half as much on attention scores at training batch sizes.
     A max is exact, so the result is the same value, NaN included; a zero
     may come back with the other sign, and z - max then gives the same exp.
     """
-    while z.shape[-1] > 1:
-        half = z.shape[-1] // 2
-        folded = np.maximum(z[..., :half], z[..., half : 2 * half])
-        if z.shape[-1] % 2:
-            np.maximum(folded[..., :1], z[..., -1:], out=folded[..., :1])
-        z = folded
-    return z
+    n = z.shape[-1]
+    return np.maximum.reduce(z.reshape(-1, n).T.copy(), axis=0).reshape(z.shape[:-1] + (1,))
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +214,18 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exponent of 3 and falls back to a generic pow that costs about a hundred
     times as much per element, which made GELU and its gradient over half of
     a training run. The product rounds twice where pow rounds once, so a
-    float32 output can differ from the pow form in its last bit.
+    float32 output can differ from the pow form in its last bit. The steps
+    run in place, in three new arrays, in the order of the formula.
     """
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = np.multiply(x, x)
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5)
+    y *= np.add(t, 1.0)
+    return y, t
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -428,9 +426,8 @@ class ForwardTrace:
 
 def layer_tensors(tensors: dict[str, np.ndarray], layer: int) -> dict[str, np.ndarray]:
     """Encoder layer `layer`'s entries of a parameter or gradient map,
-    keyed without their "enc.<layer>." prefix: "attn.wq", "ln1.g", ..."""
-    pfx = f"enc.{layer}."
-    return {name[len(pfx):]: arr for name, arr in tensors.items() if name.startswith(pfx)}
+    keyed by LAYER_KEYS: "attn.wq", "ln1.g", ..."""
+    return {key: tensors[f"enc.{layer}.{key}"] for key in LAYER_KEYS}
 
 
 def forward(
@@ -447,7 +444,8 @@ def forward(
     dropout_rng=None (or dropout_rate 0) the pass is deterministic; with a
     seeded generator, dropout is applied after attention probabilities and
     after the FF activation, and masks are recorded in the trace. The
-    input is the token embeddings plus sinusoidal_positions(T, d_model).
+    input is the token embeddings plus the first T rows of
+    sinusoidal_positions(max_len, d_model).
     Only the real tokens are computed (see the module docstring): the
     logits are N x n_labels, row i scoring the token at flat position
     np.flatnonzero(mask)[i].
@@ -474,7 +472,7 @@ def forward(
         lambda shape: (dropout_rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate))
     rows = np.flatnonzero(mask)
     x = params["emb.tok"][ids.reshape(-1)[rows]]
-    x += sinusoidal_positions(t, config.d_model, dtype)[rows % t]
+    x += sinusoidal_positions(config.max_len, config.d_model, dtype)[rows % t]
     trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
 
     for layer in range(config.n_layers):

@@ -229,8 +229,10 @@ def init_adam_state(params: np.ndarray) -> AdamState:
                      scratch=np.empty((2,) + params.shape, dtype=params.dtype))
 
 
-def global_grad_norm(grads: np.ndarray) -> float:
-    return math.sqrt(float(np.square(grads, dtype=np.float64).sum()))
+def global_grad_norm(grads: np.ndarray, out: Optional[np.ndarray] = None) -> float:
+    """The 2-norm of `grads`, summed in float64; the squares go into `out`,
+    a float64 vector of grads' length, when one is given."""
+    return math.sqrt(float(np.square(grads, out=out, dtype=np.float64).sum()))
 
 
 def adam_step(
@@ -265,7 +267,8 @@ def adam_step(
 
     s1, s2 = state.scratch
     if grad_clip_norm is not None:
-        norm = global_grad_norm(grads)
+        # the scratch holds 2n items of at least 4 bytes: room for n float64
+        norm = global_grad_norm(grads, state.scratch.reshape(-1).view(np.float64)[:grads.size])
         if norm > grad_clip_norm > 0:
             grads = np.multiply(grads, grad_clip_norm / norm, out=s2)
 

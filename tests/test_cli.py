@@ -474,6 +474,8 @@ def _bad_checkpoint(tmp_path, kind):
         rewrite_manifest(path, lambda m: m["vocab"].__setitem__(0, "<pad>"))
     elif kind == "label_type":
         rewrite_manifest(path, lambda m: m.update(labels=["9Drug"]))
+    elif kind == "label_newline":
+        rewrite_manifest(path, lambda m: m.update(labels=["Drug\n"]))
     else:
         blob = bytearray(path.read_bytes())
         blob[-4:] = b"\x00\x00\xc0\x7f"  # float32 NaN
@@ -483,7 +485,8 @@ def _bad_checkpoint(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory",
                                   "vocab_size", "n_labels", "no_inventory",
-                                  "vocab_duplicate", "vocab_no_pad", "label_type"])
+                                  "vocab_duplicate", "vocab_no_pad", "label_type",
+                                  "label_newline"])
 def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
     ckpt = _bad_checkpoint(tmp_path, kind)
     gold = tmp_path / "gold.conll"

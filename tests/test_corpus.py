@@ -83,6 +83,17 @@ def test_taglabel_invariants():
     assert TagLabel.from_tag("O").tag == "O"
 
 
+def test_entity_type_with_a_trailing_newline_is_rejected():
+    """An entity type is matched to the end of the string: a regex "$"
+    would also accept it before a final newline."""
+    with pytest.raises(FormatError, match=r"unparseable tag 'B-Drug\\n'"):
+        TagLabel.from_tag("B-Drug\n")
+    with pytest.raises(FormatError, match="invalid entity type"):
+        TagLabel("I", "Drug\n")
+    with pytest.raises(ValueError, match="invalid entity type"):
+        gen_synthetic(5, ["Drug\n"], vocab_size=40, max_len=10, seed=1)
+
+
 def test_from_tag_shares_one_instance_per_tag():
     assert TagLabel.from_tag("B-Drug") is TagLabel.from_tag("B-Drug")
     assert TagLabel.from_tag("O") is TagLabel.from_tag("O")

@@ -32,6 +32,7 @@ from medner.model import (
     init_params,
     layer_norm,
     layer_norm_backward,
+    layer_tensors,
     load_checkpoint_full,
     param_shapes,
     predict_labels,
@@ -97,11 +98,36 @@ def test_softmax_empty_errors():
         softmax(np.array([]))
 
 
+def np_max_softmax(z):
+    """softmax as the textbook expression, with np.max as the stabiliser."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(40, 7), (1, 7), (40, 1), (7,)])
+def test_softmax_on_logit_shapes_takes_the_max_of_np_max(dtype, shape):
+    """The row max of cross_entropy's N x n_labels logits, of one row and at
+    width 1, with a NaN, -inf logits and signed-zero rows: the output has
+    the bits of the np.max form."""
+    rng = np.random.default_rng(5)
+    z = rng.normal(scale=6.0, size=shape).astype(dtype)
+    rows = z.reshape(-1, shape[-1])
+    if len(rows) > 3:
+        rows[0, rng.integers(shape[-1])] = np.nan
+        rows[1, 1:][rng.random(shape[-1] - 1) < 0.5] = -np.inf  # not the whole row
+        rows[2] = np.where(rng.random(shape[-1]) < 0.5, -0.0, 0.0)
+        rows[3] = -0.0
+    got = softmax(z)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == np_max_softmax(z).tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_matches_the_np_max_form_bit_for_bit(dtype):
-    """softmax finds the row max by halving; it must give the bits of the
-    textbook form, on every key length forward can see, with masked -inf
-    keys, signed zeros and a NaN row."""
+    """softmax takes the row max over a transposed copy; it must give the
+    bits of the textbook form, on every key length forward can see, with
+    masked -inf keys, signed zeros and a NaN row."""
     rng = np.random.default_rng(3)
     for n in range(1, 34):
         z = rng.normal(scale=4.0, size=(3, 2, 5, n)).astype(dtype)
@@ -110,11 +136,9 @@ def test_softmax_matches_the_np_max_form_bit_for_bit(dtype):
         z[1, 0] = np.where(rng.random((5, n)) < 0.5, -0.0, 0.0)
         z[1, 1, 0, rng.integers(n)] = np.nan
         z[2, 1, :, rng.integers(n)] = 1e30
-        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-        want = e / np.sum(e, axis=-1, keepdims=True)
         got = softmax(z)
         assert got.dtype == dtype
-        assert got.tobytes() == want.tobytes(), n
+        assert got.tobytes() == np_max_softmax(z).tobytes(), n
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +305,32 @@ def test_init_weight_bounds():
         if len(shape) == 2:
             bound = math.sqrt(6.0 / (shape[0] + shape[1]))
             assert (np.abs(params[name]) <= bound).all(), name
+
+
+def test_position_table_is_shared_read_only_and_prefix_exact():
+    """forward slices one table per (max_len, d_model, dtype): it must be
+    read-only, and its first t rows must be the table of length t."""
+    for d in (6, 8, 64):
+        for dtype in (np.float32, np.float64):
+            table = sinusoidal_positions(40, d, dtype)
+            assert sinusoidal_positions(40, d, dtype) is table
+            assert table.dtype == dtype and table.shape == (40, d)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+            for t in range(1, 41):
+                assert table[:t].tobytes() == sinusoidal_positions(t, d, dtype).tobytes(), (d, t)
+
+
+def test_layer_tensors_are_the_prefixed_entries_of_each_layer():
+    cfg = tiny_config(n_layers=3)
+    params = init_params(cfg, seed=1)
+    for layer in range(cfg.n_layers):
+        pfx = f"enc.{layer}."
+        want = {name[len(pfx):]: params[name] for name in param_shapes(cfg)
+                if name.startswith(pfx)}
+        got = layer_tensors(params, layer)
+        assert list(got) == list(want) and len(got) == 16
+        assert all(got[key] is want[key] for key in want)
 
 
 def test_positional_row_zero_pattern():

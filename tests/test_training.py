@@ -6,6 +6,7 @@ import dataclasses
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,27 @@ def test_adam_global_clip():
     np.testing.assert_allclose(st_clipped.v, st_plain.v / 4.0, rtol=1e-12)
     # under the threshold nothing is rescaled
     np.testing.assert_array_equal(first_step(grad_clip_norm=norm * 2).m, st_plain.m)
+
+
+def test_clipped_adam_step_squares_in_its_scratch():
+    """The clip norm's float64 squares go into Adam's scratch, so a clipped
+    step allocates no model-sized temporary (only isfinite's n bools), and
+    the norm keeps its bits."""
+    rng = np.random.default_rng(6)
+    grads = rng.normal(size=100_000).astype(np.float32)
+    params = np.zeros_like(grads)
+    state = init_adam_state(params)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, lr=1e-3, grad_clip_norm=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+    for dtype in (np.float32, np.float64):
+        g = grads.astype(dtype)
+        assert training.global_grad_norm(g, np.empty(len(g))) == math.sqrt(
+            float((g.astype(np.float64) ** 2).sum()))
 
 
 def test_adam_reduces_quadratic():
