@@ -17,3 +17,21 @@ def backward_grads(params, config, trace, dlogits, fill=np.nan) -> dict[str, np.
     grads = layout.views(np.full(layout.size, fill, dtype=params["emb.tok"].dtype))
     backward(params, config, trace, dlogits, grads)
     return grads
+
+
+# The summation formula the model's bit-pinned tests reproduce: a sum over
+# the last axis is the rows times a ones vector, a sum over the rows a ones
+# vector times the rows, each one BLAS matvec, and a mean divides the sum.
+
+
+def matvec_row_sums(z: np.ndarray) -> np.ndarray:
+    n = z.shape[-1]
+    return (z.reshape(-1, n) @ np.ones(n, dtype=z.dtype)).reshape(z.shape[:-1] + (1,))
+
+
+def matvec_row_means(z: np.ndarray) -> np.ndarray:
+    return matvec_row_sums(z) / z.shape[-1]
+
+
+def matvec_column_sums(y: np.ndarray) -> np.ndarray:
+    return np.ones(len(y), dtype=y.dtype) @ y

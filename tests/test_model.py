@@ -41,6 +41,7 @@ from medner.model import (
     softmax,
 )
 
+from helpers import matvec_row_means, matvec_row_sums
 from oracles import finite_difference_grads, max_relative_error, reference_attention
 
 # softmax([1, 2, 3]) evaluated at 40 decimal digits
@@ -99,9 +100,15 @@ def test_softmax_empty_errors():
 
 
 def np_max_softmax(z):
-    """softmax as the textbook expression, with np.max as the stabiliser."""
+    """softmax with np.max as the stabiliser and the matvec row sum as the
+    denominator; also checked close to the float64 textbook form."""
     e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    want = e / matvec_row_sums(e)
+    z64 = z.astype(np.float64)
+    e64 = np.exp(z64 - np.max(z64, axis=-1, keepdims=True))
+    np.testing.assert_allclose(want, e64 / np.sum(e64, axis=-1, keepdims=True),
+                               rtol=64 * np.finfo(z.dtype).eps, atol=1e-300)
+    return want
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -125,9 +132,9 @@ def test_softmax_on_logit_shapes_takes_the_max_of_np_max(dtype, shape):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_matches_the_np_max_form_bit_for_bit(dtype):
-    """softmax takes the row max over a transposed copy; it must give the
-    bits of the textbook form, on every key length forward can see, with
-    masked -inf keys, signed zeros and a NaN row."""
+    """softmax takes the row max over a transposed copy and the row sum as
+    a matvec; it must give the bits of that formula, on every key length
+    forward can see, with masked -inf keys, signed zeros and a NaN row."""
     rng = np.random.default_rng(3)
     for n in range(1, 34):
         z = rng.normal(scale=4.0, size=(3, 2, 5, n)).astype(dtype)
@@ -240,7 +247,8 @@ def test_gelu_saturates_finite(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_ops_give_the_bits_of_their_formulas(dtype):
     """gelu, gelu_grad and layer_norm compute in place; every element must
-    equal the plain numpy expression of the same formula."""
+    equal the plain numpy expression of the same formula, its means the
+    matvecs of tests/helpers.py."""
     rng = np.random.default_rng(8)
     x = (rng.normal(size=(3, 5, 24)) * rng.choice([1e-3, 1.0, 8.0], size=(3, 5, 1))).astype(dtype)
     x[0, 0] = 2.5  # a constant row
@@ -254,9 +262,13 @@ def test_in_place_ops_give_the_bits_of_their_formulas(dtype):
 
     gain = rng.normal(size=24).astype(dtype)
     bias = rng.normal(size=24).astype(dtype)
-    centered = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-5)
+    centered = x - matvec_row_means(x)
+    inv = 1.0 / np.sqrt(matvec_row_means(centered**2) + 1e-5)
     x_hat = centered * inv
+    x64 = x.astype(np.float64)
+    centered64 = x64 - x64.mean(axis=-1, keepdims=True)
+    x_hat64 = centered64 / np.sqrt((centered64**2).mean(axis=-1, keepdims=True) + 1e-5)
+    np.testing.assert_allclose(x_hat, x_hat64, rtol=0, atol=256 * np.finfo(dtype).eps)
     for got, want in zip(layer_norm(x, gain, bias), (gain * x_hat + bias, x_hat, inv)):
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()

@@ -51,7 +51,7 @@ from medner.training import (
     train,
 )
 
-from helpers import backward_grads
+from helpers import backward_grads, matvec_column_sums, matvec_row_means
 from oracles import (
     binary_cross_entropy,
     finite_difference_grads,
@@ -269,12 +269,20 @@ def test_layer_norm_backward_gives_the_bits_of_its_formula(dtype):
     inv = rng.uniform(0.1, 10.0, size=(6, 1)).astype(dtype)
     gain = rng.normal(size=16).astype(dtype)
     dxhat = dy * gain
-    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True))
+    want = inv * (dxhat - matvec_row_means(dxhat) - x_hat * matvec_row_means(dxhat * x_hat))
     dgain, dbias = np.empty_like(gain), np.empty_like(gain)
     assert layer_norm_backward(dy, x_hat, inv, gain, dgain, dbias).tobytes() == want.tobytes()
-    assert dgain.tobytes() == (dy * x_hat).sum(axis=0).tobytes()
-    assert dbias.tobytes() == dy.sum(axis=0).tobytes()
+    assert dgain.tobytes() == matvec_column_sums(dy * x_hat).tobytes()
+    assert dbias.tobytes() == matvec_column_sums(dy).tobytes()
+    d64 = [a.astype(np.float64) for a in (dy, x_hat, inv, gain)]
+    dy64, x_hat64, inv64, gain64 = d64
+    dxhat64 = dy64 * gain64
+    want64 = inv64 * (dxhat64 - dxhat64.mean(axis=-1, keepdims=True)
+                      - x_hat64 * (dxhat64 * x_hat64).mean(axis=-1, keepdims=True))
+    tol = 64 * np.finfo(dtype).eps
+    np.testing.assert_allclose(want, want64, rtol=tol, atol=tol * np.abs(want64).max())
+    np.testing.assert_allclose(dgain, (dy64 * x_hat64).sum(axis=0), rtol=tol, atol=tol)
+    np.testing.assert_allclose(dbias, dy64.sum(axis=0), rtol=tol, atol=tol)
 
 
 def test_training_binds_no_private_name_of_model():
