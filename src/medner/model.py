@@ -18,7 +18,8 @@ position-wise layer (embedding, layer norms, projections, GELU, dropout,
 head) works on one N x width matrix of the batch's N real tokens, row i
 being flat position rows[i] with rows = np.flatnonzero(mask). Attention
 alone scatters q, k and v into the padded B x H x T x d_k layout, where
-the key bias hides the padding, and gathers its context back to N rows.
+a -inf mask on the keys hides the padding, and gathers its context back
+to N rows.
 The logits stay packed too: N x n_labels, one row per real token.
 """
 
@@ -41,7 +42,7 @@ from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = "MEDNER-CKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -81,14 +82,15 @@ class ModelConfig:
 
 # One encoder layer's tensors, named without their "enc.<layer>." prefix,
 # in payload order; param_shapes and layer_tensors both go by this tuple.
-LAYER_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bk", "attn.bv",
-              "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+# The keys have no bias; attention says why.
+LAYER_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bv", "attn.bo",
+              "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes, in checkpoint payload order."""
     d, f = config.d_model, config.d_ff
-    layer_shapes = [(d, d)] * 4 + [(d,)] * 8 + [(d, f), (f,), (f, d), (d,)]
+    layer_shapes = [(d, d)] * 4 + [(d,)] * 7 + [(d, f), (f,), (f, d), (d,)]
     shapes: dict[str, tuple[int, ...]] = {"emb.tok": (config.vocab_size, d)}
     for layer in range(config.n_layers):
         shapes.update((f"enc.{layer}.{key}", shape) for key, shape in zip(LAYER_KEYS, layer_shapes))
@@ -372,11 +374,17 @@ def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def attention(x, p, mask, n_heads: int, dropout=None) -> tuple[np.ndarray, AttentionTrace]:
     """Multi-head self-attention and its output projection on the packed
     rows x of a batch whose B x T `mask` flags the real tokens, in the
-    padded B x H x T x d_k layout where a -inf key bias hides padding.
-    `dropout` (shape -> inverted-dropout mask) drops the probabilities."""
+    padded B x H x T x d_k layout where a -inf mask on the keys hides
+    padding. `dropout` (shape -> inverted-dropout mask) drops the
+    probabilities.
+
+    The keys are x wk with no bias: a key bias would add the same q . b
+    to every score of a query's row, and softmax is unchanged by that
+    (Vaswani et al., arXiv:1706.03762, eq. 1)."""
     (b, t), rows, dtype = mask.shape, np.flatnonzero(mask), x.dtype
-    q, k, v = (_to_heads(affine(x, p[f"attn.w{n}"], p[f"attn.b{n}"]), rows, b, t, n_heads)
-               for n in "qkv")
+    q = _to_heads(affine(x, p["attn.wq"], p["attn.bq"]), rows, b, t, n_heads)
+    k = _to_heads(x @ p["attn.wk"], rows, b, t, n_heads)
+    v = _to_heads(affine(x, p["attn.wv"], p["attn.bv"]), rows, b, t, n_heads)
     scores = q @ k.swapaxes(-1, -2)
     scores *= dtype.type(1.0 / math.sqrt(q.shape[-1]))
     scores += np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
@@ -403,12 +411,14 @@ def attention_backward(dy, trace: AttentionTrace, p, g) -> np.ndarray:
     dscores *= probs
     dq = dscores @ trace.k
     dq *= scale
-    dk = dscores.swapaxes(-1, -2) @ trace.q
+    dk = _from_heads(dscores.swapaxes(-1, -2) @ trace.q, trace.rows)
     dk *= scale
-    dx = np.zeros_like(trace.x)
-    for name, dheads in (("q", dq), ("k", dk), ("v", dv)):
-        dx += affine_backward(_from_heads(dheads, trace.rows), trace.x,
-                              p[f"attn.w{name}"], g[f"attn.w{name}"], g[f"attn.b{name}"])
+    np.matmul(trace.x.T, dk, out=g["attn.wk"])
+    dx = affine_backward(_from_heads(dq, trace.rows), trace.x, p["attn.wq"], g["attn.wq"],
+                         g["attn.bq"])
+    dx += dk @ p["attn.wk"].T
+    dx += affine_backward(_from_heads(dv, trace.rows), trace.x, p["attn.wv"], g["attn.wv"],
+                          g["attn.bv"])
     return dx
 
 
@@ -551,16 +561,17 @@ def predict_labels(logits: np.ndarray) -> np.ndarray:
 # token list and entity-type inventory, so a checkpoint is self-contained
 # for evaluation and prediction. The loader accepts only the canonical
 # manifest (ParamLayout order), an exact-size, finite payload, and a
-# vocabulary and inventory that fit the config. Version 1 also stored the
-# position table; it is rejected as an unsupported version like any other.
+# vocabulary and inventory that fit the config. Version 2 also stored each
+# layer's attention key bias, and version 1 the position table as well;
+# both are rejected as unsupported versions like any other. The seed and
+# the precision tag are kept for the reader of the manifest: the loader
+# reads the precision to decode the payload and returns neither.
 
 
 @dataclass
 class CheckpointData:
     params: dict[str, np.ndarray]
     config: ModelConfig
-    seed: int
-    precision: int
     vocab: Vocabulary
     labels: list[str]   # entity types; label_index_from_types gives the tags
 
@@ -678,9 +689,8 @@ def _decode_checkpoint(blob: bytes) -> CheckpointData:
         vocabulary = Vocabulary(vocab)
     except FormatError as exc:
         raise CheckpointError(f"manifest inventory: {exc}") from None
-    return CheckpointData(params=layout.views(flat), config=config,
-                          seed=manifest.get("seed", 0), precision=precision,
-                          vocab=vocabulary, labels=labels)
+    return CheckpointData(params=layout.views(flat), config=config, vocab=vocabulary,
+                          labels=labels)
 
 
 def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:

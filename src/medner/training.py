@@ -48,6 +48,10 @@ logger = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-12
 IMPROVEMENT_THRESHOLD = 1e-6
+# Adam's beta1, beta2 and epsilon: Kingma & Ba's defaults (arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,6 @@ class AdamState:
     v: np.ndarray
     scratch: np.ndarray  # 2 x n; its contents mean nothing between steps
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam_state(params: np.ndarray) -> AdamState:
@@ -273,7 +274,7 @@ def adam_step(
             grads = np.multiply(grads, grad_clip_norm / norm, out=s2)
 
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
     state.m *= b1

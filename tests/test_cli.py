@@ -499,38 +499,52 @@ def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
         assert err.startswith(f"error: {ckpt}: "), err
 
 
-def _version_1_checkpoint(path):
-    """The tiny checkpoint in format 1, which also stored the sinusoidal
-    position table, as tensor 'emb.pos' right after 'emb.tok'."""
+def _old_format_checkpoint(path, version):
+    """The tiny checkpoint in format 2, which also stored each layer's
+    attention key bias as 'enc.<layer>.attn.bk' right after
+    'enc.<layer>.attn.bq', or in format 1, which stored the sinusoidal
+    position table as well, as 'emb.pos' right after 'emb.tok'."""
     _tiny_checkpoint(path)
     _, length, rest = path.read_bytes().split(b"\n", 2)
     manifest = json.loads(rest[:int(length)])
     payload = rest[int(length) + 1:]
     cfg = manifest["config"]
-    table = sinusoidal_positions(cfg["max_len"], cfg["d_model"]).astype("<f4").tobytes()
-    at = manifest["tensors"][0]["length"]
-    for entry in manifest["tensors"][1:]:
-        entry["offset"] += len(table)
-    manifest["tensors"].insert(1, {"name": "emb.pos", "shape": [cfg["max_len"], cfg["d_model"]],
-                                   "offset": at, "length": len(table)})
-    manifest["format_version"] = 1
+    extra = {f"enc.{layer}.attn.bq": (f"enc.{layer}.attn.bk", [cfg["d_model"]],
+                                      bytes(4 * cfg["d_model"]))
+             for layer in range(cfg["n_layers"])}
+    if version == 1:
+        extra["emb.tok"] = ("emb.pos", [cfg["max_len"], cfg["d_model"]],
+                            sinusoidal_positions(cfg["max_len"], cfg["d_model"])
+                            .astype("<f4").tobytes())
+    tensors, chunks, offset = [], [], 0
+    for entry in manifest["tensors"]:
+        start = entry["offset"]
+        pieces = [(entry["name"], entry["shape"], payload[start:start + entry["length"]])]
+        if entry["name"] in extra:
+            pieces.append(extra[entry["name"]])
+        for name, shape, data in pieces:
+            tensors.append({"name": name, "shape": shape, "offset": offset, "length": len(data)})
+            chunks.append(data)
+            offset += len(data)
+    manifest.update(format_version=version, tensors=tensors)
     header = json.dumps(manifest).encode()
-    path.write_bytes(b"MEDNER-CKPT 1\n%d\n" % len(header) + header + b"\n"
-                     + payload[:at] + table + payload[at:])
+    path.write_bytes(b"MEDNER-CKPT %d\n%d\n" % (version, len(header)) + header + b"\n"
+                     + b"".join(chunks))
     return path
 
 
 def test_version_1_checkpoint_exits_3_naming_file_and_version(tmp_path, capsys):
-    """Format 1 has no reader: such a file is retrained, not converted."""
-    ckpt = _version_1_checkpoint(tmp_path / "v1.ckpt")
+    """Formats 1 and 2 have no reader: such a file is retrained, not converted."""
     gold = tmp_path / "gold.conll"
     gold.write_text("aspirin\tB-Drug\n")
     tokens = tmp_path / "tokens.txt"
     tokens.write_text("aspirin\n")
-    for argv in (["eval", str(ckpt), str(gold)], ["predict", str(ckpt), str(tokens)]):
-        assert main(argv) == 3
-        assert capsys.readouterr().err == (
-            f"error: {ckpt}: unsupported checkpoint version '1'\n")
+    for version in (1, 2):
+        ckpt = _old_format_checkpoint(tmp_path / f"v{version}.ckpt", version)
+        for argv in (["eval", str(ckpt), str(gold)], ["predict", str(ckpt), str(tokens)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"error: {ckpt}: unsupported checkpoint version '{version}'\n")
 
 
 @pytest.mark.parametrize("where", ["eval", "train.conll", "val.conll", "prepare"])

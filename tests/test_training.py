@@ -168,6 +168,30 @@ def test_backward_matches_finite_differences():
         assert err < 1e-5, (name, err)
 
 
+def test_every_learned_tensor_gets_a_nonzero_gradient():
+    """The whole model in float64 with every bias non-zero: each tensor's
+    gradient matches central differences and is not 0, so no tensor is one
+    the output does not depend on (as a key bias is: softmax cancels it)."""
+    cfg = ModelConfig(vocab_size=9, n_labels=3, d_model=8, n_heads=2,
+                      n_layers=1, d_ff=10, max_len=4, dropout_rate=0.0)
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, seed=10, dtype=np.float64)
+    for name, arr in params.items():
+        if arr.ndim == 1 and not name.endswith(".g"):
+            arr[:] = rng.normal(size=arr.shape)
+    ids = rng.integers(0, cfg.vocab_size, size=(2, 3))
+    mask = np.array([[True, True, True], [True, True, False]])
+    labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
+
+    logits, trace = forward(params, cfg, ids, mask)
+    _, dlogits = cross_entropy(logits, labels)
+    grads = backward_grads(params, cfg, trace, dlogits)
+    fd = finite_difference_grads(lambda p: _loss_on(p, cfg, ids, mask, labels), params)
+    for name in params:
+        assert max_relative_error(grads[name], fd[name]) < 1e-5, name
+        assert np.abs(grads[name]).max() > 1e-6, (name, np.abs(grads[name]).max())
+
+
 def split_heads(x, n_heads):
     """B x T x D -> B x H x T x D/H."""
     b, t, d = x.shape
@@ -196,12 +220,12 @@ def test_backward_with_dropout_masks_in_trace():
         x = p["emb.tok"][ids] + sinusoidal_positions(3, cfg.d_model, np.float64)
         for layer, lt in enumerate(trace.layers):
             pl = {k: p[f"enc.{layer}.{k}"] for k in (
-                "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bk",
-                "attn.bv", "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b",
+                "attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq", "attn.bv",
+                "attn.bo", "ln1.g", "ln1.b", "ln2.g", "ln2.b",
                 "ff.w1", "ff.b1", "ff.w2", "ff.b2")}
             h, _, _ = layer_norm(x, pl["ln1.g"], pl["ln1.b"])
             q = split_heads(h @ pl["attn.wq"] + pl["attn.bq"], cfg.n_heads)
-            k = split_heads(h @ pl["attn.wk"] + pl["attn.bk"], cfg.n_heads)
+            k = split_heads(h @ pl["attn.wk"], cfg.n_heads)
             v = split_heads(h @ pl["attn.wv"] + pl["attn.bv"], cfg.n_heads)
             probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_k))
             ctx = merge_heads((probs * lt.attn.drop) @ v)
