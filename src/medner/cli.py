@@ -104,7 +104,7 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default:
         try:
             return int(env)
         except ValueError:
-            raise FormatError(f"MEDNER_SEED is not an integer: {env!r}") from None
+            raise ValueError(f"MEDNER_SEED is not an integer: {env!r}") from None
     return default
 
 

@@ -159,19 +159,6 @@ class SplitSpec:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class EntitySpan:
-    """Half-open token range [start, end) carrying one entity type."""
-
-    start: int
-    end: int
-    entity_type: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span bounds [{self.start}, {self.end})")
-
-
 @dataclass
 class Vocabulary:
     """Token <-> id mapping with reserved ids 0 = PAD, 1 = UNK."""
@@ -242,7 +229,10 @@ def parse_conll(text: str) -> Corpus:
             if body.startswith("id:"):
                 block_id = body[3:].strip()
             elif body.startswith("types:"):
-                declared_types.update(body[6:].split())
+                for etype in body[6:].split():
+                    if not _TYPE_RE.match(etype):
+                        raise FormatError(f"line {lineno}: invalid entity type {etype!r}")
+                    declared_types.add(etype)
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -320,27 +310,22 @@ def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> list[TagLa
     return out
 
 
-def spans_from_labels(labels: Sequence[TagLabel]) -> list[EntitySpan]:
-    """Extract maximal B(I)* runs as spans, sorted by start.
-
-    Input must be strict-BIO valid; run validate_bio(labels, "repair")
-    first on model output.
+def spans_from_labels(labels: Sequence[TagLabel]) -> list[tuple[int, int, str]]:
+    """Maximal B(I)* runs as half-open (start, end, type) tuples, sorted by
+    start. An I that does not continue an open span of its type starts a
+    new span, as validate_bio(labels, "repair") would make it a B, so model
+    output needs no repair first.
     """
-    validate_bio(labels, "strict")
-    spans: list[EntitySpan] = []
-    start = None
-    etype = ""
+    spans: list[tuple[int, int, str]] = []
+    start, etype = 0, None  # etype None: no span is open
     for i, lab in enumerate(labels):
-        if lab.position == "B":
-            if start is not None:
-                spans.append(EntitySpan(start, i, etype))
-            start, etype = i, lab.entity_type
-        elif lab.position == "O":
-            if start is not None:
-                spans.append(EntitySpan(start, i, etype))
-            start = None
-    if start is not None:
-        spans.append(EntitySpan(start, len(labels), etype))
+        if lab.position == "I" and lab.entity_type == etype:
+            continue
+        if etype is not None:
+            spans.append((start, i, etype))
+        start, etype = i, (None if lab.position == "O" else lab.entity_type)
+    if etype is not None:
+        spans.append((start, len(labels), etype))
     return spans
 
 

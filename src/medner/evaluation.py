@@ -2,8 +2,9 @@
 model-comparison table.
 
 Span metrics use the exact-match criterion: a predicted span counts as a
-true positive iff (start, end, type) all equal a gold span. Predictions
-are BIO-repaired before span extraction; gold must be strict-valid.
+true positive iff (start, end, type) all equal a gold span. Gold must be
+strict BIO; in a prediction, an I that continues no span of its type
+starts one, as BIO repair would make it.
 Whether published NER figures are token- or span-level micro or macro is
 often ambiguous, so reports carry both families and flag span-level micro
 as the headline.
@@ -25,7 +26,7 @@ from .corpus import (
     spans_from_labels,
     validate_bio,
 )
-from .errors import FormatError
+from .errors import CheckpointError, FormatError
 from .model import CheckpointData, forward, load_checkpoint_full, predict_labels
 
 
@@ -123,36 +124,28 @@ def span_metrics(
 ) -> SpanMetrics:
     """Exact-match span counts pooled over records.
 
-    Gold sequences must be strict-BIO valid; predictions are repaired
-    before extraction, so raw argmax output is acceptable.
+    Gold sequences must be strict-BIO valid (BioViolationError
+    otherwise); predictions may be raw argmax output, see
+    spans_from_labels.
     """
     if len(pred_labels) != len(gold_labels):
         raise ValueError(
             f"record count mismatch: {len(pred_labels)} pred vs {len(gold_labels)} gold"
         )
-    counts: dict[str, list[int]] = {}
-
-    def bump(etype: str, slot: int):
-        counts.setdefault(etype, [0, 0, 0])[slot] += 1
-
+    counts: dict[str, list[int]] = {}  # type -> [tp, fp, fn]
     for i, (pred, gold) in enumerate(zip(pred_labels, gold_labels)):
         if len(pred) != len(gold):
             raise ValueError(f"record {i}: length mismatch {len(pred)} vs {len(gold)}")
+        validate_bio(gold, "strict")
         gold_spans = set(spans_from_labels(gold))
-        pred_spans = set(spans_from_labels(validate_bio(pred, "repair")))
-        for span in pred_spans & gold_spans:
-            bump(span.entity_type, 0)
-        for span in pred_spans - gold_spans:
-            bump(span.entity_type, 1)
-        for span in gold_spans - pred_spans:
-            bump(span.entity_type, 2)
+        pred_spans = set(spans_from_labels(pred))
+        for slot, spans in enumerate((pred_spans & gold_spans, pred_spans - gold_spans,
+                                      gold_spans - pred_spans)):
+            for _, _, etype in spans:
+                counts.setdefault(etype, [0, 0, 0])[slot] += 1
 
     per_type = {etype: PRF(*c) for etype, c in counts.items()}
-    micro = PRF(
-        sum(c[0] for c in counts.values()),
-        sum(c[1] for c in counts.values()),
-        sum(c[2] for c in counts.values()),
-    )
+    micro = PRF(*map(sum, zip(*counts.values())))  # PRF() when no spans at all
     return SpanMetrics(micro=micro, per_type=per_type)
 
 
@@ -243,7 +236,9 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
              row_names: Sequence[str]) -> list[list[TagLabel]]:
     """The checkpoint's BIO-repaired tags for each row of token texts, in
     input order. A row longer than the model's max_len raises a FormatError
-    naming it by its entry in row_names.
+    naming it by its entry in row_names. Finite weights that still overflow
+    in the forward pass raise a CheckpointError rather than tag with
+    non-finite values.
     """
     max_len = checkpoint.config.max_len
     for row, name in zip(token_rows, row_names):
@@ -252,7 +247,12 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
                               f"max_len is {max_len}")
     label_of = [TagLabel.from_tag(tag) for tag in label_index_from_types(checkpoint.labels)]
     id_rows = [[checkpoint.vocab.lookup(text) for text in row] for row in token_rows]
-    pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)
+    except FloatingPointError as exc:
+        raise CheckpointError(f"checkpoint weights give non-finite values in the forward "
+                              f"pass ({exc})") from None
     return [validate_bio([label_of[i] for i in row], "repair") for row in pred_ids]
 
 
@@ -271,7 +271,7 @@ def evaluate(
         raise FormatError(
             "label inventory mismatch: checkpoint lacks " + ", ".join(missing)
         )
-    gold_lists = [list(rec.labels) for rec in corpus.records]
+    gold_lists = [rec.labels for rec in corpus.records]
     if gold_as_pred:
         pred_lists = gold_lists
     else:
@@ -332,9 +332,18 @@ def render_comparison(rows: Sequence[ComparisonRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_comparison_rows(text: str) -> list[ComparisonRow]:
     """Parse `name,precision,f1` lines; `#` comments and blank lines are
-    skipped, and a leading header line is tolerated.
+    skipped. The first line is a header when neither of its numbers parses
+    as a float; a row whose numbers parse but are out of range is an error.
     """
     rows: list[ComparisonRow] = []
     first_content = True
@@ -345,14 +354,14 @@ def parse_comparison_rows(text: str) -> list[ComparisonRow]:
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: malformed row {line!r} (want name,precision,f1)")
+        is_header = first_content and not any(map(_is_float, parts[1:]))
+        first_content = False
+        if is_header:
+            continue
         try:
             rows.append(ComparisonRow(parts[0], float(parts[1]), float(parts[2])))
         except ValueError as exc:
-            if first_content:
-                first_content = False
-                continue  # header line
             raise FormatError(f"line {lineno}: malformed row {line!r} ({exc})") from None
-        first_content = False
     if not rows:
         raise FormatError("results file contains no rows")
     return rows

@@ -449,7 +449,7 @@ def train(
     train_enc = encode_corpus(train_corpus, vocab, label_index)
     if have_val:
         val_enc = encode_corpus(val_corpus, vocab, label_index)
-        val_gold = [list(rec.labels) for rec in val_corpus.records]
+        val_gold = [rec.labels for rec in val_corpus.records]
 
     layout = ParamLayout(model_config)
     flat = layout.flatten(init_params(model_config, train_config.seed, dtype))

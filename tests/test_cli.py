@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import medner
@@ -190,6 +191,19 @@ def test_prepare_strict_bio_failure_names_record(tmp_path, capsys):
     # with --repair it goes through
     rc = main(["prepare", str(raw), "--out", str(tmp_path / "p2"), "--repair"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("verb", ["prepare", "eval"])
+def test_invalid_declared_type_exits_3_naming_file_and_line(tmp_path, capsys, verb):
+    """A `# types:` entry is an entity type like any other: a bad one is
+    rejected where the file is read, not written into every split."""
+    bad = tmp_path / "gold.conll"
+    bad.write_text("aspirin\tB-Drug\n\n# types: Drug Bad-Type\naspirin\tO\n")
+    argv = {"prepare": ["prepare", str(bad)],
+            "eval": ["eval", str(_tiny_checkpoint(tmp_path / "model.ckpt")), str(bad)]}[verb]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {bad}: line 3: invalid entity type 'Bad-Type'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value, needle", [
@@ -405,6 +419,26 @@ def test_train_rejects_bad_clip_and_early_stop(tmp_path, capsys, monkeypatch, se
     assert not written.exists()
 
 
+@pytest.mark.parametrize("verb", ["gen-synthetic", "prepare", "train"])
+def test_non_integer_medner_seed_exits_2_naming_it(tmp_path, capsys, monkeypatch, verb):
+    raw = gen_corpus(tmp_path)
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("seed = 11\n", ""))  # fall back to MEDNER_SEED
+    argv, written = {
+        "gen-synthetic": (["gen-synthetic", "--out", str(tmp_path / "gen.conll")],
+                          tmp_path / "gen.conll"),
+        "prepare": (["prepare", str(raw), "--config", str(cfg)], data_dir),
+        "train": (["train", "--config", str(cfg)], out_dir / "final.ckpt"),
+    }[verb]
+    if verb == "train":
+        assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MEDNER_SEED", "abc")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: MEDNER_SEED is not an integer: 'abc'\n"
+    assert not written.exists()
+
+
 def test_train_rerun_identical_trainlog(tmp_path):
     raw = gen_corpus(tmp_path)
     cfg, data_dir, out_dir = write_config(tmp_path)
@@ -450,6 +484,26 @@ def _tiny_checkpoint(path):
     save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
                     vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
     return path
+
+
+@pytest.mark.parametrize("verb", ["eval", "predict"])
+def test_checkpoint_whose_forward_overflows_exits_3(tmp_path, capsys, verb):
+    """Finite float32 weights can still overflow in the forward pass; such a
+    checkpoint is rejected, not used to tag with non-finite values."""
+    cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=8, max_len=8, dropout_rate=0.0)
+    params = init_params(cfg, 0)
+    params["emb.tok"] *= np.float32(1e30)
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(params, cfg, seed=0, path=ckpt,
+                    vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
+    data = tmp_path / "data.txt"
+    data.write_text("aspirin\tB-Drug\n" if verb == "eval" else "aspirin\n")
+    out = tmp_path / "out"
+    assert main([verb, str(ckpt), str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: checkpoint weights give non-finite values in "
+                                       "the forward pass (overflow encountered in square)\n")
+    assert not out.exists()
 
 
 def _bad_checkpoint(tmp_path, kind):
@@ -695,6 +749,23 @@ def test_compare_malformed_row(tmp_path, capsys):
     results.write_text("Bert,82.5,81.0\nOops,NaNish\n")
     assert main(["compare", str(results)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["bad_first", "bad_second"])
+def test_compare_out_of_range_row_exits_3_in_either_order(tmp_path, capsys, order):
+    """A first row whose numbers parse is data, not a header, so an
+    out-of-range value there is an error too."""
+    rows = ["BERT,182.5,81.0", "BioBERT,89.8,87.6"]
+    if order == "bad_second":
+        rows.reverse()
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join(rows) + "\n")
+    assert main(["compare", str(results)]) == 3
+    captured = capsys.readouterr()
+    line = 1 if order == "bad_first" else 2
+    assert captured.err == (f"error: line {line}: malformed row 'BERT,182.5,81.0' "
+                            "(precision_pct must be in [0, 100], got 182.5)\n")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

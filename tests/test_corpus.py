@@ -9,7 +9,6 @@ import pytest
 
 from medner.corpus import (
     Corpus,
-    EntitySpan,
     LabeledRecord,
     SplitSpec,
     TagLabel,
@@ -252,22 +251,33 @@ def test_unknown_mode():
 
 def test_spans_basic():
     assert spans_from_labels(tags("B-Drug", "I-Drug", "O", "B-Dis")) == [
-        EntitySpan(0, 2, "Drug"),
-        EntitySpan(3, 4, "Dis"),
+        (0, 2, "Drug"),
+        (3, 4, "Dis"),
     ]
     assert spans_from_labels(tags("O", "O", "O")) == []
 
 
 def test_spans_adjacent_b_runs():
     assert spans_from_labels(tags("B-D", "B-D", "I-D")) == [
-        EntitySpan(0, 1, "D"),
-        EntitySpan(1, 3, "D"),
+        (0, 1, "D"),
+        (1, 3, "D"),
     ]
 
 
-def test_spans_require_valid_input():
-    with pytest.raises(BioViolationError):
-        spans_from_labels(tags("I-Drug"))
+def test_spans_of_any_sequence_are_the_spans_of_its_repair():
+    """Every sequence of length <= 6 over two entity types, invalid ones
+    included: an I that continues no span of its type starts one, exactly
+    as BIO repair makes it a B."""
+    import itertools
+
+    pool = tags("O", "B-A", "I-A", "B-B", "I-B")
+    checked = 0
+    for length in range(1, 7):
+        for seq in itertools.product(pool, repeat=length):
+            repaired = [lab.tag for lab in validate_bio(seq, "repair")]
+            assert spans_from_labels(seq) == brute_force_spans(repaired), seq
+            checked += 1
+    assert checked == sum(5**n for n in range(1, 7))
 
 
 def test_spans_match_brute_force_random():
@@ -278,8 +288,7 @@ def test_spans_match_brute_force_random():
         raw = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
         if not is_valid_bio(raw):
             continue
-        got = spans_from_labels(tags(*raw))
-        assert [(s.start, s.end, s.entity_type) for s in got] == brute_force_spans(raw)
+        assert spans_from_labels(tags(*raw)) == brute_force_spans(raw)
         checked += 1
 
 
@@ -295,8 +304,7 @@ def test_spans_match_brute_force_exhaustive():
             if not is_valid_bio(list(raw)):
                 continue
             got = spans_from_labels([label_cache[t] for t in raw])
-            assert [(s.start, s.end, s.entity_type) for s in got] == \
-                brute_force_spans(list(raw))
+            assert got == brute_force_spans(list(raw))
             checked += 1
     assert checked > 10000
 

@@ -1,7 +1,8 @@
 """Seeded byte-mutation fuzzing of every file a user hands the CLI.
 
-Each mutant of a checkpoint, an eval corpus, a prepare input or a predict
-input must either work (exit 0) or be rejected as bad data (exit 3). A
+Each mutant of a checkpoint, an eval corpus, a prepare input, a predict
+input or a compare results file must either work (exit 0) or be rejected
+as bad data (exit 3). A
 mutant config may also be a usage error (exit 2), and a mutant training
 split or vocabulary may also make training diverge (exit 4). None may
 raise, exit with another code, or print a traceback.
@@ -14,15 +15,16 @@ import pytest
 
 from medner.cli import main
 
-from test_cli import gen_corpus, write_config
+from test_cli import RESULTS, gen_corpus, write_config
 
 MUTANTS_PER_TARGET = 250
 # a mutant costs a one-epoch train here, not a load and a tagging pass
 TRAIN_MUTANTS_PER_FILE = 100
 
 # bytes that the parsers give meaning to, spliced in as well as random ones
-TOKENS = [b"\t", b"\n", b"\n\n", b"# id: x\n", b"B-", b"I-", b"O", b"B-Drug", b" ", b"\r",
-          b"\xff", b"\x00", b"\xc3", b"\xe2\x80\xa8", b"{", b"}", b"\"", b"9", b"-1", b"1e999"]
+TOKENS = [b"\t", b"\n", b"\n\n", b"# id: x\n", b"# types: ", b"B-", b"I-", b"O", b"B-Drug", b" ",
+          b"\r", b"\xff", b"\x00", b"\xc3", b"\xe2\x80\xa8", b"{", b"}", b"\"", b"9", b"-1",
+          b"1e999"]
 
 # values that the config parser, the casts or the config classes give meaning to
 CONFIG_VALUES = [b"%(x)s", b"%", b"nan", b"inf", b"1e999", b"-1", b"0", b"", b"1_0", b"0x10",
@@ -81,8 +83,10 @@ def trained(tmp_path_factory):
     tokens.write_text("\n\n".join(
         "\n".join(line.split("\t")[0] for line in block.splitlines() if "\t" in line)
         for block in test_conll.read_text().split("\n\n") if "\t" in block) + "\n")
+    results = root / "results.csv"
+    results.write_text(RESULTS)
     return {"raw": raw, "ckpt": out_dir / "best.ckpt", "test": test_conll, "tokens": tokens,
-            "cfg": cfg, "data": data_dir}
+            "cfg": cfg, "data": data_dir, "results": results}
 
 
 def exit_codes(name: str, mutants, argv, mutant, allowed, capsys) -> dict[int, int]:
@@ -108,6 +112,7 @@ TARGETS = {
     "eval_corpus": ("test", lambda f, m, d: ["eval", f["ckpt"], m, "--out", d]),
     "prepare_input": ("raw", lambda f, m, d: ["prepare", m, "--out", d]),
     "predict_input": ("tokens", lambda f, m, d: ["predict", f["ckpt"], m, "--out", d / "t"]),
+    "compare": ("results", lambda f, m, d: ["compare", m]),
 }
 
 
