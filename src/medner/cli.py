@@ -290,7 +290,10 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_file(args.results, "results file")
-    rows = evaluation.parse_comparison_rows(read_text(args.results))
+    try:
+        rows = evaluation.parse_comparison_rows(read_text(args.results))
+    except FormatError as exc:
+        raise FormatError(f"{args.results}: {exc}") from None
     if args.sort:
         rows = sorted(rows, key=lambda r: -r.f1_pct)
     sys.stdout.write(evaluation.render_comparison(rows))

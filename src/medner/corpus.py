@@ -10,6 +10,14 @@ comment forms are structured:
     # types: T1 T2 ...    declares entity types beyond those present in the
                           records (lets a label inventory round-trip)
 
+Lines are those of ``str.splitlines``: besides ``\n`` and ``\r\n``, each of
+``\r``, ``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``
+ends a line, and the last line needs no line break. A blank line is one
+whose characters are all whitespace (``str.isspace``), or none; it ends
+the record above it, and an ``# id:`` comment not yet followed by a token
+line is dropped with it. A comment line between token lines does not
+split their record.
+
 Tokens are non-empty and hold no whitespace. Tags are ``O`` or
 ``B-TYPE`` / ``I-TYPE`` with TYPE matching ``[A-Za-z][A-Za-z0-9_]*``.
 """
@@ -23,6 +31,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import BioViolationError, FormatError
@@ -34,7 +43,21 @@ PAD_ID = 0
 UNK_ID = 1
 
 _TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*\Z")  # \Z: "$" also matches before a final newline
-_WS_RE = re.compile(r"\s")
+_WS_RE = re.compile(r"\s")  # \s is str.isspace
+
+# The line breaks of str.splitlines besides "\n"
+_OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+# A corpus text with "\n" line breaks is a sequence of these chunks, one per
+# match, each ending in "\n": a run of token lines (a whitespace-free token,
+# one tab, a whitespace-free tag), a comment line, a blank line, or any
+# other line, which is malformed
+_CHUNK_RE = re.compile(r"""
+    (?P<run>(?:\S+\t\S+\n)+)
+  | (?P<comment>\#\ [^\n]*\n)
+  | (?P<blank>[^\S\n]*\n)
+  | [^\n]*\n
+""", re.VERBOSE)
 
 # De-identification patterns, applied in order: MIMIC-style [** ... **]
 # placeholders, then date-shaped tokens, then long digit runs.
@@ -49,10 +72,12 @@ ID_PLACEHOLDER = "<ID>"
 
 @dataclass(frozen=True)
 class TagLabel:
-    """A BIO tag: position in {B, I, O} plus an entity type (empty for O)."""
+    """A BIO tag: position in {B, I, O} plus an entity type (empty for O).
+    `tag` is its text, set once here: writers read it for every token."""
 
     position: str
     entity_type: str = ""
+    tag: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.position not in ("B", "I", "O"):
@@ -63,6 +88,8 @@ class TagLabel:
             raise FormatError(f"{self.position} tag requires an entity type")
         if self.entity_type and not _TYPE_RE.match(self.entity_type):
             raise FormatError(f"invalid entity type {self.entity_type!r}")
+        object.__setattr__(self, "tag", self.position if self.position == "O"
+                           else f"{self.position}-{self.entity_type}")
 
     @classmethod
     @functools.cache
@@ -76,10 +103,6 @@ class TagLabel:
             if _TYPE_RE.match(etype):
                 return cls(tag[0], etype)
         raise FormatError(f"unparseable tag {tag!r}")
-
-    @property
-    def tag(self) -> str:
-        return self.position if self.position == "O" else f"{self.position}-{self.entity_type}"
 
 
 O_LABEL = TagLabel.from_tag("O")
@@ -126,9 +149,8 @@ class Corpus:
             if rec.record_id in seen:
                 raise FormatError(f"duplicate record id {rec.record_id!r}")
             seen.add(rec.record_id)
-        present = {
-            lab.entity_type for rec in self.records for lab in rec.labels if lab.position != "O"
-        }
+        present = {lab.entity_type for rec in self.records for lab in rec.labels}
+        present.discard("")  # the type of O
         extra = set(self.label_inventory) if self.label_inventory else set()
         self.label_inventory = sorted(present | extra)
 
@@ -194,58 +216,85 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
+class _LabelOf(dict):
+    """tag -> its shared TagLabel, added when the tag is first looked up;
+    an invalid tag raises FormatError."""
+
+    def __missing__(self, tag: str) -> TagLabel:
+        label = self[tag] = TagLabel.from_tag(tag)
+        return label
+
+
+def _line_number(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
+
+
+def _line_error(lineno: int, line: str) -> FormatError:
+    """The error of a line that is neither blank, a comment, nor
+    `token<TAB>tag` with whitespace-free sides: the checks of a token line,
+    in order, the last being the tag's (a tag holding whitespace is never
+    valid)."""
+    parts = line.split("\t")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        return FormatError(f"line {lineno}: malformed line {line!r} (want token<TAB>tag)")
+    if _WS_RE.search(parts[0]):
+        return FormatError(f"line {lineno}: token text contains whitespace: {parts[0]!r}")
+    return FormatError(f"line {lineno}: unparseable tag {parts[1]!r}")
+
+
 def parse_conll(text: str) -> Corpus:
     """Parse the corpus format into a Corpus.
 
     Raises FormatError with a 1-based line number on malformed lines and
     on empty input. A file holding only a `# types:` header is the valid
     serialization of a zero-record corpus (an empty split), not an error.
+
+    Each match of _CHUNK_RE is a run of token lines, split by str methods,
+    or one other line; line numbers are counted only for an error.
     """
+    if any(brk in text for brk in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    text += "\n\n"  # ends the last line, then the last record
+
     records: list[LabeledRecord] = []
     declared_types: set[str] = set()
-    block_tokens: list[str] = []
-    block_labels: list[TagLabel] = []
+    label_of = _LabelOf()
+    tokens = labels = None  # the open record's, None before its first token line
     block_id: str | None = None
-    ordinal = 0
-
-    def close_block():
-        nonlocal block_id, ordinal
-        if not block_tokens:
+    for m in _CHUNK_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "run":
+            fields = m[0].replace("\n", "\t").split("\t")  # token, tag, ..., ""
+            tags = fields[1::2]
+            try:
+                run_labels = list(map(label_of.__getitem__, tags))
+            except FormatError as exc:
+                first_bad = next(i for i, tag in enumerate(tags) if tag not in label_of)
+                raise FormatError(f"line {_line_number(text, m.start()) + first_bad}: "
+                                  f"{exc}") from None
+            if tokens is None:
+                tokens, labels = fields[0:-1:2], run_labels
+            else:  # a comment line split the record's token lines
+                tokens += fields[0:-1:2]
+                labels += run_labels
+        elif kind == "blank":
+            if tokens is not None:
+                rid = block_id if block_id is not None else f"{len(records):04d}"
+                records.append(LabeledRecord(rid, tokens, labels))
+                tokens = None
             block_id = None
-            return
-        rid = block_id if block_id is not None else f"{ordinal:04d}"
-        records.append(LabeledRecord(rid, list(block_tokens), list(block_labels)))
-        block_tokens.clear()
-        block_labels.clear()
-        block_id = None
-        ordinal += 1
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            close_block()
-            continue
-        if line.startswith("# "):
-            body = line[2:].strip()
+        elif kind == "comment":
+            body = m[0][2:].strip()
             if body.startswith("id:"):
                 block_id = body[3:].strip()
             elif body.startswith("types:"):
                 for etype in body[6:].split():
                     if not _TYPE_RE.match(etype):
-                        raise FormatError(f"line {lineno}: invalid entity type {etype!r}")
+                        raise FormatError(f"line {_line_number(text, m.start())}: "
+                                          f"invalid entity type {etype!r}")
                     declared_types.add(etype)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise FormatError(f"line {lineno}: malformed line {line!r} (want token<TAB>tag)")
-        token, tag = parts
-        if _WS_RE.search(token):
-            raise FormatError(f"line {lineno}: token text contains whitespace: {token!r}")
-        try:
-            block_labels.append(TagLabel.from_tag(tag))
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        block_tokens.append(token)
-    close_block()
+        else:
+            raise _line_error(_line_number(text, m.start()), m[0][:-1])
 
     if not records and not declared_types:
         raise FormatError("empty file: no records found")
@@ -254,16 +303,17 @@ def parse_conll(text: str) -> Corpus:
 
 def write_conll(corpus: Corpus) -> str:
     """Render a Corpus in the on-disk format; parse_conll inverts this."""
-    lines: list[str] = []
+    blocks: list[str] = []
+    for rec in corpus.records:
+        # token TAB tag NEWLINE for each token, joined once
+        fields = ["", "\t", "", "\n"] * len(rec.tokens)
+        fields[0::4] = rec.tokens
+        fields[2::4] = map(attrgetter("tag"), rec.labels)
+        blocks.append(f"# id: {rec.record_id}\n{''.join(fields)}")
+    text = "\n".join(blocks)
     if corpus.label_inventory:
-        lines.append("# types: " + " ".join(corpus.label_inventory))
-    for i, rec in enumerate(corpus.records):
-        if i > 0:
-            lines.append("")
-        lines.append(f"# id: {rec.record_id}")
-        for tok, lab in zip(rec.tokens, rec.labels):
-            lines.append(f"{tok}\t{lab.tag}")
-    return "\n".join(lines) + "\n"
+        text = f"# types: {' '.join(corpus.label_inventory)}\n{text}"
+    return text or "\n"
 
 
 def load_corpus(path) -> Corpus:
@@ -279,35 +329,31 @@ def load_corpus(path) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> list[TagLabel]:
+def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> Sequence[TagLabel]:
     """Check or repair BIO well-formedness.
 
-    strict: return the input unchanged iff every I continues a same-type
+    strict: return the input itself iff every I continues a same-type
     B/I; raise BioViolationError at the first offending index otherwise.
-    repair: rewrite every invalid I to a B of the same type (left to
-    right, so later labels are judged against repaired predecessors).
+    repair: return a new list with every invalid I rewritten to a B of the
+    same type (left to right, so later labels are judged against repaired
+    predecessors).
     """
     if mode not in ("strict", "repair"):
         raise ValueError(f"unknown mode {mode!r}")
-    out: list[TagLabel] = []
-    for i, lab in enumerate(labels):
-        if lab.position == "I":
-            prev = out[i - 1] if i > 0 else None
-            valid = (
-                prev is not None
-                and prev.position in ("B", "I")
-                and prev.entity_type == lab.entity_type
-            )
-            if not valid:
-                if mode == "strict":
-                    raise BioViolationError(
-                        f"index {i}: I-{lab.entity_type} does not continue a "
-                        f"same-type entity",
-                        index=i,
-                    )
-                lab = TagLabel.from_tag(f"B-{lab.entity_type}")
-        out.append(lab)
-    return out
+    checked = list(labels) if mode == "repair" else labels
+    prev = O_LABEL
+    for i, lab in enumerate(checked):
+        # an O before it has type "", which no I has
+        if lab.position == "I" and prev.entity_type != lab.entity_type:
+            if mode == "strict":
+                raise BioViolationError(
+                    f"index {i}: I-{lab.entity_type} does not continue a "
+                    f"same-type entity",
+                    index=i,
+                )
+            lab = checked[i] = TagLabel.from_tag(f"B-{lab.entity_type}")
+        prev = lab
+    return checked
 
 
 def spans_from_labels(labels: Sequence[TagLabel]) -> list[tuple[int, int, str]]:
@@ -334,21 +380,26 @@ def spans_from_labels(labels: Sequence[TagLabel]) -> list[tuple[int, int, str]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _deidentified(tok: str) -> str:
+    """The placeholder for a PHI-shaped token text, else the text."""
+    if _PHI_BRACKET_RE.match(tok):
+        return PHI_PLACEHOLDER
+    if _DATE_RE.match(tok):
+        return DATE_PLACEHOLDER
+    if _ID_RUN_RE.search(tok):
+        return ID_PLACEHOLDER
+    return tok
+
+
 def deidentify(record: LabeledRecord) -> LabeledRecord:
     """Replace PHI-shaped token texts with placeholders; labels untouched.
 
-    Idempotent: placeholders match none of the patterns.
+    Idempotent: placeholders match none of the patterns. Each distinct
+    token text is classified once per process (up to the cache's bound).
     """
-    new_tokens: list[str] = []
-    for tok in record.tokens:
-        if _PHI_BRACKET_RE.match(tok):
-            tok = PHI_PLACEHOLDER
-        elif _DATE_RE.match(tok):
-            tok = DATE_PLACEHOLDER
-        elif _ID_RUN_RE.search(tok):
-            tok = ID_PLACEHOLDER
-        new_tokens.append(tok)
-    return LabeledRecord(record.record_id, new_tokens, list(record.labels))
+    return LabeledRecord(record.record_id, list(map(_deidentified, record.tokens)),
+                         list(record.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +449,7 @@ def build_vocab(train: Corpus, min_freq: int = 1, max_vocab: int = 50000) -> Voc
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if max_vocab < 2:
         raise ValueError(f"max_vocab must be >= 2 to hold PAD and UNK, got {max_vocab}")
-    counts = Counter(tok for rec in train.records for tok in rec.tokens)
+    counts = Counter(itertools.chain.from_iterable(map(attrgetter("tokens"), train.records)))
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),

@@ -1,17 +1,20 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately brute-force and shares no code with the
-package: span extraction enumerates every candidate run, the matcher
+Everything here is deliberately brute-force and shares no algorithm with
+the package: span extraction enumerates every candidate run, the matcher
 intersects span sets built that way, the binary cross-entropy
 evaluates the textbook two-class formula directly, and the plateau
 schedule recomputes every epoch's improvement from the whole prefix,
-and attention works one query row and one key at a time in plain floats.
+attention works one query row and one key at a time in plain floats, and
+the corpus parser walks the text one line at a time (it builds the
+package's record types, so that its result compares equal).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 
@@ -159,3 +162,64 @@ def max_relative_error(a, b, floor: float = 1e-8) -> float:
     denom = np.maximum(np.abs(a), np.abs(b))
     denom = np.where(denom < floor, 1.0, denom)
     return float((np.abs(a - b) / denom).max())
+
+
+_WS_RE = re.compile(r"\s")
+_TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def parse_conll_by_line(text: str):
+    """The corpus format parsed one line of str.splitlines at a time, with
+    the errors and line numbers corpus.parse_conll gives."""
+    from medner.corpus import Corpus, LabeledRecord, TagLabel
+    from medner.errors import FormatError
+
+    records = []
+    declared_types = set()
+    block_tokens = []
+    block_labels = []
+    block_id = None
+    ordinal = 0
+
+    def close_block():
+        nonlocal block_id, ordinal
+        if not block_tokens:
+            block_id = None
+            return
+        rid = block_id if block_id is not None else f"{ordinal:04d}"
+        records.append(LabeledRecord(rid, list(block_tokens), list(block_labels)))
+        block_tokens.clear()
+        block_labels.clear()
+        block_id = None
+        ordinal += 1
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            close_block()
+            continue
+        if line.startswith("# "):
+            body = line[2:].strip()
+            if body.startswith("id:"):
+                block_id = body[3:].strip()
+            elif body.startswith("types:"):
+                for etype in body[6:].split():
+                    if not _TYPE_RE.match(etype):
+                        raise FormatError(f"line {lineno}: invalid entity type {etype!r}")
+                    declared_types.add(etype)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FormatError(f"line {lineno}: malformed line {line!r} (want token<TAB>tag)")
+        token, tag = parts
+        if _WS_RE.search(token):
+            raise FormatError(f"line {lineno}: token text contains whitespace: {token!r}")
+        try:
+            block_labels.append(TagLabel.from_tag(tag))
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        block_tokens.append(token)
+    close_block()
+
+    if not records and not declared_types:
+        raise FormatError("empty file: no records found")
+    return Corpus(records, label_inventory=sorted(declared_types))

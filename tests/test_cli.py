@@ -751,6 +751,17 @@ def test_compare_malformed_row(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("Oops,NaNish\n", "line 1: malformed row 'Oops,NaNish' (want name,precision,f1)"),
+    ("", "results file contains no rows"),
+], ids=["malformed", "empty"])
+def test_compare_errors_name_the_results_file(tmp_path, capsys, text, message):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    assert main(["compare", str(results)]) == 3
+    assert capsys.readouterr().err == f"error: {results}: {message}\n"
+
+
 @pytest.mark.parametrize("order", ["bad_first", "bad_second"])
 def test_compare_out_of_range_row_exits_3_in_either_order(tmp_path, capsys, order):
     """A first row whose numbers parse is data, not a header, so an
@@ -763,8 +774,8 @@ def test_compare_out_of_range_row_exits_3_in_either_order(tmp_path, capsys, orde
     assert main(["compare", str(results)]) == 3
     captured = capsys.readouterr()
     line = 1 if order == "bad_first" else 2
-    assert captured.err == (f"error: line {line}: malformed row 'BERT,182.5,81.0' "
-                            "(precision_pct must be in [0, 100], got 182.5)\n")
+    assert captured.err == (f"error: {results}: line {line}: malformed row "
+                            "'BERT,182.5,81.0' (precision_pct must be in [0, 100], got 182.5)\n")
     assert captured.out == ""
 
 
@@ -809,6 +820,27 @@ def finished(proc, timeout=120):
     _, err = proc.communicate(timeout=timeout)
     assert "Traceback" not in err, err
     return proc.returncode, err
+
+
+def test_gen_synthetic_and_prepare_are_byte_identical_across_hash_seeds(tmp_path):
+    """Reruns in one process share its string hash seed, so they cannot
+    catch an output that follows the order of a set or dict; two
+    processes with different PYTHONHASHSEED values can."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        work = tmp_path / f"hash-seed-{hash_seed}"
+        work.mkdir()
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
+        for args in (["gen-synthetic", "--out", "raw.conll", "--n-records", "300",
+                      "--entity-types", "Symptom,Drug,Disease", "--seed", "4"],
+                     ["prepare", "raw.conll", "--out", "prep", "--seed", "4"]):
+            subprocess.run([sys.executable, "-m", "medner.cli", *args], cwd=work, env=env,
+                           check=True, capture_output=True, timeout=120)
+        outputs.append({path.relative_to(work).as_posix(): path.read_bytes()
+                        for path in sorted(work.rglob("*")) if path.is_file()})
+    assert sorted(outputs[0]) == ["prep/manifest.json", "prep/test.conll", "prep/train.conll",
+                                  "prep/val.conll", "prep/vocab.txt", "raw.conll"]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("verb", ["gen-synthetic", "prepare", "train", "eval", "predict"])

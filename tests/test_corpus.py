@@ -2,6 +2,7 @@
 and the synthetic generator.
 """
 
+import itertools
 import random
 import re
 
@@ -27,7 +28,7 @@ from medner.corpus import (
 )
 from medner.errors import BioViolationError, FormatError
 
-from oracles import brute_force_spans, is_valid_bio
+from oracles import brute_force_spans, is_valid_bio, parse_conll_by_line
 
 O = TagLabel("O")
 
@@ -167,6 +168,11 @@ def test_parse_two_blocks():
 def test_parse_id_comment_overrides():
     corpus = parse_conll("# id: note-7\nx\tO\n\ny\tO\n")
     assert [r.record_id for r in corpus.records] == ["note-7", "0001"]
+    # a comment between token lines does not split their record; an id
+    # that a blank line follows before any token line is dropped
+    corpus = parse_conll("a\tB-X\n# id: r\nb\tI-X\n\n# id: dropped\n \t\nc\tO")
+    assert [(r.record_id, r.tokens) for r in corpus.records] == [("r", ["a", "b"]),
+                                                                 ("0001", ["c"])]
 
 
 @pytest.mark.parametrize(
@@ -197,6 +203,56 @@ def test_roundtrip_identity():
     # inventory supersets survive the round trip via the types header
     extra = Corpus(corpus.records[:3], label_inventory=["Zed", "Disease", "Drug"])
     assert parse_conll(write_conll(extra)).label_inventory == extra.label_inventory
+
+
+def test_parse_takes_the_line_breaks_of_splitlines():
+    text = "a\tO\r\nb\tO\rc\tO\x0b\x0cd\tO\x1ce\tO\x85\u2028\u2029f\tO\x1d\x1eg\tO\nbad"
+    with pytest.raises(FormatError, match="^line 12: malformed line 'bad'"):
+        parse_conll(text)
+    corpus = parse_conll(text[:-4])
+    assert [r.tokens for r in corpus.records] == [["a", "b", "c"], ["d", "e"], ["f"], ["g"]]
+
+
+# ---------------------------------------------------------------------------
+# parse_conll against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """parse(text) as ("ok", corpus) or ("error", message)."""
+    try:
+        return "ok", parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+# line breaks, whitespace that breaks no line (ASCII and not), both
+# structured comments, a valid tag that is also a token, an I tag, an
+# invalid tag, and one whole token line (so that four pieces can put a
+# comment between two token lines)
+PARSE_PIECES = ["\t", "\n", "\r", "\x0b", "\x1c", "\u2028", " ", "\x1f", "\xa0", "# id: x",
+                "# types: ", "O", "I-X", "Q-X", "a\tB-X\n"]
+
+
+def test_parse_matches_the_line_by_line_reference_on_every_short_text():
+    for n in range(5):
+        for pieces in itertools.product(PARSE_PIECES, repeat=n):
+            text = "".join(pieces)
+            assert _outcome(parse_conll, text) == _outcome(parse_conll_by_line, text), text
+
+
+def test_parse_matches_the_line_by_line_reference_on_random_texts():
+    rng = random.Random(15)
+    for _ in range(20000):
+        text = "".join(rng.choices(PARSE_PIECES, k=rng.randint(5, 16)))
+        assert _outcome(parse_conll, text) == _outcome(parse_conll_by_line, text), text
+
+
+def test_parse_matches_the_line_by_line_reference_on_10k_records():
+    corpus = gen_synthetic(10000, ["Disease", "Drug", "Symptom"], vocab_size=2000,
+                           max_len=48, seed=3)
+    text = write_conll(corpus)
+    assert parse_conll(text) == corpus == parse_conll_by_line(text)
 
 
 # ---------------------------------------------------------------------------
