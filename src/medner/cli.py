@@ -29,7 +29,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, training
-from .errors import BioViolationError, FormatError, NumericalError
+from .errors import BioViolationError, CheckpointError, FormatError, NumericalError
 from .ioutil import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint_full
 from .training import TrainConfig
@@ -159,13 +159,15 @@ def cmd_prepare(args) -> int:
 
     cleaned = [corpus_mod.deidentify(rec) for rec in corpus.records]
     if args.repair:
-        cleaned = [corpus_mod.LabeledRecord(rec.record_id, rec.tokens,
-                                            corpus_mod.validate_bio(rec.labels, "repair"))
-                   for rec in cleaned]
+        for rec in cleaned:  # new records, so the parsed corpus keeps its labels
+            rec.labels = corpus_mod.validate_bio(rec.labels, "repair")
     prepared = corpus_mod.Corpus(cleaned, label_inventory=corpus.label_inventory)
 
     spec = _config(cp, "split", args.seed)
-    train_c, val_c, test_c = corpus_mod.split(prepared, spec)
+    try:
+        train_c, val_c, test_c = corpus_mod.split(prepared, spec)
+    except FormatError as exc:  # too few records to split
+        raise FormatError(f"{args.corpus}: {exc}") from None
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):
         if not part.records:
             logger.warning("%s split is empty under the current fractions", name)
@@ -212,10 +214,8 @@ def cmd_train(args) -> int:
         val_c = _load_gold(val_path)
     vocab = corpus_mod.Vocabulary.load(vocab_path)
 
-    inventory = set(train_c.label_inventory)
-    if val_c is not None:
-        inventory |= set(val_c.label_inventory)
-    n_labels = len(corpus_mod.label_index_from_types(inventory))
+    val_types = val_c.label_inventory if val_c is not None else []
+    n_labels = len(corpus_mod.label_index_from_types(train_c.label_inventory + val_types))
     model_config = _config(cp, "model", vocab_size=len(vocab), n_labels=n_labels)
     train_config = _config(cp, "train", args.seed)
 
@@ -237,8 +237,13 @@ def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.corpus, "corpus file")
     corpus = _load_gold(args.corpus)
-    report = evaluation.evaluate(args.checkpoint, corpus,
-                                 gold_as_pred=args.gold_as_pred)
+    try:
+        report = evaluation.evaluate(args.checkpoint, corpus,
+                                     gold_as_pred=args.gold_as_pred)
+    except CheckpointError:
+        raise
+    except FormatError as exc:  # a record or type of the corpus the model cannot take
+        raise FormatError(f"{args.corpus}: {exc}") from None
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "eval_report.txt")

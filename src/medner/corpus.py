@@ -39,7 +39,6 @@ from .ioutil import read_text
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
-PAD_ID = 0
 UNK_ID = 1
 
 _TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*\Z")  # \Z: "$" also matches before a final newline
@@ -135,13 +134,13 @@ class LabeledRecord:
 class Corpus:
     """A list of records plus the sorted entity-type inventory.
 
-    The inventory is derived from the records and unioned with any
-    explicitly supplied types, so it is always a superset of the types
-    that actually appear.
+    The inventory is given, not derived from the records: it covers every
+    type in them and may declare more. parse_conll and gen_synthetic decide
+    it; de-identified copies and splits carry their parent's forward.
     """
 
     records: list[LabeledRecord]
-    label_inventory: list[str] = None  # type: ignore[assignment]
+    label_inventory: list[str]
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -149,10 +148,7 @@ class Corpus:
             if rec.record_id in seen:
                 raise FormatError(f"duplicate record id {rec.record_id!r}")
             seen.add(rec.record_id)
-        present = {lab.entity_type for rec in self.records for lab in rec.labels}
-        present.discard("")  # the type of O
-        extra = set(self.label_inventory) if self.label_inventory else set()
-        self.label_inventory = sorted(present | extra)
+        self.label_inventory = sorted(set(self.label_inventory))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -257,7 +253,7 @@ def parse_conll(text: str) -> Corpus:
     text += "\n\n"  # ends the last line, then the last record
 
     records: list[LabeledRecord] = []
-    declared_types: set[str] = set()
+    types: set[str] = set()  # the declared types, then also those of the records
     label_of = _LabelOf()
     tokens = labels = None  # the open record's, None before its first token line
     block_id: str | None = None
@@ -292,13 +288,14 @@ def parse_conll(text: str) -> Corpus:
                     if not _TYPE_RE.match(etype):
                         raise FormatError(f"line {_line_number(text, m.start())}: "
                                           f"invalid entity type {etype!r}")
-                    declared_types.add(etype)
+                    types.add(etype)
         else:
             raise _line_error(_line_number(text, m.start()), m[0][:-1])
 
-    if not records and not declared_types:
+    if not records and not types:
         raise FormatError("empty file: no records found")
-    return Corpus(records, label_inventory=sorted(declared_types))
+    types.update(label.entity_type for label in label_of.values())  # one per distinct tag
+    return Corpus(records, label_inventory=list(types - {""}))  # "" is the type of O
 
 
 def write_conll(corpus: Corpus) -> str:
@@ -427,11 +424,10 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     shuffled = [corpus.records[i] for i in order]
     n_train = _round_half_up(n * spec.train_frac)
     n_val = _round_half_up(n * spec.val_frac)
-    inv = list(corpus.label_inventory)
     return (
-        Corpus(shuffled[:n_train], label_inventory=inv),
-        Corpus(shuffled[n_train : n_train + n_val], label_inventory=inv),
-        Corpus(shuffled[n_train + n_val :], label_inventory=inv),
+        Corpus(shuffled[:n_train], label_inventory=corpus.label_inventory),
+        Corpus(shuffled[n_train : n_train + n_val], label_inventory=corpus.label_inventory),
+        Corpus(shuffled[n_train + n_val :], label_inventory=corpus.label_inventory),
     )
 
 

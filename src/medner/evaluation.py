@@ -268,9 +268,8 @@ def evaluate(
     data = load_checkpoint_full(checkpoint_path)
     missing = sorted(set(corpus.label_inventory) - set(data.labels))
     if missing:
-        raise FormatError(
-            "label inventory mismatch: checkpoint lacks " + ", ".join(missing)
-        )
+        raise FormatError(f"label inventory mismatch: checkpoint {checkpoint_path} "
+                          f"lacks {', '.join(missing)}")
     gold_lists = [rec.labels for rec in corpus.records]
     if gold_as_pred:
         pred_lists = gold_lists

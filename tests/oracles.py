@@ -170,7 +170,8 @@ _TYPE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*\Z")
 
 def parse_conll_by_line(text: str):
     """The corpus format parsed one line of str.splitlines at a time, with
-    the errors and line numbers corpus.parse_conll gives."""
+    the errors and line numbers corpus.parse_conll gives; the inventory is
+    the declared types plus every type found by a scan of all labels."""
     from medner.corpus import Corpus, LabeledRecord, TagLabel
     from medner.errors import FormatError
 
@@ -222,4 +223,5 @@ def parse_conll_by_line(text: str):
 
     if not records and not declared_types:
         raise FormatError("empty file: no records found")
-    return Corpus(records, label_inventory=sorted(declared_types))
+    present_types = {lab.entity_type for rec in records for lab in rec.labels} - {""}
+    return Corpus(records, label_inventory=sorted(declared_types | present_types))

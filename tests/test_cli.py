@@ -5,6 +5,7 @@ reproducibility of outputs.
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -230,6 +231,33 @@ def test_prepare_out_of_range_vocab_setting_exits_2_naming_it(tmp_path, capsys, 
 
 def test_prepare_missing_file(tmp_path, capsys):
     assert main(["prepare", str(tmp_path / "nope.conll")]) == 3
+
+
+def test_prepare_too_few_records_exits_3_naming_file(tmp_path, capsys):
+    raw = tmp_path / "raw.conll"
+    raw.write_text("a\tB-D\n\nb\tO\n")
+    assert main(["prepare", str(raw), "--out", str(tmp_path / "p")]) == 3
+    assert capsys.readouterr().err == (f"error: {raw}: corpus must have at least 3 "
+                                       "records to split, got 2\n")
+    assert not (tmp_path / "p").exists()
+
+
+def test_prepare_carries_declared_and_present_types_into_every_output(tmp_path):
+    """The inventory decided at parse time, declared-only types included,
+    reaches the manifest and every split, even a split lacking a type."""
+    raw = tmp_path / "raw.conll"
+    raw.write_text("# types: Zed\na\tB-Drug\n\nb\tB-Disease\n\nc\tO\n\nd\tO\n")
+    out = tmp_path / "prep"
+    assert main(["prepare", str(raw), "--out", str(out), "--seed", "1"]) == 0
+    inventory = ["Disease", "Drug", "Zed"]
+    assert json.loads((out / "manifest.json").read_text())["label_inventory"] == inventory
+    present = []
+    for name in ("train", "val", "test"):
+        text = (out / f"{name}.conll").read_text()
+        assert text.splitlines()[0] == "# types: Disease Drug Zed", name
+        assert load_corpus(out / f"{name}.conll").label_inventory == inventory, name
+        present.append({t[2:] for t in re.findall(r"\t([BI]-\w+)", text)})
+    assert any(types < {"Disease", "Drug"} for types in present)
 
 
 def test_tiny_corpus_with_empty_val_split_trains(tmp_path, capsys):
@@ -465,9 +493,11 @@ def test_eval_inventory_mismatch(pipeline, tmp_path, capsys):
     _, _, out_dir = pipeline
     alien = tmp_path / "alien.conll"
     alien.write_text("tok\tB-Virus\n")
-    rc = main(["eval", str(out_dir / "best.ckpt"), str(alien)])
+    ckpt = out_dir / "best.ckpt"
+    rc = main(["eval", str(ckpt), str(alien)])
     assert rc == 3
-    assert "Virus" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {alien}: label inventory mismatch: "
+                                       f"checkpoint {ckpt} lacks Virus\n")
 
 
 def test_eval_corrupt_checkpoint(pipeline, tmp_path, capsys):

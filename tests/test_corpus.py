@@ -121,12 +121,12 @@ def test_record_requires_aligned_nonempty():
         LabeledRecord("r", [], [])
 
 
-def test_corpus_rejects_duplicate_ids_and_derives_inventory():
+def test_corpus_rejects_duplicate_ids_and_sorts_inventory():
     rec1 = make_record("a", ["x"], tags("B-Drug"))
     rec2 = make_record("a", ["y"], tags("O"))
     with pytest.raises(FormatError):
-        Corpus([rec1, rec2])
-    corpus = Corpus([rec1], label_inventory=["Disease"])
+        Corpus([rec1, rec2], label_inventory=["Drug"])
+    corpus = Corpus([rec1], label_inventory=["Drug", "Disease", "Drug"])
     assert corpus.label_inventory == ["Disease", "Drug"]
 
 
@@ -149,6 +149,12 @@ def test_parse_empty_file_errors():
         parse_conll("")
     with pytest.raises(FormatError, match="empty file"):
         parse_conll("\n\n# just a comment\n")
+
+
+def test_parse_inventory_is_declared_plus_present_types():
+    corpus = parse_conll("# types: Zed Drug\nx\tB-Drug\n\ny\tI-Disease\nz\tO\n")
+    assert corpus.label_inventory == ["Disease", "Drug", "Zed"]
+    assert parse_conll("a\tO\n").label_inventory == []
 
 
 def test_types_header_only_is_empty_corpus():
@@ -410,7 +416,7 @@ def test_deid_idempotent_and_label_preserving():
 
 def _corpus_of(n):
     return Corpus(
-        [make_record(f"r{i}", [f"tok{i}"], tags("O")) for i in range(n)]
+        [make_record(f"r{i}", [f"tok{i}"], tags("O")) for i in range(n)], label_inventory=[]
     )
 
 
@@ -474,23 +480,25 @@ def test_build_vocab_min_freq():
     corpus = Corpus([
         make_record("1", ["a", "a", "b"], tags("O", "O", "O")),
         make_record("2", ["a"], tags("O")),
-    ])
+    ], label_inventory=[])
     vocab = build_vocab(corpus, min_freq=2)
     assert vocab.id_to_token == ["<PAD>", "<UNK>", "a"]
 
 
 def test_build_vocab_empty_corpus():
-    assert build_vocab(Corpus([])).id_to_token == ["<PAD>", "<UNK>"]
+    assert build_vocab(Corpus([], label_inventory=[])).id_to_token == ["<PAD>", "<UNK>"]
 
 
 def test_build_vocab_tie_lexicographic():
-    corpus = Corpus([make_record("1", ["b", "a", "b", "a"], tags("O", "O", "O", "O"))])
+    corpus = Corpus([make_record("1", ["b", "a", "b", "a"], tags("O", "O", "O", "O"))],
+                    label_inventory=[])
     vocab = build_vocab(corpus, min_freq=1)
     assert vocab.id_to_token == ["<PAD>", "<UNK>", "a", "b"]
 
 
 def test_build_vocab_max_size_truncates():
-    corpus = Corpus([make_record("1", ["a", "b", "c"], tags("O", "O", "O"))])
+    corpus = Corpus([make_record("1", ["a", "b", "c"], tags("O", "O", "O"))],
+                    label_inventory=[])
     assert len(build_vocab(corpus, max_vocab=3)) == 3
     with pytest.raises(ValueError, match="max_vocab"):
         build_vocab(corpus, max_vocab=1)

@@ -293,9 +293,10 @@ def test_evaluate_counts_consistent(small_checkpoint):
 
 def test_evaluate_inventory_mismatch_names_labels(small_checkpoint):
     path, _ = small_checkpoint
-    alien = Corpus([LabeledRecord("x", ["tok"], tags("B-Virus"))])
-    with pytest.raises(FormatError, match="Virus"):
+    alien = Corpus([LabeledRecord("x", ["tok"], tags("B-Virus"))], label_inventory=["Virus"])
+    with pytest.raises(FormatError) as exc:
         evaluate(path, alien)
+    assert str(exc.value) == f"label inventory mismatch: checkpoint {path} lacks Virus"
 
 
 def test_evaluate_requires_embedded_vocab(tmp_path):
@@ -305,7 +306,7 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
     save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
                     vocab=["<PAD>", "<UNK>", "tok", "x"], labels=["D"])
     rewrite_manifest(path, lambda m: (m.pop("vocab"), m.pop("labels")))
-    corpus = Corpus([LabeledRecord("x", ["tok"], tags("O"))])
+    corpus = Corpus([LabeledRecord("x", ["tok"], tags("O"))], label_inventory=[])
     with pytest.raises(CheckpointError):
         evaluate(path, corpus)
 
