@@ -208,15 +208,17 @@ def cmd_train(args) -> int:
     _require_file(train_path, "prepared training split (run `medner prepare` first)")
     _require_file(vocab_path, "vocabulary file (run `medner prepare` first)")
     train_c = _load_gold(train_path)
+    if not train_c.records:
+        raise FormatError(f"{train_path}: training split is empty")
     val_c = None
     # a blank val.conll is an empty validation split; train falls back
     if os.path.exists(val_path) and read_text(val_path).strip():
         val_c = _load_gold(val_path)
     vocab = corpus_mod.Vocabulary.load(vocab_path)
 
-    val_types = val_c.label_inventory if val_c is not None else []
-    n_labels = len(corpus_mod.label_index_from_types(train_c.label_inventory + val_types))
-    model_config = _config(cp, "model", vocab_size=len(vocab), n_labels=n_labels)
+    types = training.model_entity_types(train_c, val_c)
+    model_config = _config(cp, "model", vocab_size=len(vocab),
+                           n_labels=len(corpus_mod.label_index_from_types(types)))
     train_config = _config(cp, "train", args.seed)
 
     def progress(row):
@@ -281,8 +283,8 @@ def cmd_predict(args) -> int:
     _require_file(args.input, "input file")
     blocks = _parse_token_blocks(read_text(args.input), args.input)
 
-    tagged = evaluation.tag_rows(load_checkpoint_full(args.checkpoint), blocks,
-                                 [f"block {b}" for b in range(1, len(blocks) + 1)])
+    names = [f"{args.input}: block {b}" for b in range(1, len(blocks) + 1)]
+    tagged = evaluation.tag_rows(load_checkpoint_full(args.checkpoint), blocks, names)
     text = "\n\n".join("\n".join(f"{tok}\t{lab.tag}" for tok, lab in zip(block, labels))
                         for block, labels in zip(blocks, tagged)) + "\n"
     if args.out:

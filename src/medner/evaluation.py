@@ -19,15 +19,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import (
-    Corpus,
-    TagLabel,
-    label_index_from_types,
-    spans_from_labels,
-    validate_bio,
-)
+from .corpus import Corpus, TagLabel, spans_from_labels, validate_bio
 from .errors import CheckpointError, FormatError
-from .model import CheckpointData, forward, load_checkpoint_full, predict_labels
+from .model import CheckpointData, forward, load_checkpoint_full, pad_rows, predict_labels
 
 
 @dataclass(frozen=True)
@@ -213,11 +207,8 @@ def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
                * row_bytes(len(id_rows[order[stop]])) <= _BATCH_BYTES):
             stop += 1
         batch = order[start:stop]
-        lengths = np.array([len(id_rows[i]) for i in batch])
-        mask = np.arange(lengths[-1]) < lengths[:, None]
-        ids = np.zeros(mask.shape, dtype=np.int64)
-        ids[mask] = np.concatenate([id_rows[i] for i in batch])
-        logits, _ = forward(params, config, ids, mask, need_trace=False)
+        logits, _ = forward(params, config, *pad_rows([id_rows[i] for i in batch]),
+                            need_trace=False)
         yield batch, logits
         start = stop
 
@@ -245,7 +236,6 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
         if len(row) > max_len:
             raise FormatError(f"{name} has {len(row)} tokens but the model's "
                               f"max_len is {max_len}")
-    label_of = [TagLabel.from_tag(tag) for tag in label_index_from_types(checkpoint.labels)]
     id_rows = [[checkpoint.vocab.lookup(text) for text in row] for row in token_rows]
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -253,7 +243,7 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
     except FloatingPointError as exc:
         raise CheckpointError(f"checkpoint weights give non-finite values in the forward "
                               f"pass ({exc})") from None
-    return [validate_bio([label_of[i] for i in row], "repair") for row in pred_ids]
+    return [validate_bio([checkpoint.tags[i] for i in row], "repair") for row in pred_ids]
 
 
 def evaluate(
@@ -277,14 +267,11 @@ def evaluate(
         pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
                               [f"record {rec.record_id!r}" for rec in corpus.records])
 
-    label_index = label_index_from_types(data.labels)
     span = span_metrics(pred_lists, gold_lists)
-    flat_pred = np.array(
-        [label_index[lab.tag] for labels in pred_lists for lab in labels], dtype=np.int64
-    )
-    flat_gold = np.array(
-        [label_index[lab.tag] for labels in gold_lists for lab in labels], dtype=np.int64
-    )
+    label_index = {lab.tag: i for i, lab in enumerate(data.tags)}
+    flat_pred, flat_gold = (
+        np.array([label_index[lab.tag] for labels in rows for lab in labels], dtype=np.int64)
+        for rows in (pred_lists, gold_lists))
     token = token_metrics(flat_pred, flat_gold, id_to_tag=list(label_index))
     return EvalReport(
         n_records=len(corpus.records),

@@ -32,7 +32,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -542,6 +542,16 @@ def forward(
     return affine(x, params["head.w"], params["head.b"]), trace
 
 
+def pad_rows(id_rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """forward's input for rows of token ids: B x T ids, PAD (id 0) after
+    each row up to the longest, and the B x T mask, True at real tokens."""
+    lengths = np.array([len(row) for row in id_rows])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = np.concatenate(id_rows)
+    return ids, mask
+
+
 def predict_labels(logits: np.ndarray) -> np.ndarray:
     """Argmax over the label axis; ties break toward the lowest label id."""
     return np.argmax(logits, axis=-1)
@@ -573,7 +583,8 @@ class CheckpointData:
     params: dict[str, np.ndarray]
     config: ModelConfig
     vocab: Vocabulary
-    labels: list[str]   # entity types; label_index_from_types gives the tags
+    labels: list[str]      # entity types, as stored
+    tags: list[TagLabel]   # label id -> tag: label_index_from_types(labels)
 
 
 def save_checkpoint(
@@ -684,13 +695,12 @@ def _decode_checkpoint(blob: bytes) -> CheckpointData:
         raise CheckpointError(f"manifest 'labels' give {len(tags)} tags but "
                               f"config n_labels is {config.n_labels}")
     try:
-        for tag in tags:
-            TagLabel.from_tag(tag)
+        tags = [TagLabel.from_tag(tag) for tag in tags]
         vocabulary = Vocabulary(vocab)
     except FormatError as exc:
         raise CheckpointError(f"manifest inventory: {exc}") from None
     return CheckpointData(params=layout.views(flat), config=config, vocab=vocabulary,
-                          labels=labels)
+                          labels=labels, tags=tags)
 
 
 def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:

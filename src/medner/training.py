@@ -39,6 +39,7 @@ from .model import (
     init_params,
     layer_norm_backward,
     layer_tensors,
+    pad_rows,
     predict_labels,
     save_checkpoint,
     softmax,
@@ -114,17 +115,9 @@ def make_batches(
         raise ValueError("no records to batch")
     order = list(records)
     random.Random(seed).shuffle(order)
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        t = max(len(r) for r in chunk)
-        ids = np.zeros((len(chunk), t), dtype=np.int64)
-        mask = np.zeros((len(chunk), t), dtype=bool)
-        for i, rec in enumerate(chunk):
-            ids[i, : len(rec)] = rec.token_ids
-            mask[i, : len(rec)] = True
-        batches.append(Batch(ids, mask, np.concatenate([r.label_ids for r in chunk])))
-    return batches
+    chunks = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    return [Batch(*pad_rows([r.token_ids for r in chunk]),
+                  np.concatenate([r.label_ids for r in chunk])) for chunk in chunks]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +391,14 @@ def _val_metrics(params, model_config, records: Sequence[EncodedRecord],
     return total_loss / sum(map(len, records)), span.micro.f1
 
 
+def model_entity_types(train_corpus: Corpus, val_corpus: Optional[Corpus]) -> list[str]:
+    """The entity types a new model labels: the train split's inventory
+    plus the validation split's, whether or not that split holds records.
+    prepare writes the same inventory into every split."""
+    return sorted(set(train_corpus.label_inventory).union(
+        val_corpus.label_inventory if val_corpus is not None else ()))
+
+
 def train(
     train_corpus: Corpus,
     val_corpus: Optional[Corpus],
@@ -411,6 +412,8 @@ def train(
     """Full training run: per epoch, shuffle -> batches -> forward ->
     cross_entropy -> backward -> adam_step, then validation metrics, log
     row, and the plateau schedule. Deterministic given the config seeds.
+    The model labels model_entity_types(train_corpus, val_corpus), and
+    model_config.n_labels must count their tags.
 
     The best checkpoint is the epoch with the highest validation span-F1
     (earliest on ties); without a validation split, scheduling and best
@@ -427,10 +430,7 @@ def train(
             "selection fall back to the training loss"
         )
 
-    inventory = sorted(
-        set(train_corpus.label_inventory)
-        | (set(val_corpus.label_inventory) if have_val else set())
-    )
+    inventory = model_entity_types(train_corpus, val_corpus)
     label_index = label_index_from_types(inventory)
     if model_config.n_labels != len(label_index):
         raise ValueError(

@@ -17,7 +17,8 @@ import pytest
 import medner
 from medner.cli import main
 from medner.corpus import load_corpus, parse_conll, validate_bio
-from medner.model import ModelConfig, init_params, save_checkpoint, sinusoidal_positions
+from medner.model import (ModelConfig, init_params, load_checkpoint_full, save_checkpoint,
+                          sinusoidal_positions)
 
 from test_model import rewrite_manifest
 
@@ -282,6 +283,36 @@ def test_blank_val_split_falls_back_to_train_loss(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     rows = (out_dir / "trainlog.csv").read_text().splitlines()[1:]
     assert rows and all(row.split(",")[2] == "nan" for row in rows)
+
+
+def test_empty_val_split_declaring_more_types_trains_with_them(tmp_path, capsys):
+    """The model's labels are the train split's types plus those val.conll
+    declares, whether or not it holds records: train and its caller count
+    the same label set."""
+    raw = tmp_path / "raw.conll"
+    raw.write_text("a\tB-D\n\nb\tO\n\nc\tB-D\n\nd\tO\n")
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    sizes = json.loads((data_dir / "manifest.json").read_text())["sizes"]
+    assert sizes == {"train": 3, "val": 1, "test": 0}
+    (data_dir / "val.conll").write_text("# types: D Extra\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    best = load_checkpoint_full(out_dir / "best.ckpt")
+    assert best.labels == ["D", "Extra"]
+    assert best.config.n_labels == 5
+
+
+@pytest.mark.parametrize("text", ["# types: D\n", ""])
+def test_train_split_without_records_exits_3_naming_it(tmp_path, capsys, text):
+    raw = tmp_path / "raw.conll"
+    raw.write_text("a\tB-D\n\nb\tO\n\nc\tB-D\n\nd\tO\n")
+    cfg, data_dir, out_dir = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    train_path = data_dir / "train.conll"
+    train_path.write_text(text)
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {train_path}: ")
+    assert not out_dir.exists()
 
 
 def test_malformed_val_split_exits_3_whatever_its_path(tmp_path, capsys):
@@ -673,7 +704,7 @@ def test_over_length_record_exits_3_naming_it(tmp_path, capsys, verb):
         data.write_text("aspirin\n\n" + "aspirin\n" * 9)
         needle = "block 2 has 9 tokens but the model's max_len is 8"
     assert main([verb, str(ckpt), str(data), "--out", str(tmp_path / "out")]) == 3
-    assert needle in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {data}: {needle}\n"
     assert not (tmp_path / "out").exists()
 
 

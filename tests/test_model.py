@@ -35,6 +35,7 @@ from medner.model import (
     layer_norm_backward,
     layer_tensors,
     load_checkpoint_full,
+    pad_rows,
     param_shapes,
     predict_labels,
     save_checkpoint,
@@ -501,6 +502,15 @@ def test_forward_input_validation():
                 np.zeros((1, 2), dtype=bool))
 
 
+def test_pad_rows_builds_the_input_of_forward():
+    """Rows in order, each filled with PAD (id 0) up to the longest, and
+    the mask False exactly at the fill."""
+    ids, mask = pad_rows([[5, 6], [7], [8, 9, 10]])
+    assert ids.dtype == np.int64 and mask.dtype == bool
+    np.testing.assert_array_equal(ids, [[5, 6, 0], [7, 0, 0], [8, 9, 10]])
+    np.testing.assert_array_equal(mask, [[1, 1, 0], [1, 0, 0], [1, 1, 1]])
+
+
 # ---------------------------------------------------------------------------
 # sublayer backward functions against central differences, in float64
 # ---------------------------------------------------------------------------
@@ -611,6 +621,7 @@ def test_checkpoint_roundtrip_bits(tmp_path):
         assert json.loads(rest[:int(length)])["seed"] == 11
         assert full.vocab.id_to_token == TINY_VOCAB
         assert full.labels == TINY_LABELS
+        assert [lab.tag for lab in full.tags] == ["O", "B-Drug", "I-Drug"]
 
 
 def test_checkpoint_truncated_payload(tmp_path):
