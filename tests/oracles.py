@@ -225,3 +225,56 @@ def parse_conll_by_line(text: str):
         raise FormatError("empty file: no records found")
     present_types = {lab.entity_type for rec in records for lab in rec.labels} - {""}
     return Corpus(records, label_inventory=sorted(declared_types | present_types))
+
+
+def gen_synthetic_by_call(n_records: int, entity_types, vocab_size: int, max_len: int,
+                          seed: int):
+    """corpus.gen_synthetic as it drew before its draws were inlined: every
+    token through rng.choice and every length through rng.randint, by two
+    closures per record. Arguments are taken as valid."""
+    import random
+
+    from medner.corpus import O_LABEL, Corpus, LabeledRecord, TagLabel, _phi_filler, _pseudo_words
+
+    types = list(entity_types)
+    words = _pseudo_words(vocab_size)
+    per_type = max(3, (2 * vocab_size // 5) // len(types))
+    pools = {}
+    for i, etype in enumerate(types):
+        pools[etype] = words[i * per_type : (i + 1) * per_type]
+    filler = words[len(types) * per_type :]
+
+    rng = random.Random(seed)
+    records = []
+    for i in range(n_records):
+        target = rng.randint(min(6, max_len), max_len)
+        toks = []
+        labs = []
+        pending = [types[i % len(types)]]
+
+        def emit_filler(count: int):
+            for _ in range(count):
+                text = _phi_filler(rng) if rng.random() < 0.02 else rng.choice(filler)
+                toks.append(text)
+                labs.append(O_LABEL)
+
+        def emit_entity(etype: str):
+            elen = rng.randint(1, min(3, target - len(toks)))
+            pool = pools[etype]
+            for j in range(elen):
+                toks.append(rng.choice(pool))
+                labs.append(TagLabel.from_tag(("B-" if j == 0 else "I-") + etype))
+
+        emit_filler(rng.randint(0, 2))
+        while len(toks) < target:
+            if pending:
+                etype = pending.pop()
+            else:
+                etype = rng.choice(types)
+            emit_entity(etype)
+            if len(toks) >= target:
+                break
+            emit_filler(rng.randint(1, min(3, target - len(toks))))
+        records.append(LabeledRecord(f"{i:04d}", toks, labs))
+
+    return Corpus(records, label_inventory=types)

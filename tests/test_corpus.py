@@ -2,6 +2,7 @@
 and the synthetic generator.
 """
 
+import hashlib
 import itertools
 import random
 import re
@@ -28,7 +29,12 @@ from medner.corpus import (
 )
 from medner.errors import BioViolationError, FormatError
 
-from oracles import brute_force_spans, is_valid_bio, parse_conll_by_line
+from oracles import (
+    brute_force_spans,
+    gen_synthetic_by_call,
+    is_valid_bio,
+    parse_conll_by_line,
+)
 
 O = TagLabel("O")
 
@@ -572,6 +578,54 @@ def test_gen_synthetic_deterministic():
     c = gen_synthetic(n_records=10, entity_types=["Disease"], vocab_size=50,
                       max_len=12, seed=8)
     assert write_conll(a) != write_conll(c)
+
+
+@pytest.mark.parametrize("n_records, vocab_size, max_len, seed, digest", [
+    # the README quickstart corpus
+    (300, 300, 16, 42, "3829a14c3b1a12a5e5f3b5c487e5c3f22b36bbbf5c017543b09a6f5768351324"),
+    # the bench's prepare_bulk corpus at --seed 1
+    (10000, 2000, 48, 1, "41af6a1fa36544746901170d6a0bc24b245f38142a4ac2a04741ae9273d66aea"),
+])
+def test_gen_synthetic_output_is_pinned(n_records, vocab_size, max_len, seed, digest):
+    """The generated text is fixed by the arguments: every quickstart and
+    bench digest downstream rests on it."""
+    corpus = gen_synthetic(n_records, ["Disease", "Drug", "Symptom"], vocab_size=vocab_size,
+                           max_len=max_len, seed=seed)
+    assert hashlib.sha256(write_conll(corpus).encode("utf-8")).hexdigest() == digest
+
+
+def _pool_sizes(vocab_size: int, n_types: int) -> tuple[int, int]:
+    """(entity pool, filler) sizes, as gen_synthetic splits its vocabulary."""
+    per_type = max(3, (2 * vocab_size // 5) // n_types)
+    return per_type, vocab_size - n_types * per_type
+
+
+def _draw_grid_vocab_sizes(n_types: int) -> list[int]:
+    """Vocab 20, and for the entity pools and for the filler the first vocab
+    sizes that make that pool 2**j - 1, 2**j or 2**j + 1 words (2 <= j <= 5).
+    Drawing below n takes n.bit_length() bits and rejects values >= n: a
+    draw from 2**j - 1 words rejects 1 value in 2**j, one from 2**j words
+    half of them."""
+    sizes = {20}
+    for which in (0, 1):
+        for offset in (-1, 0, 1):
+            sizes.add(next(v for v in range(21, 400)
+                           if _pool_sizes(v, n_types)[which] - offset in (4, 8, 16, 32)))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n_types", [1, 2, 3, 4, 5])
+def test_gen_synthetic_draws_as_the_call_by_call_generator(n_types):
+    """The generator's inlined draws consume the Mersenne Twister stream as
+    random.choice and random.randint do; max_len 4 makes randint(4, 4) and
+    the other one-value ranges, which still draw bits until they get a 0."""
+    types = ["Disease", "Drug", "Symptom", "Test", "Procedure"][:n_types]
+    for vocab_size in _draw_grid_vocab_sizes(n_types):
+        for max_len in (4, 5, 16, 48):
+            for seed, n_records in ((0, 30), (11, 30), (0, 1), (7, 1)):
+                args = (n_records, types, vocab_size, max_len, seed)
+                assert (write_conll(gen_synthetic(*args))
+                        == write_conll(gen_synthetic_by_call(*args))), args
 
 
 def test_gen_synthetic_valid_bio_everywhere():
