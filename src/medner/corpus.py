@@ -540,6 +540,13 @@ def gen_synthetic(
     token; record i is guaranteed to contain entity_types[i % k]. A small
     fraction of filler tokens are PHI-shaped (dates, long digit ids) so the
     de-identification stage has work to do downstream.
+
+    The text is a function of the arguments and of the MT19937 stream of
+    random.Random(seed), draw for draw. Each draw below n takes
+    n.bit_length() bits from getrandbits until they are below n, as
+    random.choice and random.randint draw on CPython. Word draws, over half
+    of all draws, are written out in the loop: through choice each cost two
+    Python frames, which was most of the generator's time.
     """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
@@ -560,44 +567,58 @@ def gen_synthetic(
 
     words = _pseudo_words(vocab_size)
     per_type = max(3, (2 * vocab_size // 5) // len(types))
-    pools: dict[str, list[str]] = {}
-    for i, etype in enumerate(types):
-        pools[etype] = words[i * per_type : (i + 1) * per_type]
+    # per type: its word pool and its B- and I- labels
+    kinds = [(words[i * per_type : (i + 1) * per_type],
+              TagLabel.from_tag("B-" + etype), TagLabel.from_tag("I-" + etype))
+             for i, etype in enumerate(types)]
     filler = words[len(types) * per_type :]
     if len(filler) < 5:
         raise ValueError("vocab_size too small for the requested entity types")
+    k_pool, n_filler = per_type.bit_length(), len(filler)
+    k_filler = n_filler.bit_length()
 
     rng = random.Random(seed)
+    bits, uniform = rng.getrandbits, rng.random
+
+    def below(n: int) -> int:  # random.Random._randbelow_with_getrandbits
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     records: list[LabeledRecord] = []
     for i in range(n_records):
-        target = rng.randint(min(6, max_len), max_len)
+        target = min(6, max_len) + below(max_len - min(6, max_len) + 1)
         toks: list[str] = []
         labs: list[TagLabel] = []
-        pending = [types[i % len(types)]]
-
-        def emit_filler(count: int):
+        count = below(3)  # 0-2 filler words, then an entity of types[i % k]
+        kind = i % len(kinds)
+        while True:
             for _ in range(count):
-                text = _phi_filler(rng) if rng.random() < 0.02 else rng.choice(filler)
-                toks.append(text)
+                if uniform() < 0.02:
+                    toks.append(_phi_filler(rng))
+                else:
+                    r = bits(k_filler)
+                    while r >= n_filler:
+                        r = bits(k_filler)
+                    toks.append(filler[r])
                 labs.append(O_LABEL)
-
-        def emit_entity(etype: str):
-            elen = rng.randint(1, min(3, target - len(toks)))
-            pool = pools[etype]
-            for j in range(elen):
-                toks.append(rng.choice(pool))
-                labs.append(TagLabel.from_tag(("B-" if j == 0 else "I-") + etype))
-
-        emit_filler(rng.randint(0, 2))
-        while len(toks) < target:
-            if pending:
-                etype = pending.pop()
-            else:
-                etype = rng.choice(types)
-            emit_entity(etype)
             if len(toks) >= target:
                 break
-            emit_filler(rng.randint(1, min(3, target - len(toks))))
+            if kind < 0:  # every entity after the first: choice(types)
+                kind = below(len(kinds))
+            pool, b_label, i_label = kinds[kind]
+            for j in range(1 + below(min(3, target - len(toks)))):
+                r = bits(k_pool)
+                while r >= per_type:
+                    r = bits(k_pool)
+                toks.append(pool[r])
+                labs.append(i_label if j else b_label)
+            if len(toks) >= target:
+                break
+            count = 1 + below(min(3, target - len(toks)))
+            kind = -1
         records.append(LabeledRecord(f"{i:04d}", toks, labs))
 
     return Corpus(records, label_inventory=types)
