@@ -228,8 +228,8 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
     """The checkpoint's BIO-repaired tags for each row of token texts, in
     input order. A row longer than the model's max_len raises a FormatError
     naming it by its entry in row_names. Finite weights that still overflow
-    in the forward pass raise a CheckpointError rather than tag with
-    non-finite values.
+    in the forward pass raise a CheckpointError naming the checkpoint file,
+    rather than tag with non-finite values.
     """
     max_len = checkpoint.config.max_len
     for row, name in zip(token_rows, row_names):
@@ -241,8 +241,8 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
         with np.errstate(over="raise", invalid="raise"):
             pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)
     except FloatingPointError as exc:
-        raise CheckpointError(f"checkpoint weights give non-finite values in the forward "
-                              f"pass ({exc})") from None
+        raise CheckpointError(f"{checkpoint.path}: checkpoint weights give non-finite "
+                              f"values in the forward pass ({exc})") from None
     return [validate_bio([checkpoint.tags[i] for i in row], "repair") for row in pred_ids]
 
 

@@ -585,6 +585,7 @@ class CheckpointData:
     vocab: Vocabulary
     labels: list[str]      # entity types, as stored
     tags: list[TagLabel]   # label id -> tag: label_index_from_types(labels)
+    path: str              # the file it was read from, which its errors name
 
 
 def save_checkpoint(
@@ -624,14 +625,14 @@ def load_checkpoint_full(path) -> CheckpointData:
             raise CheckpointError("not a regular file")
         with open(path, "rb") as fh:
             blob = fh.read()
-        return _decode_checkpoint(blob)
+        return _decode_checkpoint(blob, str(path))
     except OSError as exc:
         raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _decode_checkpoint(blob: bytes) -> CheckpointData:
+def _decode_checkpoint(blob: bytes, path: str) -> CheckpointData:
     nl1 = blob.find(b"\n")
     if nl1 < 0:
         raise CheckpointError("not a checkpoint file: missing header")
@@ -700,7 +701,7 @@ def _decode_checkpoint(blob: bytes) -> CheckpointData:
     except FormatError as exc:
         raise CheckpointError(f"manifest inventory: {exc}") from None
     return CheckpointData(params=layout.views(flat), config=config, vocab=vocabulary,
-                          labels=labels, tags=tags)
+                          labels=labels, tags=tags, path=path)
 
 
 def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:

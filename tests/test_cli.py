@@ -562,8 +562,9 @@ def test_checkpoint_whose_forward_overflows_exits_3(tmp_path, capsys, verb):
     data.write_text("aspirin\tB-Drug\n" if verb == "eval" else "aspirin\n")
     out = tmp_path / "out"
     assert main([verb, str(ckpt), str(data), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == ("error: checkpoint weights give non-finite values in "
-                                       "the forward pass (overflow encountered in square)\n")
+    assert capsys.readouterr().err == (f"error: {ckpt}: checkpoint weights give non-finite "
+                                       "values in the forward pass (overflow encountered in "
+                                       "square)\n")
     assert not out.exists()
 
 
