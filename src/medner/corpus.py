@@ -542,11 +542,11 @@ def gen_synthetic(
     de-identification stage has work to do downstream.
 
     The text is a function of the arguments and of the MT19937 stream of
-    random.Random(seed), draw for draw. Each draw below n takes
+    random.Random(seed), draw for draw: each draw below n takes
     n.bit_length() bits from getrandbits until they are below n, as
-    random.choice and random.randint draw on CPython. Word draws, over half
-    of all draws, are written out in the loop: through choice each cost two
-    Python frames, which was most of the generator's time.
+    random.choice and random.randint do on CPython. Words, over half of all
+    draws, are drawn in the loop itself and run lengths are capped without
+    min(): those calls were most of the generator's time.
     """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
@@ -604,20 +604,20 @@ def gen_synthetic(
                         r = bits(k_filler)
                     toks.append(filler[r])
                 labs.append(O_LABEL)
-            if len(toks) >= target:
+            if (room := target - len(toks)) <= 0:
                 break
             if kind < 0:  # every entity after the first: choice(types)
                 kind = below(len(kinds))
             pool, b_label, i_label = kinds[kind]
-            for j in range(1 + below(min(3, target - len(toks)))):
+            for j in range(1 + below(room if room < 3 else 3)):  # randint(1, min(3, room))
                 r = bits(k_pool)
                 while r >= per_type:
                     r = bits(k_pool)
                 toks.append(pool[r])
                 labs.append(i_label if j else b_label)
-            if len(toks) >= target:
+            if (room := target - len(toks)) <= 0:
                 break
-            count = 1 + below(min(3, target - len(toks)))
+            count = 1 + below(room if room < 3 else 3)
             kind = -1
         records.append(LabeledRecord(f"{i:04d}", toks, labs))
 

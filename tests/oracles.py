@@ -5,9 +5,10 @@ the package: span extraction enumerates every candidate run, the matcher
 intersects span sets built that way, the binary cross-entropy
 evaluates the textbook two-class formula directly, and the plateau
 schedule recomputes every epoch's improvement from the whole prefix,
-attention works one query row and one key at a time in plain floats, and
+attention works one query row and one key at a time in plain floats,
 the corpus parser walks the text one line at a time (it builds the
-package's record types, so that its result compares equal).
+package's record types, so that its result compares equal), and the
+synthetic generator draws through random.choice and random.randint.
 """
 
 from __future__ import annotations
@@ -229,9 +230,9 @@ def parse_conll_by_line(text: str):
 
 def gen_synthetic_by_call(n_records: int, entity_types, vocab_size: int, max_len: int,
                           seed: int):
-    """corpus.gen_synthetic as it drew before its draws were inlined: every
-    token through rng.choice and every length through rng.randint, by two
-    closures per record. Arguments are taken as valid."""
+    """corpus.gen_synthetic with every word and type drawn by rng.choice and
+    every length by rng.randint, in two closures per record: the reference
+    for the draws gen_synthetic writes out. Arguments are taken as valid."""
     import random
 
     from medner.corpus import O_LABEL, Corpus, LabeledRecord, TagLabel, _phi_filler, _pseudo_words
