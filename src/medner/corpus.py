@@ -574,8 +574,8 @@ def gen_synthetic(
     filler = words[len(types) * per_type :]
     if len(filler) < 5:
         raise ValueError("vocab_size too small for the requested entity types")
-    k_pool, n_filler = per_type.bit_length(), len(filler)
-    k_filler = n_filler.bit_length()
+    n_filler = len(filler)
+    k_pool, k_filler = per_type.bit_length(), n_filler.bit_length()
 
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
