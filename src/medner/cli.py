@@ -6,10 +6,11 @@ from an INI-style config file (sections [data], [split], [model],
 [train], [output]); flags override file values, and MEDNER_SEED is the
 fallback seed when neither a flag nor the config provides one.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error or a file that
-cannot be read or written (a closed stdout included), 4 numerical failure
-(divergence/NaN), 130 interrupted. Outputs are written to a temp file and
-renamed into place, so failures never leave partial files behind.
+Exit codes: 0 success, 2 usage error, 3 data/format error, a file that
+cannot be read or written (a closed stdout included) or a size that memory
+cannot hold, 4 numerical failure (divergence/NaN), 130 interrupted.
+Outputs are written to a temp file and renamed into place, so failures
+never leave partial files behind.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
+import re
 import sys
 import typing
 from typing import Optional
@@ -255,24 +258,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Unicode whitespace as str.split and str.strip see it
+_WHITESPACE = re.compile(r"\s")
+
+
 def _parse_token_blocks(text: str, path: str) -> list[list[str]]:
-    blocks: list[list[str]] = []
-    current: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        if line.startswith("# "):
-            continue
-        if len(stripped.split()) != 1:
-            raise FormatError(f"{path}: line {lineno}: expected one token per line, "
-                              f"got {line!r}")
-        current.append(stripped)
-    if current:
-        blocks.append(current)
+    """predict's input: records of one stripped token per line, split by
+    lines that strip to nothing. A line starting "# " is a comment, which
+    ends no record. Lines are str.splitlines lines; a line holding two
+    tokens is an error naming it. The work runs in C over whole lists."""
+    lines = text.splitlines()
+    if "# " in text:
+        lines = [line for line in lines if not line.startswith("# ")]
+    blocks = [list(run) for nonblank, run in itertools.groupby(map(str.strip, lines), bool)
+              if nonblank]
+    if _WHITESPACE.search("".join(itertools.chain.from_iterable(blocks))):
+        lineno, line = next((n, line) for n, line in enumerate(text.splitlines(), start=1)
+                            if not line.startswith("# ") and len(line.split()) > 1)
+        raise FormatError(f"{path}: line {lineno}: expected one token per line, "
+                          f"got {line!r}")
     if not blocks:
         raise FormatError(f"{path}: empty input: no token blocks found")
     return blocks
@@ -421,6 +425,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # a last resort, like a disk that fills up: the input asked for more
+        # memory than this machine gives, whichever input it was
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

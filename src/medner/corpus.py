@@ -187,7 +187,7 @@ class Vocabulary:
     def __post_init__(self):
         if self.id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise FormatError(f"vocabulary ids 0/1 must be {PAD_TOKEN}/{UNK_TOKEN}")
-        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.token_to_id = dict(zip(self.id_to_token, range(len(self.id_to_token))))
         if len(self.token_to_id) != len(self.id_to_token):
             raise FormatError("vocabulary contains duplicate tokens")
 

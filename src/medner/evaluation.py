@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TagLabel, spans_from_labels, validate_bio
+from .corpus import UNK_ID, Corpus, TagLabel, spans_from_labels, validate_bio
 from .errors import CheckpointError, FormatError
 from .model import CheckpointData, forward, load_checkpoint_full, pad_rows, predict_labels
 
@@ -172,12 +172,28 @@ def token_metrics(pred_label_ids, gold_label_ids, id_to_tag: Sequence[str]) -> T
 # ---------------------------------------------------------------------------
 
 
-# Bytes in the widest activation of one inference batch. 64 KiB keeps every
-# temporary of the forward pass under glibc's default 128 KiB mmap threshold.
-# Fixed batches of 32 records crossed it with the quickstart model: a bulk
-# predict then page-faulted about 100k times through freshly mapped memory,
-# a cost that swung from run to run.
-_BATCH_BYTES = 64 * 1024
+# Bytes in the widest activation of one inference batch. Every temporary of
+# the forward pass must stay under glibc's default 128 KiB mmap threshold:
+# fixed batches of 32 records crossed it with the quickstart model, and a
+# bulk predict then page-faulted about 100k times through freshly mapped
+# memory, a cost that swung from run to run. Below the threshold, fuller
+# batches pay for fewer forward calls. predict_label_ids over the
+# 8000-record, 88,286-token tag_bulk input, medians of 6 alternating
+# rounds in one process (2-vCPU Xeon guest, OpenBLAS at 1 thread), with
+# the same predictions at every budget:
+#
+#   budget, KiB                  64     96    120    160    256
+#   forward calls               719    473    372    281    175
+#   ms, fresh process           585    480    477    657    581
+#   minor faults                  0      0    222    95k    90k
+#   ms, after a quickstart train 626    541    535    521    612
+#   minor faults                  0      0      0      8    52k
+#
+# glibc raises its mmap threshold once it frees a mapped block, as a
+# training run does, so 160 KiB is cheap only in such a process. 120 KiB
+# (15 records of 16 tokens at the quickstart's d_ff 128) stays below the
+# default threshold either way.
+_BATCH_BYTES = 120 * 1024
 
 
 def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
@@ -192,7 +208,7 @@ def batched_logits(params, config, id_rows: Sequence[Sequence[int]]
     do not depend on the rows batched with it, but only up to rounding:
     BLAS picks its kernel by the row count of a call, so a record's logits
     alone and in a batch can differ in their last bits (on the quickstart
-    test split, 33 of 45 records do, with the same argmax on all 45).
+    test split, 38 of 45 records do, with the same argmax on all 45).
     """
     itemsize = next(iter(params.values())).itemsize
 
@@ -236,7 +252,8 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
         if len(row) > max_len:
             raise FormatError(f"{name} has {len(row)} tokens but the model's "
                               f"max_len is {max_len}")
-    id_rows = [[checkpoint.vocab.lookup(text) for text in row] for row in token_rows]
+    lookup, unk = checkpoint.vocab.token_to_id.get, UNK_ID
+    id_rows = [[lookup(text, unk) for text in row] for row in token_rows]
     try:
         with np.errstate(over="raise", invalid="raise"):
             pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)

@@ -138,7 +138,9 @@ class ParamLayout:
                  "length": (b - a) * itemsize} for (name, shape), a, b in self._spans()]
 
 
-@functools.lru_cache(maxsize=16)
+# forward asks for one table per batch width; this holds every width up to
+# the default max_len (128) in both precisions, 2 MB at d_model 64 in float32
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
     """Fixed sin/cos position table; row 0 is [0, 1, 0, 1, ...]. Built once
     per (max_len, d_model, dtype) and shared, so it is read-only; the first
@@ -387,7 +389,8 @@ def attention(x, p, mask, n_heads: int, dropout=None) -> tuple[np.ndarray, Atten
     v = _to_heads(affine(x, p["attn.wv"], p["attn.bv"]), rows, b, t, n_heads)
     scores = q @ k.swapaxes(-1, -2)
     scores *= dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    scores += np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
+    if len(rows) != b * t:  # hide the padded keys; a full batch has none
+        scores += np.where(mask[:, None, None, :], dtype.type(0.0), dtype.type(-np.inf))
     probs = softmax(scores)
     drop = None if dropout is None else dropout(probs.shape)
     ctx = _from_heads((probs if drop is None else probs * drop) @ v, rows)
@@ -475,10 +478,16 @@ class ForwardTrace:
     final: np.ndarray = None  # type: ignore[assignment]  # N,D last hidden states
 
 
+@functools.lru_cache(maxsize=64)
+def _layer_names(layer: int) -> tuple[str, ...]:
+    """The full names of encoder layer `layer`'s tensors, in LAYER_KEYS order."""
+    return tuple(f"enc.{layer}.{key}" for key in LAYER_KEYS)
+
+
 def layer_tensors(tensors: dict[str, np.ndarray], layer: int) -> dict[str, np.ndarray]:
     """Encoder layer `layer`'s entries of a parameter or gradient map,
     keyed by LAYER_KEYS: "attn.wq", "ln1.g", ..."""
-    return {key: tensors[f"enc.{layer}.{key}"] for key in LAYER_KEYS}
+    return dict(zip(LAYER_KEYS, map(tensors.__getitem__, _layer_names(layer))))
 
 
 def forward(
@@ -495,8 +504,9 @@ def forward(
     dropout_rng=None (or dropout_rate 0) the pass is deterministic; with a
     seeded generator, dropout is applied after attention probabilities and
     after the FF activation, and masks are recorded in the trace. The
-    input is the token embeddings plus the first T rows of
-    sinusoidal_positions(max_len, d_model).
+    input is the token embeddings plus sinusoidal_positions(T, d_model),
+    the first T rows of the max_len table, so max_len costs nothing until
+    a batch is that wide.
     Only the real tokens are computed (see the module docstring): the
     logits are N x n_labels, row i scoring the token at flat position
     np.flatnonzero(mask)[i].
@@ -523,7 +533,7 @@ def forward(
         lambda shape: (dropout_rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate))
     rows = np.flatnonzero(mask)
     x = params["emb.tok"][ids.reshape(-1)[rows]]
-    x += sinusoidal_positions(config.max_len, config.d_model, dtype)[rows % t]
+    x += sinusoidal_positions(t, config.d_model, dtype)[rows % t]
     trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
 
     for layer in range(config.n_layers):
@@ -624,36 +634,38 @@ def load_checkpoint_full(path) -> CheckpointData:
         if not os.path.isfile(path):
             raise CheckpointError("not a regular file")
         with open(path, "rb") as fh:
-            blob = fh.read()
-        return _decode_checkpoint(blob, str(path))
+            return _read_checkpoint(fh, str(path))
     except OSError as exc:
         raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _decode_checkpoint(blob: bytes, path: str) -> CheckpointData:
-    nl1 = blob.find(b"\n")
-    if nl1 < 0:
+def _read_checkpoint(fh, path: str) -> CheckpointData:
+    """Decode the checkpoint open as fh: its two header lines and manifest,
+    then the payload, read once, straight into the parameter vector."""
+    magic_line = fh.readline()
+    if not magic_line.endswith(b"\n"):
         raise CheckpointError("not a checkpoint file: missing header")
-    magic = blob[:nl1].decode("ascii", errors="replace").split()
+    magic = magic_line[:-1].decode("ascii", errors="replace").split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file: bad magic line")
     if magic[1] != str(CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {magic[1]!r}")
-    nl2 = blob.find(b"\n", nl1 + 1)
-    if nl2 < 0:
+    length_line = fh.readline()
+    if not length_line.endswith(b"\n"):
         raise CheckpointError("not a checkpoint file: missing manifest length")
     try:
-        header_len = int(blob[nl1 + 1 : nl2])
+        header_len = int(length_line[:-1])
     except ValueError:
         raise CheckpointError("not a checkpoint file: bad manifest length") from None
-    header_start = nl2 + 1
-    header_end = header_start + header_len
-    if header_len < 0 or len(blob) < header_end + 1:
+    # the manifest, then one separator byte, then the payload
+    header_end = len(magic_line) + len(length_line) + header_len
+    file_size = os.fstat(fh.fileno()).st_size
+    if header_len < 0 or file_size < header_end + 1:
         raise CheckpointError("truncated manifest")
     try:
-        manifest = json.loads(blob[header_start:header_end].decode("utf-8"))
+        manifest = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from None
     if not isinstance(manifest, dict):
@@ -675,16 +687,20 @@ def _decode_checkpoint(blob: bytes, path: str) -> CheckpointData:
     problem = _manifest_problem(manifest.get("tensors"), layout.manifest(wire_dtype.itemsize))
     if problem:
         raise CheckpointError(problem)
-    expected, found = layout.size * wire_dtype.itemsize, len(blob) - header_end - 1
+    expected, found = layout.size * wire_dtype.itemsize, file_size - header_end - 1
+    if found == expected:
+        flat = np.empty(layout.size, dtype=wire_dtype)
+        fh.seek(header_end + 1)
+        found = fh.readinto(flat)  # short only if the file shrank meanwhile
     if found != expected:
         raise CheckpointError(f"truncated payload: expected {expected} bytes, found {found}")
-    flat = np.frombuffer(blob, dtype=wire_dtype, offset=header_end + 1).astype(
-        np.float32 if precision == 32 else np.float64)
+    # a no-op on a little-endian host, where the wire order is the native one
+    flat = flat.astype(np.float32 if precision == 32 else np.float64, copy=False)
     bad = layout.first_nonfinite(flat)
     if bad is not None:
         raise CheckpointError(f"tensor '{bad}': non-finite values in payload")
     vocab, labels = manifest.get("vocab"), manifest.get("labels")
-    if not all(isinstance(x, list) and all(isinstance(t, str) for t in x)
+    if not all(isinstance(x, list) and all(map(isinstance, x, itertools.repeat(str)))
                for x in (vocab, labels)):
         raise CheckpointError("manifest 'vocab' and 'labels' must be lists of strings "
                               "(a checkpoint written by `medner train` carries both)")
@@ -706,6 +722,8 @@ def _decode_checkpoint(blob: bytes, path: str) -> CheckpointData:
 
 def _manifest_problem(entries, canonical: list[dict]) -> Optional[str]:
     """Why a manifest tensor list differs from the canonical one, or None."""
+    if entries == canonical:  # what every checkpoint `medner train` wrote holds
+        return None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         return "manifest 'tensors' is not a list of objects"
     names = [e.get("name") for e in entries]

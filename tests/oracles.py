@@ -6,9 +6,10 @@ intersects span sets built that way, the binary cross-entropy
 evaluates the textbook two-class formula directly, and the plateau
 schedule recomputes every epoch's improvement from the whole prefix,
 attention works one query row and one key at a time in plain floats,
-the corpus parser walks the text one line at a time (it builds the
-package's record types, so that its result compares equal), and the
-synthetic generator draws through random.choice and random.randint.
+the corpus parser and predict's token-block parser walk the text one
+line at a time (the first builds the package's record types, so that its
+result compares equal), and the synthetic generator draws through
+random.choice and random.randint.
 """
 
 from __future__ import annotations
@@ -226,6 +227,33 @@ def parse_conll_by_line(text: str):
         raise FormatError("empty file: no records found")
     present_types = {lab.entity_type for rec in records for lab in rec.labels} - {""}
     return Corpus(records, label_inventory=sorted(declared_types | present_types))
+
+
+def parse_token_blocks_by_line(text: str, path: str) -> list[list[str]]:
+    """predict's input parsed one line of str.splitlines at a time, with
+    the errors cli._parse_token_blocks gives."""
+    from medner.errors import FormatError
+
+    blocks: list[list[str]] = []
+    current: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if line.startswith("# "):
+            continue
+        if len(stripped.split()) != 1:
+            raise FormatError(f"{path}: line {lineno}: expected one token per line, "
+                              f"got {line!r}")
+        current.append(stripped)
+    if current:
+        blocks.append(current)
+    if not blocks:
+        raise FormatError(f"{path}: empty input: no token blocks found")
+    return blocks
 
 
 def gen_synthetic_by_call(n_records: int, entity_types, vocab_size: int, max_len: int,

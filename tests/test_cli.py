@@ -3,8 +3,10 @@ reproducibility of outputs.
 """
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 
 import medner
-from medner.cli import main
-from medner.corpus import load_corpus, parse_conll, validate_bio
+from medner.cli import _parse_token_blocks, main
+from medner.corpus import gen_synthetic, load_corpus, parse_conll, validate_bio
+from medner.errors import FormatError
 from medner.model import (ModelConfig, init_params, load_checkpoint_full, save_checkpoint,
                           sinusoidal_positions)
 
+from oracles import parse_token_blocks_by_line
 from test_model import rewrite_manifest
 
 QUICK_CONFIG = """\
@@ -765,6 +769,101 @@ def test_predict_two_tokens_on_a_line_names_the_file(tmp_path, capsys):
     assert main(["predict", str(ckpt), str(tokens)]) == 3
     assert capsys.readouterr().err == (f"error: {tokens}: line 3: expected one token "
                                        "per line, got 'a b'\n")
+
+
+def test_predict_ignores_a_max_len_beyond_memory(tmp_path, capsys):
+    """forward builds position rows for the batch's width only, so a manifest
+    max_len of 10**12 (a 512 TB table at d_model 8) allocates nothing."""
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\nx\naspirin\naspirin\ny\n")
+    assert main(["predict", str(ckpt), str(tokens)]) == 0
+    want = capsys.readouterr().out
+    rewrite_manifest(ckpt, lambda m: m["config"].update(max_len=10**12))
+    assert main(["predict", str(ckpt), str(tokens)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want, "")
+    assert len(want.splitlines()) == 5
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(medner.cli, "cmd_predict", exhausted)
+    assert main(["predict", str(tmp_path / "model.ckpt"), str(tmp_path / "in.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory{': ' if message else ''}{message}\n"
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# predict's token blocks against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+
+def _blocks_outcome(text):
+    """The token blocks of `text` from the parser and from the reference,
+    each as ("ok", blocks) or ("error", message)."""
+    outcomes = []
+    for parse in (_parse_token_blocks, parse_token_blocks_by_line):
+        try:
+            outcomes.append(("ok", parse(text, "in.txt")))
+        except FormatError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a\r\nb\r\n\r\nc", [["a", "b"], ["c"]]),
+    ("a\rb\r\rc\n", [["a", "b"], ["c"]]),
+    ("a\x1cb\x85\x85c\u2028\u2028d", [["a", "b"], ["c"], ["d"]]),
+    ("\xa0a\xa0\n\xa0\nb", [["a"], ["b"]]),
+    ("#a\n# comment with spaces\nb\n#\n# \n\n#c", [["#a", "b", "#"], ["#c"]]),
+    ("\n\n\n  \n\ta\n\n\n\n\nb\n\n", [["a"], ["b"]]),
+    ("a\nb", [["a", "b"]]),
+    ("a\n # not a comment\n", "in.txt: line 2: expected one token per line, "
+                                "got ' # not a comment'"),
+    ("a\nb\xa0c\nd e\n", "in.txt: line 2: expected one token per line, got 'b\\xa0c'"),
+    ("# only a comment\n\u2028 \n", "in.txt: empty input: no token blocks found"),
+])
+def test_predict_input_edge_cases(text, want):
+    """Line breaks (CRLF, \\r, \\x1c, \\x85, \\u2028), no-break spaces, '#'
+    tokens against '# ' comments, runs of blank lines and no final newline."""
+    got, reference = _blocks_outcome(text)
+    assert got == reference
+    assert got == (("error", want) if isinstance(want, str) else ("ok", want))
+
+
+# line breaks, whitespace that breaks no line, a comment marker and its
+# lookalikes, and two tokens
+BLOCK_PIECES = ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "\xa0", "# ", "#",
+                "a", "b"]
+
+
+def test_predict_input_matches_the_reference_on_every_short_text():
+    for n in range(5):
+        for pieces in itertools.product(BLOCK_PIECES, repeat=n):
+            text = "".join(pieces)
+            got, reference = _blocks_outcome(text)
+            assert got == reference, text
+
+
+def test_predict_input_matches_the_reference_on_random_texts():
+    rng = random.Random(21)
+    for _ in range(20000):
+        text = "".join(rng.choices(BLOCK_PIECES, k=rng.randint(5, 24)))
+        got, reference = _blocks_outcome(text)
+        assert got == reference, text
+
+
+def test_predict_input_matches_the_reference_on_8000_records():
+    corpus = gen_synthetic(8000, ["Disease", "Drug", "Symptom"], vocab_size=300,
+                           max_len=16, seed=3)
+    text = "\n\n".join("\n".join(rec.tokens) for rec in corpus.records) + "\n"
+    got, reference = _blocks_outcome(text)
+    assert got == reference == ("ok", [rec.tokens for rec in corpus.records])
 
 
 # ---------------------------------------------------------------------------

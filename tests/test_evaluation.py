@@ -340,6 +340,12 @@ def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
     assert predict_label_ids(params, cfg, []) == []
 
 
+def test_batch_budget_stays_below_the_mmap_threshold():
+    """glibc maps a request of 128 KiB or more afresh, so an inference batch
+    whose widest activation reached it would fault in new pages."""
+    assert evaluation._BATCH_BYTES < 128 * 1024
+
+
 def test_report_render_keys(small_checkpoint):
     path, corpus = small_checkpoint
     text = evaluate(path, corpus, gold_as_pred=True).render()

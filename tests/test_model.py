@@ -632,6 +632,34 @@ def test_checkpoint_truncated_payload(tmp_path):
         load_checkpoint_full(path)
 
 
+@pytest.mark.parametrize("change", [-17, -1, 1, 64])
+def test_checkpoint_payload_of_the_wrong_size_names_both_sizes(tmp_path, change):
+    """A payload shorter or longer than the manifest's tensors is rejected
+    before any of it is read."""
+    path = _saved_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+    expected = ParamLayout(tiny_config(n_labels=3)).size * 4
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: truncated payload: expected {expected} bytes, "
+            f"found {expected + change}")):
+        load_checkpoint_full(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loaded_params_are_writeable_native_and_equal_to_the_saved(tmp_path, dtype):
+    cfg = tiny_config(n_layers=2, n_labels=3)
+    params = init_params(cfg, seed=5, dtype=dtype)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, cfg, seed=5, path=path, vocab=TINY_VOCAB, labels=TINY_LABELS)
+    loaded = load_checkpoint_full(path).params
+    assert list(loaded) == list(params)
+    for name, array in loaded.items():
+        assert array.dtype == np.dtype(dtype) and array.dtype.isnative, name
+        assert array.flags.writeable and array.flags.c_contiguous, name
+        assert array.tobytes() == params[name].tobytes(), name
+
+
 def test_checkpoint_unknown_version(tmp_path):
     path = _saved_checkpoint(tmp_path)
     blob = path.read_bytes()
