@@ -268,12 +268,11 @@ def _parse_token_blocks(text: str, path: str) -> list[list[str]]:
     ends no record. Lines are str.splitlines lines; a line holding two
     tokens is an error naming it. The work runs in C over whole lists."""
     lines = text.splitlines()
-    if "# " in text:
-        lines = [line for line in lines if not line.startswith("# ")]
-    blocks = [list(run) for nonblank, run in itertools.groupby(map(str.strip, lines), bool)
+    kept = [line for line in lines if not line.startswith("# ")] if "# " in text else lines
+    blocks = [list(run) for nonblank, run in itertools.groupby(map(str.strip, kept), bool)
               if nonblank]
     if _WHITESPACE.search("".join(itertools.chain.from_iterable(blocks))):
-        lineno, line = next((n, line) for n, line in enumerate(text.splitlines(), start=1)
+        lineno, line = next((n, line) for n, line in enumerate(lines, start=1)
                             if not line.startswith("# ") and len(line.split()) > 1)
         raise FormatError(f"{path}: line {lineno}: expected one token per line, "
                           f"got {line!r}")

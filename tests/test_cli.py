@@ -773,13 +773,15 @@ def test_predict_two_tokens_on_a_line_names_the_file(tmp_path, capsys):
 
 def test_predict_ignores_a_max_len_beyond_memory(tmp_path, capsys):
     """forward builds position rows for the batch's width only, so a manifest
-    max_len of 10**12 (a 512 TB table at d_model 8) allocates nothing."""
+    max_len of 10**14 costs nothing. Its whole float64 table at d_model 8
+    would be 6.4 PB, beyond any 48-bit address space, so code that asked
+    for it would fail at once rather than allocate."""
     ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
     tokens = tmp_path / "tokens.txt"
     tokens.write_text("aspirin\nx\naspirin\naspirin\ny\n")
     assert main(["predict", str(ckpt), str(tokens)]) == 0
     want = capsys.readouterr().out
-    rewrite_manifest(ckpt, lambda m: m["config"].update(max_len=10**12))
+    rewrite_manifest(ckpt, lambda m: m["config"].update(max_len=10**14))
     assert main(["predict", str(ckpt), str(tokens)]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (want, "")
@@ -836,10 +838,10 @@ def test_predict_input_edge_cases(text, want):
     assert got == (("error", want) if isinstance(want, str) else ("ok", want))
 
 
-# line breaks, whitespace that breaks no line, a comment marker and its
-# lookalikes, and two tokens
-BLOCK_PIECES = ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "\xa0", "# ", "#",
-                "a", "b"]
+# line breaks, whitespace that breaks no line (ASCII and not), a comment
+# marker and its lookalike, and two tokens
+BLOCK_PIECES = ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "\x1f", "\xa0", "# ",
+                "#", "a", "b"]
 
 
 def test_predict_input_matches_the_reference_on_every_short_text():
