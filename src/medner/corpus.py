@@ -378,8 +378,10 @@ def spans_from_labels(labels: Sequence[TagLabel]) -> list[tuple[int, int, str]]:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _deidentified(tok: str) -> str:
-    """The placeholder for a PHI-shaped token text, else the text."""
+def deidentified(tok: str) -> str:
+    """The placeholder for a PHI-shaped token text, else the text. prepare
+    applies it to every token it writes, and tagging to every token text
+    before the vocabulary lookup."""
     if _PHI_BRACKET_RE.match(tok):
         return PHI_PLACEHOLDER
     if _DATE_RE.match(tok):
@@ -395,7 +397,7 @@ def deidentify(record: LabeledRecord) -> LabeledRecord:
     Idempotent: placeholders match none of the patterns. Each distinct
     token text is classified once per process (up to the cache's bound).
     """
-    return LabeledRecord(record.record_id, list(map(_deidentified, record.tokens)),
+    return LabeledRecord(record.record_id, list(map(deidentified, record.tokens)),
                          list(record.labels))
 
 

@@ -7,6 +7,7 @@ minutes; everything is seeded and deterministic.
 
 import math
 import os
+import re
 import time
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from medner.corpus import (
     build_vocab,
     gen_synthetic,
     label_index_from_types,
+    load_corpus,
     split,
 )
 from medner.evaluation import ComparisonRow, evaluate, render_comparison, span_metrics
-from medner.model import ModelConfig, forward, init_params, softmax
+from medner.model import ModelConfig, forward, init_params, load_checkpoint_full, softmax
 from medner.training import (
     TrainConfig,
     TrainLogRow,
@@ -431,4 +433,39 @@ def test_criterion_pipeline_determinism(quickstart_runs):
         "quickstart pipeline is byte-identical across reruns",
         not diffs,
         "; ".join(diffs) or f"{len(files)} files identical",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. No PHI-shaped token reaches the model
+# ---------------------------------------------------------------------------
+
+# The three de-identification rules as README states them: a bracketed
+# [**...**] placeholder, a date-shaped token, a run of 5 or more digits.
+PHI_SHAPED = re.compile(r"\[\*\*.*\*\*\]|\d{1,4}[/-]\d{1,4}[/-]\d{1,4}|.*\d{5,}.*")
+
+
+def _phi_shaped(tokens) -> list[str]:
+    return sorted({tok for tok in tokens if PHI_SHAPED.fullmatch(tok)})
+
+
+def _corpus_tokens(path):
+    return (tok for rec in load_corpus(path).records for tok in rec.tokens)
+
+
+def test_criterion_no_phi_shaped_token_reaches_the_model(quickstart_runs):
+    quickstart_dir, _, _ = quickstart_runs
+    data = quickstart_dir / "data"
+    raw = _phi_shaped(_corpus_tokens(quickstart_dir.parent.parent / "data/synthetic.conll"))
+    assert raw, "the README corpus holds PHI-shaped tokens for prepare to replace"
+    found = {name: _phi_shaped(_corpus_tokens(data / name))
+             for name in ("train.conll", "val.conll", "test.conll")}
+    found["vocab.txt"] = _phi_shaped((data / "vocab.txt").read_text().splitlines())
+    for name in ("best.ckpt", "final.ckpt"):
+        found[name] = _phi_shaped(load_checkpoint_full(quickstart_dir / name).vocab.id_to_token)
+    _report(
+        "no PHI-shaped token in the splits, vocab.txt or a checkpoint's vocabulary",
+        not any(found.values()),
+        f"{len(raw)} distinct PHI-shaped tokens in the raw corpus"
+        + "".join(f"; {name}: {tokens}" for name, tokens in found.items() if tokens),
     )

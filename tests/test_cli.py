@@ -24,6 +24,7 @@ from medner.model import (ModelConfig, init_params, load_checkpoint_full, save_c
                           sinusoidal_positions)
 
 from oracles import parse_token_blocks_by_line
+from test_evaluation import assert_no_children, force_fork, one_thread, refuse_fork
 from test_model import rewrite_manifest
 
 QUICK_CONFIG = """\
@@ -572,6 +573,32 @@ def test_checkpoint_whose_forward_overflows_exits_3(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@one_thread
+@pytest.mark.parametrize("verb", ["eval", "predict"])
+def test_forked_forward_that_overflows_exits_3_with_the_same_error(tmp_path, capsys,
+                                                                   monkeypatch, verb):
+    cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=8, max_len=8, dropout_rate=0.0)
+    params = init_params(cfg, 0)
+    params["emb.tok"] *= np.float32(1e30)
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(params, cfg, seed=0, path=ckpt,
+                    vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
+    data = tmp_path / "data.txt"
+    line = "aspirin\tB-Drug\n" if verb == "eval" else "aspirin\n"
+    data.write_text("\n".join(line * (1 + i % 5) for i in range(40)))
+    monkeypatch.setattr(medner.evaluation, "_BATCH_BYTES", 256)
+    children = force_fork(monkeypatch)
+    out = tmp_path / "out"
+    assert main([verb, str(ckpt), str(data), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {ckpt}: checkpoint weights give non-finite "
+                                       "values in the forward pass (overflow encountered in "
+                                       "square)\n")
+    assert not out.exists()
+    assert len(children) == 2
+    assert_no_children()
+
+
 def _bad_checkpoint(tmp_path, kind):
     path = tmp_path / "bad.ckpt"
     if kind == "directory":
@@ -786,6 +813,43 @@ def test_predict_ignores_a_max_len_beyond_memory(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (want, "")
     assert len(want.splitlines()) == 5
+
+
+def test_one_record_predict_never_forks(tmp_path, capsys, monkeypatch):
+    """Nor does it pay for the checks: the batch count alone rules it out."""
+    affinity_calls = []
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: affinity_calls.append(pid) or set(range(64)))
+    forks = refuse_fork(monkeypatch)
+    ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("aspirin\nx\n")
+    assert main(["predict", str(ckpt), str(tokens)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert (forks, affinity_calls) == ([], [])
+
+
+def test_predict_looks_tokens_up_de_identified(tmp_path, capsys):
+    """A raw date or id is tagged as the placeholder prepare writes for it,
+    not as an unknown token, and predict still writes the raw text."""
+    cfg = ModelConfig(vocab_size=5, n_labels=3, d_model=8, n_heads=2, n_layers=1,
+                      d_ff=8, max_len=8, dropout_rate=0.0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(cfg, 4), cfg, seed=4, path=ckpt,
+                    vocab=["<PAD>", "<UNK>", "aspirin", "<DATE>", "<ID>"], labels=["Drug"])
+
+    def tagged(*tokens):
+        path = tmp_path / "tokens.txt"
+        path.write_text("".join(f"{tok}\n" for tok in tokens))
+        assert main(["predict", str(ckpt), str(path)]) == 0
+        return [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+
+    raw = tagged("aspirin", "2021-03-04", "on", "123456")
+    assert [tok for tok, _ in raw] == ["aspirin", "2021-03-04", "on", "123456"]
+    placeholder_tags = [tag for _, tag in tagged("aspirin", "<DATE>", "on", "<ID>")]
+    assert [tag for _, tag in raw] == placeholder_tags
+    # the placeholders tag otherwise than unknown tokens would
+    assert placeholder_tags != [tag for _, tag in tagged("aspirin", "<UNK>", "on", "<UNK>")]
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])

@@ -3,7 +3,10 @@ oracle, report rendering, checkpoint-driven evaluation, and the
 comparison table.
 """
 
+import os
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -338,6 +341,141 @@ def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
         assert b == 1 or b * t * max(cfg.d_model, cfg.d_ff, cfg.n_heads * t) * 4 \
             <= evaluation._BATCH_BYTES
     assert predict_label_ids(params, cfg, []) == []
+
+
+one_thread = pytest.mark.skipif(
+    not evaluation._one_thread(),
+    reason="this process runs more than one thread, so bulk inference does not fork "
+           "(CI runs these with OPENBLAS_NUM_THREADS=1)")
+
+
+def force_fork(monkeypatch, cpus=3):
+    """Make predict_label_ids fork at two batches on `cpus` CPUs; returns
+    the list of child pids that os.fork gives this process."""
+    monkeypatch.setattr(evaluation, "_FORK_MIN_BATCHES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    real_fork, children = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return children
+
+
+def refuse_fork(monkeypatch):
+    """Make os.fork fail; returns the list of its calls. (predict_label_ids
+    would forward a batch whose fork failed in process, so a raise alone
+    would go unseen.)"""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError("fork refused by the test")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _random_rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(2, 30, size=k).tolist() for k in rng.integers(1, 13, size=n)]
+
+
+def _forked_config():
+    cfg = ModelConfig(vocab_size=30, n_labels=5, d_model=16, n_heads=2, n_layers=1,
+                      d_ff=32, max_len=12, dropout_rate=0.0)
+    return cfg, init_params(cfg, seed=3)
+
+
+@one_thread
+def test_forked_label_ids_equal_one_process(monkeypatch):
+    cfg, params = _forked_config()
+    rows = _random_rows(300)
+    want = predict_label_ids(params, cfg, rows)
+    monkeypatch.setattr(evaluation, "_BATCH_BYTES", 4096)
+    n_batches = len(evaluation._batches(params, cfg, rows))
+    assert n_batches >= 6
+    assert predict_label_ids(params, cfg, rows) == want  # smaller batches, one process
+    children = force_fork(monkeypatch)
+    assert predict_label_ids(params, cfg, rows) == want
+    assert len(children) == 2
+    assert_no_children()
+
+
+@one_thread
+def test_batches_a_child_fails_on_are_forwarded_here(monkeypatch):
+    cfg, params = _forked_config()
+    rows = _random_rows(300, seed=1)
+    monkeypatch.setattr(evaluation, "_BATCH_BYTES", 4096)
+    want = predict_label_ids(params, cfg, rows)
+    parent, real = os.getpid(), evaluation._batch_logits
+    forwarded_here = []
+
+    def child_fails_on_its_second_batch(params, config, id_rows, batch):
+        if os.getpid() == parent:
+            forwarded_here.append(batch)
+        elif batches.index(batch) >= 3:
+            raise FloatingPointError("overflow encountered in exp")
+        return real(params, config, id_rows, batch)
+
+    batches = evaluation._batches(params, cfg, rows)
+    monkeypatch.setattr(evaluation, "_batch_logits", child_fails_on_its_second_batch)
+    children = force_fork(monkeypatch)
+    assert predict_label_ids(params, cfg, rows) == want
+    assert len(children) == 2
+    # children 1 and 2 finished batches 1 and 2 only; this process forwarded the rest
+    assert len(forwarded_here) == len(batches) - 2
+    assert_no_children()
+
+
+@one_thread
+def test_an_interrupt_kills_and_reaps_the_children(monkeypatch):
+    cfg, params = _forked_config()
+    rows = _random_rows(300, seed=3)
+    monkeypatch.setattr(evaluation, "_BATCH_BYTES", 4096)
+    parent = os.getpid()
+
+    def interrupted(params, config, id_rows, batch):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation, "_batch_logits", interrupted)
+    children = force_fork(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        predict_label_ids(params, cfg, rows)
+    assert time.monotonic() - started < 30
+    assert len(children) == 2
+    assert_no_children()
+
+
+def test_a_process_running_another_thread_tags_in_process(monkeypatch):
+    cfg, params = _forked_config()
+    rows = _random_rows(300, seed=2)
+    monkeypatch.setattr(evaluation, "_BATCH_BYTES", 4096)
+    want = predict_label_ids(params, cfg, rows)
+    force_fork(monkeypatch)
+    forks = refuse_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert predict_label_ids(params, cfg, rows) == want
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
 
 
 def test_batch_budget_stays_below_the_mmap_threshold():
