@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages: gen-synthetic -> prepare ->
 train -> eval / predict, plus compare for result tables. Settings come
 from an INI-style config file (sections [data], [split], [model],
-[train], [output]); flags override file values, and MEDNER_SEED is the
-fallback seed when neither a flag nor the config provides one.
+[train], [output]); --seed and --out override file values, and
+MEDNER_SEED is the fallback seed when neither --seed nor the config
+provides one.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, a file that
 cannot be read or written (a closed stdout included) or a size that memory
@@ -155,8 +156,8 @@ def _load_gold(path, check_bio: bool = True) -> corpus_mod.Corpus:
 def cmd_prepare(args) -> int:
     cp = _load_config(args.config)
     out_dir = args.out or _cfg(cp, "data", "dir", str, "out")
-    min_freq = args.min_freq if args.min_freq is not None else _cfg(cp, "data", "min_freq", int, 1)
-    max_vocab = args.max_vocab if args.max_vocab is not None else _cfg(cp, "data", "max_vocab", int, 50000)
+    min_freq = _cfg(cp, "data", "min_freq", int, 1)
+    max_vocab = _cfg(cp, "data", "max_vocab", int, 50000)
     _require_file(args.corpus, "corpus file")
     corpus = _load_gold(args.corpus, check_bio=not args.repair)
 
@@ -203,7 +204,7 @@ def cmd_train(args) -> int:
     cp = _load_config(args.config)
     data_dir = _cfg(cp, "data", "dir", str, "out")
     out_dir = args.out or _cfg(cp, "output", "dir", str, data_dir)
-    precision = args.precision or _cfg(cp, "output", "precision", int, 32)
+    precision = _cfg(cp, "output", "precision", int, 32)
 
     train_path = os.path.join(data_dir, "train.conll")
     val_path = os.path.join(data_dir, "val.conll")
@@ -243,8 +244,7 @@ def cmd_eval(args) -> int:
     _require_file(args.corpus, "corpus file")
     corpus = _load_gold(args.corpus)
     try:
-        report = evaluation.evaluate(args.checkpoint, corpus,
-                                     gold_as_pred=args.gold_as_pred)
+        report = evaluation.evaluate(args.checkpoint, corpus)
     except CheckpointError:
         raise
     except FormatError as exc:  # a record or type of the corpus the model cannot take
@@ -353,25 +353,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--repair", action="store_true",
                    help="repair invalid BIO sequences instead of failing")
-    p.add_argument("--min-freq", type=int, default=None,
-                   help="minimum token frequency for the vocabulary (default 1)")
-    p.add_argument("--max-vocab", type=int, default=None,
-                   help="vocabulary size cap including PAD/UNK (default 50000)")
     p.set_defaults(func="cmd_prepare")
 
     p = sub.add_parser("train", help="train the token classifier")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", type=int, choices=(32, 64), default=None)
     p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a labeled corpus")
     p.add_argument("checkpoint")
     p.add_argument("corpus")
     p.add_argument("--out", default=None, help="directory for eval_report.txt")
-    p.add_argument("--gold-as-pred", action="store_true",
-                   help="score the gold labels against themselves (oracle)")
     p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("predict", help="tag a pre-tokenized text file")

@@ -19,7 +19,7 @@ import os
 import signal
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,26 +281,13 @@ def _one_thread() -> bool:
         return False
 
 
-def _forked_share(params, config, id_rows, batches: list[list[int]], processes: int,
-                  take) -> list[int]:
-    """Forward batch b here, through take(b, label_ids), when b % processes
-    is 0, and in one of processes - 1 forked children otherwise; returns
-    the batches left to forward, in order.
+def _forked_share(processes: int, share) -> None:
+    """Run share(w) in a forked child for each w in 1 .. processes - 1, and
+    share(0) here; returns once every child has exited.
 
-    A child writes each batch's label ids, then the batch's done flag, into
-    an anonymous shared mapping, and leaves through os._exit, 1 on any
-    error. A batch that no child finished is left to the caller, and so
-    is the rest of this process's share once one of its batches raises:
-    forwarded in order, the first batch to fail raises what it raises in
-    one process. Every child is reaped before this returns, and killed
-    first if this process's share was cut short by an error or an
-    interrupt.
+    A child leaves through os._exit, 1 if its share raised. What share(0)
+    raises propagates, after every child is killed and reaped.
     """
-    starts = [0, *itertools.accumulate(sum(len(id_rows[i]) for i in batch)
-                                       for batch in batches)]
-    shared = mmap.mmap(-1, 8 * starts[-1] + len(batches))
-    ids = np.frombuffer(shared, np.int64, starts[-1])
-    done = np.frombuffer(shared, np.uint8, len(batches), 8 * starts[-1])
     pids: list[int] = []
     finished = False
     # A child must not take an interrupt before its try below, nor this
@@ -315,10 +302,7 @@ def _forked_share(params, config, id_rows, batches: list[list[int]], processes: 
                     status = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        for b in range(worker, len(batches), processes):
-                            ids[starts[b]:starts[b + 1]] = predict_labels(
-                                _batch_logits(params, config, id_rows, batches[b]))
-                            done[b] = 1
+                        share(worker)
                         status = 0
                     finally:
                         os._exit(status)
@@ -326,12 +310,8 @@ def _forked_share(params, config, id_rows, batches: list[list[int]], processes: 
         finally:
             gc.unfreeze()
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for b in range(0, len(batches), processes):
-            take(b, predict_labels(_batch_logits(params, config, id_rows, batches[b])))
-            done[b] = 1
+        share(0)
         finished = True
-    except Exception:
-        pass  # the caller forwards what is left and raises the error in order
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
@@ -341,34 +321,45 @@ def _forked_share(params, config, id_rows, batches: list[list[int]], processes: 
                 os.waitpid(pid, 0)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    finished_batches = done.tolist()
-    for b in range(len(batches)):
-        if b % processes and finished_batches[b]:
-            take(b, ids[starts[b]:starts[b + 1]])
-    return [b for b, flag in enumerate(finished_batches) if not flag]
 
 
 def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Argmax label ids per token row, in input order.
 
-    Every batch is forwarded as batched_logits forwards it, so the ids do
-    not depend on which process forwarded it: over enough batches, forked
-    children share them (_processes, _forked_share).
+    Every batch is forwarded as batched_logits forwards it, into its slice
+    of one flat id buffer, and then marked done. Over enough batches,
+    forked children share them (_processes, _forked_share), and the buffer
+    is a shared mapping that they write too. A batch that no process
+    finished is forwarded here afterwards, in order, so the first batch
+    that fails raises what it raises in one process.
     """
     batches = _batches(params, config, id_rows)
-    out: list[list[int]] = [[] for _ in id_rows]
-
-    def take(b: int, label_ids: np.ndarray) -> None:
-        pred = iter(label_ids.tolist())
-        for row in batches[b]:
-            out[row] = list(itertools.islice(pred, len(id_rows[row])))
-
-    todo: Sequence[int] = range(len(batches))
+    starts = [0, *itertools.accumulate(sum(len(id_rows[i]) for i in batch)
+                                       for batch in batches)]
     processes = _processes(len(batches))
+    size = 8 * starts[-1] + len(batches)
+    buffer = mmap.mmap(-1, size) if processes > 1 else bytearray(size)
+    ids = np.frombuffer(buffer, np.int64, starts[-1])
+    done = np.frombuffer(buffer, np.uint8, len(batches), 8 * starts[-1])
+
+    def forward(todo: Iterable[int]) -> None:
+        for b in todo:
+            if not done[b]:
+                ids[starts[b]:starts[b + 1]] = predict_labels(
+                    _batch_logits(params, config, id_rows, batches[b]))
+                done[b] = 1
+
     if processes > 1:
-        todo = _forked_share(params, config, id_rows, batches, processes, take)
-    for b in todo:
-        take(b, predict_labels(_batch_logits(params, config, id_rows, batches[b])))
+        try:
+            _forked_share(processes,
+                          lambda worker: forward(range(worker, len(batches), processes)))
+        except Exception:
+            pass  # the loop below forwards what is left, in order, and raises there
+    forward(range(len(batches)))
+    pred = iter(ids.tolist())
+    out: list[list[int]] = [[] for _ in id_rows]
+    for row in itertools.chain.from_iterable(batches):
+        out[row] = list(itertools.islice(pred, len(id_rows[row])))
     return out
 
 
@@ -397,26 +388,17 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
     return [validate_bio([checkpoint.tags[i] for i in row], "repair") for row in pred_ids]
 
 
-def evaluate(
-    checkpoint_path,
-    corpus: Corpus,
-    gold_as_pred: bool = False,
-) -> EvalReport:
+def evaluate(checkpoint_path, corpus: Corpus) -> EvalReport:
     """Run the checkpointed model over a corpus and compute both metric
-    families. With gold_as_pred=True the gold labels stand in for the
-    model (an oracle run that must score 1.0 everywhere).
-    """
+    families."""
     data = load_checkpoint_full(checkpoint_path)
     missing = sorted(set(corpus.label_inventory) - set(data.labels))
     if missing:
         raise FormatError(f"label inventory mismatch: checkpoint {checkpoint_path} "
                           f"lacks {', '.join(missing)}")
     gold_lists = [rec.labels for rec in corpus.records]
-    if gold_as_pred:
-        pred_lists = gold_lists
-    else:
-        pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
-                              [f"record {rec.record_id!r}" for rec in corpus.records])
+    pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
+                          [f"record {rec.record_id!r}" for rec in corpus.records])
 
     span = span_metrics(pred_lists, gold_lists)
     label_index = {lab.tag: i for i, lab in enumerate(data.tags)}

@@ -160,9 +160,11 @@ def test_prepare_outputs_are_pinned(tmp_path):
         fh.write("\n# id: extra-1\nSeen\tO\n12/03/2019\tO\nzatoril\tI-Drug\n"
                  "[**Name**]\tI-Drug\n\n# id: extra-2\nmrn:99887766\tB-Disease\n"
                  "x\tI-Disease\ny\tI-Drug\n")
+    cfg = tmp_path / "min_freq.ini"
+    cfg.write_text("[data]\nmin_freq = 2\n")
     out = tmp_path / "prep"
-    assert main(["prepare", str(raw), "--out", str(out), "--seed", "5", "--repair",
-                 "--min-freq", "2"]) == 0
+    assert main(["prepare", str(raw), "--config", str(cfg), "--out", str(out), "--seed", "5",
+                 "--repair"]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in sorted(PREPARED_SHA256)}
     assert got == PREPARED_SHA256
@@ -218,19 +220,15 @@ def test_invalid_declared_type_exits_3_naming_file_and_line(tmp_path, capsys, ve
     ("min_freq", "0", "min_freq must be >= 1, got 0"),
     ("max_vocab", "1", "max_vocab must be >= 2 to hold PAD and UNK, got 1"),
 ])
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["config"])
 def test_prepare_out_of_range_vocab_setting_exits_2_naming_it(tmp_path, capsys, source,
                                                               key, value, needle):
     """A vocabulary setting below its floor is a usage error, not silently
-    read as the floor, whether it comes from the flag or the config."""
+    read as the floor."""
     raw = gen_corpus(tmp_path)
     cfg, data_dir, _ = write_config(tmp_path)
-    if source == "flag":
-        argv = ["prepare", str(raw), "--config", str(cfg), f"--{key.replace('_', '-')}", value]
-    else:
-        cfg.write_text(cfg.read_text().replace("[data]\n", f"[data]\n{key} = {value}\n"))
-        argv = ["prepare", str(raw), "--config", str(cfg)]
-    assert main(argv) == 2
+    cfg.write_text(cfg.read_text().replace("[data]\n", f"[data]\n{key} = {value}\n"))
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {needle}\n"
     assert not data_dir.exists()
 
@@ -446,6 +444,42 @@ def test_train_over_length_record_exits_3_naming_it(tmp_path, capsys):
     assert not (out_dir / "final.ckpt").exists()
 
 
+def _one_epoch_config(tmp_path, **model):
+    """Prepare the quick config's data; returns the config, set to train
+    one epoch with the given [model] values, and its output dir."""
+    raw = gen_corpus(tmp_path)
+    cfg, _, out_dir = write_config(tmp_path)
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    text = cfg.read_text().replace("max_epochs = 4", "max_epochs = 1")
+    for key, value in model.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg.write_text(text)
+    return cfg, out_dir
+
+
+def test_train_with_a_d_model_beyond_memory_exits_with_one_error_line(tmp_path, capsys):
+    """numpy refuses the first weight of a 2**40-wide model (344 TiB here,
+    beyond any address space) before it allocates it. 3 is out of memory;
+    a size bound on the config may make it a usage error, 2."""
+    cfg, out_dir = _one_epoch_config(tmp_path, d_model=2**40)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(out_dir.glob("*.ckpt"))
+
+
+def test_train_with_a_max_len_beyond_memory_trains_as_a_short_one(tmp_path):
+    """Positions are built for the widest batch, not for max_len, so a
+    max_len no memory could hold trains as a max_len of 32 does."""
+    cfg, out_dir = _one_epoch_config(tmp_path, max_len=32)
+    assert main(["train", "--config", str(cfg)]) == 0
+    short = (out_dir / "trainlog.csv").read_bytes()
+    cfg.write_text(cfg.read_text().replace("max_len = 32", f"max_len = {2**40}"))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (out_dir / "trainlog.csv").read_bytes() == short
+
+
 @pytest.mark.parametrize("setting", [
     "early_stop_patience = 0", "grad_clip_norm = -1", "grad_clip_norm = nan",
     "grad_clip_norm = inf", "learning_rate = nan", "learning_rate = inf",
@@ -513,16 +547,6 @@ def test_train_rerun_identical_trainlog(tmp_path):
     main(["train", "--config", str(cfg)])
     assert (out_dir / "trainlog.csv").read_bytes() == log1
     assert (out_dir / "final.ckpt").read_bytes() == ckpt1
-
-
-def test_eval_gold_as_pred_prints_100(pipeline, capsys):
-    _, data_dir, out_dir = pipeline
-    rc = main(["eval", str(out_dir / "best.ckpt"), str(data_dir / "test.conll"),
-               "--out", str(out_dir), "--gold-as-pred"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "P=100.0% R=100.0% F1=100.0%" in out
-    assert (out_dir / "eval_report.txt").exists()
 
 
 def test_eval_inventory_mismatch(pipeline, tmp_path, capsys):
@@ -1047,6 +1071,17 @@ def finished(proc, timeout=120):
     _, err = proc.communicate(timeout=timeout)
     assert "Traceback" not in err, err
     return proc.returncode, err
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    """numpy stays the only runtime dependency: importing the CLI in a fresh
+    interpreter loads no other top-level module."""
+    code = ("import sys; before = set(sys.modules); import medner.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                            check=True, capture_output=True, text=True, timeout=120).stdout
+    assert {"medner", "numpy"} <= set(loaded.split())
+    assert set(loaded.split()) - set(sys.stdlib_module_names) - {"medner", "numpy"} == set()
 
 
 def test_gen_synthetic_and_prepare_are_byte_identical_across_hash_seeds(tmp_path):

@@ -265,17 +265,6 @@ def small_checkpoint(tmp_path):
     return path, corpus
 
 
-def test_evaluate_gold_as_pred_is_perfect(small_checkpoint):
-    path, corpus = small_checkpoint
-    report = evaluate(path, corpus, gold_as_pred=True)
-    assert report.span.micro.f1 == 1.0
-    assert report.span.micro.precision == 1.0
-    assert report.span.micro.recall == 1.0
-    assert report.token.micro.f1 == 1.0
-    assert report.n_records == len(corpus)
-    assert "F1=100.0%" in report.summary()
-
-
 def test_evaluate_deterministic(small_checkpoint):
     path, corpus = small_checkpoint
     a = evaluate(path, corpus)
@@ -486,7 +475,7 @@ def test_batch_budget_stays_below_the_mmap_threshold():
 
 def test_report_render_keys(small_checkpoint):
     path, corpus = small_checkpoint
-    text = evaluate(path, corpus, gold_as_pred=True).render()
+    text = evaluate(path, corpus).render()
     lines = text.splitlines()
     assert "[spans]" in lines and "[tokens]" in lines
     assert lines.index("[spans]") < lines.index("[tokens]")

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from medner.cli import main
+from medner.corpus import Vocabulary, load_corpus
 
+from test_acceptance import PHI_SHAPED
 from test_cli import RESULTS, gen_corpus, write_config
 
 MUTANTS_PER_TARGET = 250
@@ -127,6 +129,29 @@ def test_mutated_input_exits_0_or_3_without_traceback(target, trained, tmp_path,
                        argv_for(trained, mutant, tmp_path / "out"), mutant, (0, 3), capsys)
     # the mutants reach both outcomes, so they exercise loading and rejecting
     assert set(codes) == {0, 3}, codes
+
+
+def test_prepared_mutants_hold_no_phi_shaped_token(trained, tmp_path, capsys):
+    """For each mutant of the prepare input that prepare takes, no token
+    text of a split or of vocab.txt is PHI-shaped. The generated corpus
+    holds dates only, so a record with a token of each rule is added.
+    Record ids on `# id:` lines are written verbatim and are not checked."""
+    base = trained["raw"].read_bytes() + (
+        b"\n# id: mrn-99887766\nSeen\tO\n[**Name**]\tO\n12/03/2019\tO\nmrn:99887766\tO\n")
+    rng = np.random.default_rng(sorted(TARGETS).index("prepare_input"))
+    mutant, out = tmp_path / "mutant", tmp_path / "out"
+    prepared = 0
+    for i in range(MUTANTS_PER_TARGET):
+        mutant.write_bytes(mutate(base, rng, len(base)))
+        if main(["prepare", str(mutant), "--out", str(out)]) != 0:
+            continue
+        prepared += 1
+        tokens = [tok for name in ("train.conll", "val.conll", "test.conll")
+                  for rec in load_corpus(out / name).records for tok in rec.tokens]
+        tokens += Vocabulary.load(out / "vocab.txt").id_to_token
+        assert not [tok for tok in tokens if PHI_SHAPED.fullmatch(tok)], i
+    capsys.readouterr()
+    assert prepared
 
 
 def test_mutated_config_exits_0_2_or_3_without_traceback(trained, tmp_path, capsys):
