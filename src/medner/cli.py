@@ -70,8 +70,6 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
     An unknown section or key is a usage error naming it."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     if path is not None:
-        if not os.path.exists(path):
-            raise FormatError(f"config file not found: {path}")
         try:
             cp.read_string(read_text(path), source=path)
         except configparser.Error as exc:
@@ -131,11 +129,6 @@ def _precision_dtype(precision: int):
     raise ValueError(f"precision must be 32 or 64, got {precision}")
 
 
-def _require_file(path, hint: str):
-    if not os.path.exists(path):
-        raise FormatError(f"{hint} not found: {path}")
-
-
 def _load_gold(path, check_bio: bool = True) -> corpus_mod.Corpus:
     """The labeled corpus at `path`. With check_bio, gold labels must be
     strict BIO; the error names the file and the record."""
@@ -158,7 +151,6 @@ def cmd_prepare(args) -> int:
     out_dir = args.out or _cfg(cp, "data", "dir", str, "out")
     min_freq = _cfg(cp, "data", "min_freq", int, 1)
     max_vocab = _cfg(cp, "data", "max_vocab", int, 50000)
-    _require_file(args.corpus, "corpus file")
     corpus = _load_gold(args.corpus, check_bio=not args.repair)
 
     cleaned = [corpus_mod.deidentify(rec) for rec in corpus.records]
@@ -209,8 +201,6 @@ def cmd_train(args) -> int:
     train_path = os.path.join(data_dir, "train.conll")
     val_path = os.path.join(data_dir, "val.conll")
     vocab_path = os.path.join(data_dir, "vocab.txt")
-    _require_file(train_path, "prepared training split (run `medner prepare` first)")
-    _require_file(vocab_path, "vocabulary file (run `medner prepare` first)")
     train_c = _load_gold(train_path)
     if not train_c.records:
         raise FormatError(f"{train_path}: training split is empty")
@@ -240,8 +230,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.corpus, "corpus file")
     corpus = _load_gold(args.corpus)
     try:
         report = evaluation.evaluate(args.checkpoint, corpus)
@@ -282,8 +270,6 @@ def _parse_token_blocks(text: str, path: str) -> list[list[str]]:
 
 
 def cmd_predict(args) -> int:
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.input, "input file")
     blocks = _parse_token_blocks(read_text(args.input), args.input)
 
     names = [f"{args.input}: block {b}" for b in range(1, len(blocks) + 1)]
@@ -299,9 +285,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _require_file(args.results, "results file")
+    text = read_text(args.results)
     try:
-        rows = evaluation.parse_comparison_rows(read_text(args.results))
+        rows = evaluation.parse_comparison_rows(text)
     except FormatError as exc:
         raise FormatError(f"{args.results}: {exc}") from None
     if args.sort:

@@ -194,8 +194,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, text: str) -> int:
-        return self.token_to_id.get(text, UNK_ID)
+    def ids(self, texts: Iterable[str]) -> list[int]:
+        """The id of each token text, looked up de-identified as prepare
+        writes it, or UNK_ID; training and tagging both look tokens up here."""
+        get = self.token_to_id.get
+        return [get(deidentified(text), UNK_ID) for text in texts]
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -380,8 +383,8 @@ def spans_from_labels(labels: Sequence[TagLabel]) -> list[tuple[int, int, str]]:
 @functools.lru_cache(maxsize=1 << 16)
 def deidentified(tok: str) -> str:
     """The placeholder for a PHI-shaped token text, else the text. prepare
-    applies it to every token it writes, and tagging to every token text
-    before the vocabulary lookup."""
+    applies it to every token it writes, and Vocabulary.ids to every token
+    text it looks up."""
     if _PHI_BRACKET_RE.match(tok):
         return PHI_PLACEHOLDER
     if _DATE_RE.match(tok):
@@ -467,8 +470,8 @@ def label_index_from_types(entity_types: Iterable[str]) -> dict[str, int]:
 def encode(
     record: LabeledRecord, vocab: Vocabulary, label_index: dict[str, int]
 ) -> tuple[list[int], list[int]]:
-    """Map tokens to vocabulary ids (UNK for unknown) and tags to label ids."""
-    token_ids = [vocab.lookup(tok) for tok in record.tokens]
+    """Map tokens to vocabulary ids (see Vocabulary.ids) and tags to label ids."""
+    token_ids = vocab.ids(record.tokens)
     label_ids = []
     for lab in record.labels:
         if lab.tag not in label_index:

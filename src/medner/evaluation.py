@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import UNK_ID, Corpus, TagLabel, deidentified, spans_from_labels, validate_bio
+from .corpus import Corpus, TagLabel, spans_from_labels, validate_bio
 from .errors import CheckpointError, FormatError
 from .model import CheckpointData, forward, load_checkpoint_full, pad_rows, predict_labels
 
@@ -366,19 +366,18 @@ def predict_label_ids(params, config, id_rows: Sequence[Sequence[int]]) -> list[
 def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
              row_names: Sequence[str]) -> list[list[TagLabel]]:
     """The checkpoint's BIO-repaired tags for each row of token texts, in
-    input order. Each token text is looked up de-identified, as prepare
-    writes it. A row longer than the model's max_len raises a FormatError
-    naming it by its entry in row_names. Finite weights that still overflow
-    in the forward pass raise a CheckpointError naming the checkpoint file,
-    rather than tag with non-finite values.
+    input order, each row looked up by Vocabulary.ids. A row longer than
+    the model's max_len raises a FormatError naming it by its entry in
+    row_names. Finite weights that still overflow in the forward pass raise
+    a CheckpointError naming the checkpoint file, rather than tag with
+    non-finite values.
     """
     max_len = checkpoint.config.max_len
     for row, name in zip(token_rows, row_names):
         if len(row) > max_len:
             raise FormatError(f"{name} has {len(row)} tokens but the model's "
                               f"max_len is {max_len}")
-    lookup, unk = checkpoint.vocab.token_to_id.get, UNK_ID
-    id_rows = [[lookup(deidentified(text), unk) for text in row] for row in token_rows]
+    id_rows = list(map(checkpoint.vocab.ids, token_rows))
     try:
         with np.errstate(over="raise", invalid="raise"):
             pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)

@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -71,10 +72,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -631,7 +628,7 @@ def load_checkpoint_full(path) -> CheckpointData:
     """Read and validate a checkpoint; rejections are CheckpointErrors
     whose message starts with the path."""
     try:
-        if not os.path.isfile(path):
+        if not stat.S_ISREG(os.stat(path).st_mode):
             raise CheckpointError("not a regular file")
         with open(path, "rb") as fh:
             return _read_checkpoint(fh, str(path))
@@ -664,9 +661,11 @@ def _read_checkpoint(fh, path: str) -> CheckpointData:
     file_size = os.fstat(fh.fileno()).st_size
     if header_len < 0 or file_size < header_end + 1:
         raise CheckpointError("truncated manifest")
+    # ValueError: bad JSON or UTF-8, or an integer past int's digit limit;
+    # RecursionError: arrays or objects nested past the recursion limit
     try:
         manifest = json.loads(fh.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError("unreadable manifest: not a JSON object")

@@ -480,6 +480,34 @@ def test_train_with_a_max_len_beyond_memory_trains_as_a_short_one(tmp_path):
     assert (out_dir / "trainlog.csv").read_bytes() == short
 
 
+def test_train_at_precision_64_writes_float64_checkpoints_that_eval_and_predict_read(
+        tmp_path, capsys):
+    cfg, out_dir = _one_epoch_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("precision = 32", "precision = 64"))
+    assert main(["train", "--config", str(cfg)]) == 0
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("patient\ntakes\n")
+    for name in ("best.ckpt", "final.ckpt"):
+        ckpt = out_dir / name
+        _, length, rest = ckpt.read_bytes().split(b"\n", 2)
+        manifest = json.loads(rest[:int(length)])
+        n_params = sum(int(np.prod(t["shape"])) for t in manifest["tensors"])
+        assert manifest["precision"] == 64
+        assert len(rest) - int(length) - 1 == 8 * n_params
+        assert main(["eval", str(ckpt), str(tmp_path / "prepared" / "test.conll"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["predict", str(ckpt), str(tokens)]) == 0
+
+
+def test_train_at_precision_16_exits_2_before_writing(tmp_path, capsys):
+    cfg, out_dir = _one_epoch_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("precision = 32", "precision = 16"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: precision must be 32 or 64, got 16\n"
+    assert not list(out_dir.glob("*.ckpt"))
+
+
 @pytest.mark.parametrize("setting", [
     "early_stop_patience = 0", "grad_clip_norm = -1", "grad_clip_norm = nan",
     "grad_clip_norm = inf", "learning_rate = nan", "learning_rate = inf",
@@ -623,13 +651,43 @@ def test_forked_forward_that_overflows_exits_3_with_the_same_error(tmp_path, cap
     assert_no_children()
 
 
+def _replace_manifest(path, manifest: bytes):
+    """Put the given bytes in place of the checkpoint's manifest."""
+    magic, length, rest = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"%s\n%d\n%s%s" % (magic, len(manifest), manifest, rest[int(length):]))
+
+
 def _bad_checkpoint(tmp_path, kind):
     path = tmp_path / "bad.ckpt"
     if kind == "directory":
         path.mkdir()
         return path
+    if kind == "missing":
+        return path
     _tiny_checkpoint(path)
-    if kind == "missing_offset":
+    if kind == "no_header_newline":
+        path.write_bytes(b"MEDNER-CKPT 3")
+    elif kind == "no_length_line":
+        path.write_bytes(b"MEDNER-CKPT 3\n")
+    elif kind == "bad_length":
+        path.write_bytes(re.sub(rb"\n\d+\n", b"\n12x\n", path.read_bytes(), count=1))
+    elif kind == "array_manifest":
+        _replace_manifest(path, b"[]")
+    elif kind == "deeply_nested_manifest":
+        _replace_manifest(path, b"[" * 100_000)
+    elif kind == "huge_integer":
+        _, length, rest = path.read_bytes().split(b"\n", 2)  # json.dumps cannot write one
+        _replace_manifest(path, rest[:int(length)].replace(b'"seed": 0',
+                                                           b'"seed": ' + b"7" * 5000))
+    elif kind == "format_version":
+        rewrite_manifest(path, lambda m: m.update(format_version=2))
+    elif kind == "precision_16":
+        rewrite_manifest(path, lambda m: m.update(precision=16))
+    elif kind == "tensors_not_objects":
+        rewrite_manifest(path, lambda m: m.update(tensors=[e["name"] for e in m["tensors"]]))
+    elif kind == "renamed_tensor":
+        rewrite_manifest(path, lambda m: m["tensors"][0].update(name="emb.word"))
+    elif kind == "missing_offset":
         rewrite_manifest(path, lambda m: m["tensors"][0].pop("offset"))
     elif kind == "permuted":
         rewrite_manifest(path, lambda m: m["tensors"].reverse())
@@ -654,10 +712,30 @@ def _bad_checkpoint(tmp_path, kind):
     return path
 
 
+# The reason each of these kinds gives, after "error: <ckpt>: "
+_BAD_CHECKPOINT_REASONS = {
+    "missing": "No such file or directory",
+    "directory": "not a regular file",
+    "no_header_newline": "not a checkpoint file: missing header",
+    "no_length_line": "not a checkpoint file: missing manifest length",
+    "bad_length": "not a checkpoint file: bad manifest length",
+    "array_manifest": "unreadable manifest: not a JSON object",
+    "deeply_nested_manifest": "unreadable manifest: maximum recursion depth exceeded",
+    "huge_integer": "unreadable manifest: Exceeds the limit (4300",
+    "format_version": "unsupported checkpoint version 2",
+    "precision_16": "unsupported precision tag 16",
+    "tensors_not_objects": "manifest 'tensors' is not a list of objects",
+    "renamed_tensor": "manifest tensors do not match config: missing=['emb.tok'] "
+                      "extra=['emb.word']",
+}
+
+
 @pytest.mark.parametrize("kind", ["missing_offset", "permuted", "nan_payload", "directory",
                                   "vocab_size", "n_labels", "no_inventory",
                                   "vocab_duplicate", "vocab_no_pad", "label_type",
-                                  "label_newline"])
+                                  "label_newline",
+                                  *(kind for kind in _BAD_CHECKPOINT_REASONS
+                                    if kind != "directory")])
 def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
     ckpt = _bad_checkpoint(tmp_path, kind)
     gold = tmp_path / "gold.conll"
@@ -667,7 +745,8 @@ def test_bad_checkpoint_exits_3_naming_file(tmp_path, capsys, kind):
     for argv in (["eval", str(ckpt), str(gold)], ["predict", str(ckpt), str(tokens)]):
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {ckpt}: "), err
+        assert err.startswith(f"error: {ckpt}: {_BAD_CHECKPOINT_REASONS.get(kind, '')}"), err
+        assert err.count("\n") == 1, err
 
 
 def _old_format_checkpoint(path, version):
@@ -765,12 +844,12 @@ def test_over_length_record_exits_3_naming_it(tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize("verb", ["prepare", "eval", "predict", "train", "compare"])
-@pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+@pytest.mark.parametrize("kind", ["non_utf8", "directory", "missing"])
 def test_unreadable_text_input_exits_3_naming_file(tmp_path, capsys, verb, kind):
     bad = tmp_path / "input.txt"
     if kind == "directory":
         bad.mkdir()
-    else:
+    elif kind == "non_utf8":
         bad.write_bytes(b"caf\xe9\tO\n")  # Latin-1, not UTF-8
     ckpt = _tiny_checkpoint(tmp_path / "model.ckpt")
     argv = {"prepare": ["prepare", str(bad), "--out", str(tmp_path / "prep")],
@@ -781,6 +860,9 @@ def test_unreadable_text_input_exits_3_naming_file(tmp_path, capsys, verb, kind)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: "), err
+    assert err.count(str(bad)) == 1, err
+    if kind == "missing":
+        assert err == f"error: {bad}: No such file or directory\n"
 
 
 def test_predict_roundtrip(pipeline, tmp_path, capsys):

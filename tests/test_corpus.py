@@ -515,7 +515,7 @@ def test_vocab_file_roundtrip(tmp_path):
     path.write_text("<PAD>\n<UNK>\nalpha\nbeta\n")
     vocab = Vocabulary.load(path)
     assert vocab.id_to_token == ["<PAD>", "<UNK>", "alpha", "beta"]
-    assert vocab.lookup("beta") == 3
+    assert vocab.ids(["beta", "gamma"]) == [3, 1]
     bad = tmp_path / "bad.txt"
     bad.write_text("alpha\nbeta\n")
     with pytest.raises(FormatError):
@@ -545,6 +545,10 @@ def test_encode_unk_and_roundtrip():
     # degenerate vocabulary: everything becomes UNK
     bare = Vocabulary(["<PAD>", "<UNK>"])
     assert encode(rec, bare, index)[0] == [1, 1]
+    # tokens are looked up de-identified, as prepare writes them and predict reads them
+    dated = Vocabulary(["<PAD>", "<UNK>", "a", "<DATE>"])
+    raw = make_record("r", ["a", "3/4/2019"], tags("O", "O"))
+    assert encode(raw, dated, index)[0] == [2, 3]
 
 
 def test_encode_unseen_tag():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from medner.corpus import (
+    UNK_ID,
     Corpus,
     LabeledRecord,
     TagLabel,
@@ -549,7 +550,7 @@ def test_tag_rows_matches_one_row_forwards_repaired(small_checkpoint):
     tag_of = list(label_index_from_types(data.labels))
     raw = []
     for row in rows:
-        ids = np.array([[data.vocab.lookup(text) for text in row]])
+        ids = np.array([[data.vocab.token_to_id.get(text, UNK_ID) for text in row]])
         logits, _ = forward(data.params, data.config, ids, need_trace=False)
         raw.append([TagLabel.from_tag(tag_of[i]) for i in np.argmax(logits, axis=-1)])
     want = [validate_bio(labels, "repair") for labels in raw]

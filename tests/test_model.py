@@ -820,4 +820,3 @@ def test_config_validation():
         tiny_config(dropout_rate=1.0)
     with pytest.raises(ValueError):
         tiny_config(n_layers=0)
-    assert tiny_config(d_model=12, n_heads=3).d_k == 4

@@ -227,7 +227,7 @@ def test_backward_with_dropout_masks_in_trace():
             q = split_heads(h @ pl["attn.wq"] + pl["attn.bq"], cfg.n_heads)
             k = split_heads(h @ pl["attn.wk"], cfg.n_heads)
             v = split_heads(h @ pl["attn.wv"] + pl["attn.bv"], cfg.n_heads)
-            probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_k))
+            probs = softmax(q @ k.swapaxes(-1, -2) / math.sqrt(cfg.d_model // cfg.n_heads))
             ctx = merge_heads((probs * lt.attn.drop) @ v)
             x = x + ctx @ pl["attn.wo"] + pl["attn.bo"]
             h2, _, _ = layer_norm(x, pl["ln2.g"], pl["ln2.b"])
