@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute-force and shares no algorithm with
 the package: span extraction enumerates every candidate run, the matcher
-intersects span sets built that way, the binary cross-entropy
+intersects span sets built that way, the token tally checks every token
+against every tag, the binary cross-entropy
 evaluates the textbook two-class formula directly, and the plateau
 schedule recomputes every epoch's improvement from the whole prefix,
 attention works one query row and one key at a time in plain floats,
@@ -42,6 +43,44 @@ def brute_force_match(pred_tags: list[str], gold_tags: list[str]) -> tuple[int, 
     gold = set(brute_force_spans(gold_tags))
     tp = len(pred & gold)
     return tp, len(pred) - tp, len(gold) - tp
+
+
+def brute_force_span_tally(pred_rows: list[list[str]],
+                           gold_rows: list[list[str]]) -> dict[str, tuple[int, int, int]]:
+    """(tp, fp, fn) per entity type over records, from the two span sets of
+    each record built by brute_force_spans; a type no span of either side
+    has is absent."""
+    tally: dict[str, list[int]] = {}
+    for pred_tags, gold_tags in zip(pred_rows, gold_rows):
+        pred = set(brute_force_spans(pred_tags))
+        gold = set(brute_force_spans(gold_tags))
+        for span in pred | gold:
+            counts = tally.setdefault(span[2], [0, 0, 0])
+            if span in pred and span in gold:
+                counts[0] += 1
+            elif span in pred:
+                counts[1] += 1
+            else:
+                counts[2] += 1
+    return {etype: tuple(counts) for etype, counts in tally.items()}
+
+
+def brute_force_token_tally(pred_tags: list[str], gold_tags: list[str],
+                            tag_set: list[str]) -> dict[str, tuple[int, int, int]]:
+    """One-vs-rest (tp, fp, fn) of every tag in tag_set, counted one token
+    and one tag at a time over two equally long tag lists."""
+    tally = {}
+    for tag in tag_set:
+        tp = fp = fn = 0
+        for pred, gold in zip(pred_tags, gold_tags):
+            if pred == tag and gold == tag:
+                tp += 1
+            elif pred == tag:
+                fp += 1
+            elif gold == tag:
+                fn += 1
+        tally[tag] = (tp, fp, fn)
+    return tally
 
 
 def is_valid_bio(tags: list[str]) -> bool:

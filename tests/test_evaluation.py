@@ -26,6 +26,9 @@ from medner.errors import CheckpointError, FormatError
 from medner.evaluation import (
     PRF,
     ComparisonRow,
+    EvalReport,
+    SpanMetrics,
+    TokenMetrics,
     evaluate,
     format_pct,
     parse_comparison_rows,
@@ -37,7 +40,13 @@ from medner.evaluation import (
 )
 from medner.model import ModelConfig, forward, init_params, load_checkpoint_full, save_checkpoint
 
-from oracles import all_valid_bio, brute_force_match, is_valid_bio
+from oracles import (
+    all_valid_bio,
+    brute_force_match,
+    brute_force_span_tally,
+    brute_force_token_tally,
+    is_valid_bio,
+)
 from test_model import rewrite_manifest
 
 
@@ -505,6 +514,32 @@ def test_report_render_keys(small_checkpoint):
     assert any(ln.startswith("label.B-Drug.support = ") for ln in lines)
     for ln in lines:
         assert ln.startswith(("#", "[")) or " = " in ln
+
+
+def test_evaluate_report_equals_the_oracles_report(small_checkpoint):
+    """The report's bytes are those of the oracles' span and token counts
+    over the tags that tag_rows gives, so they hold whichever BLAS computed
+    the untrained model's tags."""
+    path, corpus = small_checkpoint
+    data = load_checkpoint_full(path)
+    pred = [[lab.tag for lab in row] for row in
+            tag_rows(data, [rec.tokens for rec in corpus.records],
+                     [rec.record_id for rec in corpus.records])]
+    gold = [[lab.tag for lab in rec.labels] for rec in corpus.records]
+    spans = brute_force_span_tally(pred, gold)
+    tokens = brute_force_token_tally([t for row in pred for t in row],
+                                     [t for row in gold for t in row],
+                                     [lab.tag for lab in data.tags])
+    want = EvalReport(
+        n_records=len(gold),
+        n_tokens=sum(map(len, gold)),
+        span=SpanMetrics(micro=PRF(*map(sum, zip(*spans.values()))),
+                         per_type={etype: PRF(*c) for etype, c in spans.items()}),
+        token=TokenMetrics(micro=PRF(*map(sum, zip(*(c for tag, c in tokens.items()
+                                                      if tag != "O")))),
+                           per_label={tag: PRF(*c) for tag, c in tokens.items()}))
+    assert want.span.micro.fp and want.span.micro.fn and want.token.micro.tp
+    assert evaluate(path, corpus).render() == want.render()
 
 
 # ---------------------------------------------------------------------------
