@@ -231,6 +231,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus = _load_gold(args.corpus)
+    if not corpus.records:
+        raise FormatError(f"{args.corpus}: no records to evaluate")
     try:
         report = evaluation.evaluate(args.checkpoint, corpus)
     except CheckpointError:

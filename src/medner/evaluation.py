@@ -2,9 +2,11 @@
 model-comparison table.
 
 Span metrics use the exact-match criterion: a predicted span counts as a
-true positive iff (start, end, type) all equal a gold span. Gold must be
-strict BIO; in a prediction, an I that continues no span of its type
-starts one, as BIO repair would make it.
+true positive iff (start, end, type) all equal a gold span. In a
+prediction, an I that continues no span of its type starts one, as BIO
+repair would make it. Gold must be strict BIO, which scoring does not
+check: gold is checked once, where it is read (cli._load_gold names the
+file and the record of a violation).
 Whether published NER figures are token- or span-level micro or macro is
 often ambiguous, so reports carry both families and flag span-level micro
 as the headline.
@@ -15,8 +17,10 @@ from __future__ import annotations
 import gc
 import itertools
 import mmap
+import operator
 import os
 import signal
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
@@ -63,7 +67,7 @@ class SpanMetrics:
 @dataclass
 class TokenMetrics:
     micro: PRF                 # pooled one-vs-rest counts over non-O labels
-    per_label: dict[str, PRF]  # every tag in the label index, O included
+    per_label: dict[str, PRF]  # every tag of the model's tag table, O included
 
 
 @dataclass
@@ -122,9 +126,10 @@ def span_metrics(
 ) -> SpanMetrics:
     """Exact-match span counts pooled over records.
 
-    Gold sequences must be strict-BIO valid (BioViolationError
-    otherwise); predictions may be raw argmax output, see
-    spans_from_labels.
+    Gold sequences must be strict BIO, as cli._load_gold checks them
+    when it reads a corpus; scoring does not check them again, and the
+    spans of invalid gold are those of its repair. Predictions may be raw
+    argmax output, see spans_from_labels.
     """
     if len(pred_labels) != len(gold_labels):
         raise ValueError(
@@ -134,7 +139,6 @@ def span_metrics(
     for i, (pred, gold) in enumerate(zip(pred_labels, gold_labels)):
         if len(pred) != len(gold):
             raise ValueError(f"record {i}: length mismatch {len(pred)} vs {len(gold)}")
-        validate_bio(gold, "strict")
         gold_spans = set(spans_from_labels(gold))
         pred_spans = set(spans_from_labels(pred))
         for slot, spans in enumerate((pred_spans & gold_spans, pred_spans - gold_spans,
@@ -147,28 +151,27 @@ def span_metrics(
     return SpanMetrics(micro=micro, per_type=per_type)
 
 
-def token_metrics(pred_label_ids, gold_label_ids, id_to_tag: Sequence[str]) -> TokenMetrics:
-    """One-vs-rest counts per label, label id i being tag id_to_tag[i]; the
-    micro average pools counts over all non-O labels.
+def token_metrics(
+    pred_labels: Sequence[Sequence[TagLabel]],
+    gold_labels: Sequence[Sequence[TagLabel]],
+    tags: Sequence[TagLabel],
+) -> TokenMetrics:
+    """One-vs-rest counts per tag over the rows that span_metrics takes.
+    `tags` is the model's tag table (CheckpointData.tags), and every tag of
+    either side must be in it. The micro average pools counts over all
+    non-O tags.
     """
-    pred = np.asarray(pred_label_ids)
-    gold = np.asarray(gold_label_ids)
-    if pred.shape != gold.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs gold {gold.shape}")
-    per_label: dict[str, PRF] = {}
-    pooled = [0, 0, 0]
-    for label_id, tag in enumerate(id_to_tag):
-        is_pred = pred == label_id
-        is_gold = gold == label_id
-        tp = int((is_pred & is_gold).sum())
-        fp = int((is_pred & ~is_gold).sum())
-        fn = int((~is_pred & is_gold).sum())
-        per_label[tag] = PRF(tp, fp, fn)
-        if tag != "O":
-            pooled[0] += tp
-            pooled[1] += fp
-            pooled[2] += fn
-    return TokenMetrics(micro=PRF(*pooled), per_label=per_label)
+    if list(map(len, pred_labels)) != list(map(len, gold_labels)):
+        raise ValueError("pred and gold rows differ in count or length")
+    pred, gold = ([lab.tag for lab in itertools.chain.from_iterable(rows)]
+                  for rows in (pred_labels, gold_labels))
+    n_pred, n_gold = Counter(pred), Counter(gold)
+    hits = Counter(itertools.compress(pred, map(operator.eq, pred, gold)))
+    per_label = {lab.tag: PRF(hits[lab.tag], n_pred[lab.tag] - hits[lab.tag],
+                              n_gold[lab.tag] - hits[lab.tag]) for lab in tags}
+    pooled = [prf for tag, prf in per_label.items() if tag != "O"]
+    micro = PRF(sum(p.tp for p in pooled), sum(p.fp for p in pooled), sum(p.fn for p in pooled))
+    return TokenMetrics(micro=micro, per_label=per_label)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +401,11 @@ def evaluate(checkpoint_path, corpus: Corpus) -> EvalReport:
     pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
                           [f"record {rec.record_id!r}" for rec in corpus.records])
 
-    span = span_metrics(pred_lists, gold_lists)
-    label_index = {lab.tag: i for i, lab in enumerate(data.tags)}
-    flat_pred, flat_gold = (
-        np.array([label_index[lab.tag] for labels in rows for lab in labels], dtype=np.int64)
-        for rows in (pred_lists, gold_lists))
-    token = token_metrics(flat_pred, flat_gold, id_to_tag=list(label_index))
     return EvalReport(
         n_records=len(corpus.records),
-        n_tokens=int(flat_gold.size),
-        span=span,
-        token=token,
+        n_tokens=sum(map(len, gold_lists)),
+        span=span_metrics(pred_lists, gold_lists),
+        token=token_metrics(pred_lists, gold_lists, data.tags),
     )
 
 

