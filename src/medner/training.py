@@ -418,7 +418,8 @@ def train(
     (earliest on ties); without a validation split, scheduling and best
     selection fall back to the training loss. On divergence the last good
     parameters are written out (when out_dir is set) and DivergenceError
-    is raised.
+    is raised. A model config whose parameter-sized state would pass
+    MAX_STATE_BYTES raises ValueError before anything is allocated.
     """
     if not train_corpus.records:
         raise ValueError("training split is empty")
