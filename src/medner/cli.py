@@ -129,14 +129,15 @@ def _precision_dtype(precision: int):
     raise ValueError(f"precision must be 32 or 64, got {precision}")
 
 
-def _load_gold(path, check_bio: bool = True, text: Optional[str] = None) -> corpus_mod.Corpus:
+def _load_gold(path, mode: str = "strict", text: Optional[str] = None) -> corpus_mod.Corpus:
     """The labeled corpus at `path` (parsed from `text` when the file is
-    read already). With check_bio, gold labels must be strict BIO; the
-    error names the file and the record."""
+    read already), each record's labels as validate_bio(labels, mode)
+    returns them: checked strict BIO, where an error names the file and
+    the record, or repaired."""
     corpus = corpus_mod.load_corpus(path, text)
-    for rec in corpus.records if check_bio else ():
+    for rec in corpus.records:
         try:
-            corpus_mod.validate_bio(rec.labels, "strict")
+            rec.labels = corpus_mod.validate_bio(rec.labels, mode)
         except BioViolationError as exc:
             raise FormatError(f"{path}: record {rec.record_id!r}: {exc}") from None
     return corpus
@@ -152,17 +153,13 @@ def cmd_prepare(args) -> int:
     out_dir = args.out or _cfg(cp, "data", "dir", str, "out")
     min_freq = _cfg(cp, "data", "min_freq", int, 1)
     max_vocab = _cfg(cp, "data", "max_vocab", int, 50000)
-    corpus = _load_gold(args.corpus, check_bio=not args.repair)
-
-    cleaned = [corpus_mod.deidentify(rec) for rec in corpus.records]
-    if args.repair:
-        for rec in cleaned:  # new records, so the parsed corpus keeps its labels
-            rec.labels = corpus_mod.validate_bio(rec.labels, "repair")
-    prepared = corpus_mod.Corpus(cleaned, label_inventory=corpus.label_inventory)
+    corpus = _load_gold(args.corpus, "repair" if args.repair else "strict")
+    for rec in corpus.records:
+        corpus_mod.deidentify(rec)
 
     spec = _config(cp, "split", args.seed)
     try:
-        train_c, val_c, test_c = corpus_mod.split(prepared, spec)
+        train_c, val_c, test_c = corpus_mod.split(corpus, spec)
     except FormatError as exc:  # too few records to split
         raise FormatError(f"{args.corpus}: {exc}") from None
     for name, part in (("train", train_c), ("val", val_c), ("test", test_c)):
@@ -181,14 +178,14 @@ def cmd_prepare(args) -> int:
         "fractions": [spec.train_frac, spec.val_frac, spec.test_frac],
         "sizes": {"train": len(train_c), "val": len(val_c), "test": len(test_c)},
         "vocab_size": len(vocab),
-        "label_inventory": prepared.label_inventory,
+        "label_inventory": corpus.label_inventory,
         "min_freq": min_freq,
         "max_vocab": max_vocab,
         "repair": bool(args.repair),
     }
     atomic_write_text(os.path.join(out_dir, "manifest.json"),
                       json.dumps(manifest, indent=2) + "\n")
-    print(f"prepared {len(prepared)} records -> train={len(train_c)} "
+    print(f"prepared {len(corpus)} records -> train={len(train_c)} "
           f"val={len(val_c)} test={len(test_c)}, vocab={len(vocab)} -> {out_dir}")
     return 0
 

@@ -136,7 +136,7 @@ class Corpus:
 
     The inventory is given, not derived from the records: it covers every
     type in them and may declare more. parse_conll and gen_synthetic decide
-    it; de-identified copies and splits carry their parent's forward.
+    it; splits carry their parent's forward.
     """
 
     records: list[LabeledRecord]
@@ -396,14 +396,14 @@ def deidentified(tok: str) -> str:
     return tok
 
 
-def deidentify(record: LabeledRecord) -> LabeledRecord:
-    """Replace PHI-shaped token texts with placeholders; labels untouched.
+def deidentify(record: LabeledRecord) -> None:
+    """Replace the record's PHI-shaped token texts with placeholders, in
+    place; labels untouched.
 
     Idempotent: placeholders match none of the patterns. Each distinct
     token text is classified once per process (up to the cache's bound).
     """
-    return LabeledRecord(record.record_id, list(map(deidentified, record.tokens)),
-                         list(record.labels))
+    record.tokens = list(map(deidentified, record.tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +446,15 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
 def build_vocab(train: Corpus, min_freq: int = 1, max_vocab: int = 50000) -> Vocabulary:
     """Count tokens in the training split only; keep those with frequency
     >= min_freq, highest frequency first (ties lexicographic), truncated
-    to max_vocab ids total including PAD/UNK.
+    to max_vocab ids total including PAD/UNK. The reserved texts are not
+    counted: they keep ids 0 and 1 wherever they occur.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if max_vocab < 2:
         raise ValueError(f"max_vocab must be >= 2 to hold PAD and UNK, got {max_vocab}")
     counts = Counter(itertools.chain.from_iterable(map(attrgetter("tokens"), train.records)))
+    del counts[PAD_TOKEN], counts[UNK_TOKEN]  # a Counter ignores a missing key
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),

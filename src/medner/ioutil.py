@@ -10,11 +10,12 @@ from .errors import FormatError
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of the file at `path`. A file that cannot be opened or
-    decoded raises a FormatError whose message starts with the path."""
+    """The UTF-8 text of the file at `path`, less a leading byte-order mark.
+    A file that cannot be opened or decoded raises a FormatError whose
+    message starts with the path and counts bytes from the file's start."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except OSError as exc:

@@ -398,6 +398,9 @@ def model_entity_types(train_corpus: Corpus, val_corpus: Optional[Corpus]) -> li
         val_corpus.label_inventory if val_corpus is not None else ()))
 
 
+# numpy does not warn of the overflow or the NaN of a diverging run: the
+# finiteness checks below find it and raise DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_corpus: Corpus,
     val_corpus: Optional[Corpus],

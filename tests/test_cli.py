@@ -183,6 +183,17 @@ def test_prepare_applies_deid(tmp_path):
     assert "<DATE>" in text and "<ID>" in text
 
 
+def test_prepare_with_reserved_texts_in_the_train_split(tmp_path):
+    raw = tmp_path / "raw.conll"
+    raw.write_text("".join(f"<PAD>\tO\n<UNK>\tB-D\n{tok}\tO\n\n" for tok in "abc"))
+    out = tmp_path / "prep"
+    assert main(["prepare", str(raw), "--out", str(out), "--seed", "1"]) == 0
+    vocab = (out / "vocab.txt").read_text().splitlines()
+    assert vocab[:2] == ["<PAD>", "<UNK>"]
+    assert vocab.count("<PAD>") == vocab.count("<UNK>") == 1
+    assert "<PAD>\tO\n<UNK>\tB-D\n" in (out / "train.conll").read_text()
+
+
 def test_prepare_invalid_tag_reports_line(tmp_path, capsys):
     raw = tmp_path / "raw.conll"
     raw.write_text("a\tO\nb\tO\nc\tBAD-\n")
@@ -423,18 +434,19 @@ def test_train_missing_vocab_actionable(tmp_path, capsys):
 
 
 def test_train_divergence_exit_code_4(tmp_path, capsys):
-    import numpy as np
-
+    """Exit 4 and one error line, with no numpy RuntimeWarning before it
+    (pytest fails a test on one)."""
     raw = gen_corpus(tmp_path)
     cfg_path, data_dir, out_dir = write_config(tmp_path)
     text = cfg_path.read_text().replace("learning_rate = 1e-3",
                                         "learning_rate = 1e25")
     cfg_path.write_text(text)
     main(["prepare", str(raw), "--config", str(cfg_path)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["train", "--config", str(cfg_path)])
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg_path)])
     assert rc == 4
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1, err
     # last good checkpoint retained
     assert (out_dir / "final.ckpt").exists()
 
@@ -887,6 +899,40 @@ def test_unreadable_text_input_exits_3_naming_file(tmp_path, capsys, verb, kind)
     assert err.count(str(bad)) == 1, err
     if kind == "missing":
         assert err == f"error: {bad}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("where", ["corpus", "config", "predict input"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, where):
+    """A UTF-8 file may start with U+FEFF, as some editors save it; each
+    input reads as it would without it."""
+
+    def written(path, text, bom):
+        path.write_text("\ufeff" * bom + text, encoding="utf-8")
+        return str(path)
+
+    def outputs(bom):
+        run = tmp_path / f"bom{bom:d}"
+        run.mkdir()
+        if where == "predict input":
+            tokens = written(run / "tokens.txt", "aspirin\nx\n\naspirin\n", bom)
+            assert main(["predict", str(_tiny_checkpoint(run / "model.ckpt")), tokens]) == 0
+            return capsys.readouterr().out
+        corpus = written(run / "raw.conll", "a\tO\nb\tB-D\n\na\tO\n\nc\tO\n",
+                         bom and where == "corpus")
+        config = written(run / "run.ini", "[data]\nmin_freq = 2\n", bom and where == "config")
+        assert main(["prepare", corpus, "--config", config, "--out", str(run / "prep"),
+                     "--seed", "0"]) == 0
+        return {path.name: path.read_bytes() for path in (run / "prep").iterdir()}
+
+    assert outputs(True) == outputs(False)
+
+
+def test_a_byte_order_mark_counts_in_a_decoding_error_offset(tmp_path, capsys):
+    bad = tmp_path / "raw.conll"
+    bad.write_bytes(b"\xef\xbb\xbfcaf\xe9\tO\n")  # Latin-1 after a UTF-8 BOM
+    assert main(["prepare", str(bad)]) == 3
+    assert capsys.readouterr().err == (f"error: {bad}: not UTF-8 text: invalid "
+                                       "continuation byte at byte 6\n")
 
 
 def test_predict_roundtrip(pipeline, tmp_path, capsys):

@@ -399,20 +399,21 @@ def test_spans_match_brute_force_exhaustive():
 )
 def test_deid_patterns(text, expected):
     rec = make_record("r", [text], tags("O"))
-    assert deidentify(rec).tokens[0] == expected
+    deidentify(rec)
+    assert rec.tokens == [expected]
 
 
 def test_deid_idempotent_and_label_preserving():
-    rec = make_record(
-        "r",
-        ["check", "12/03/2019", "9998887", "[**Name**]"],
-        tags("O", "B-D", "I-D", "O"),
-    )
-    once = deidentify(rec)
-    twice = deidentify(once)
-    assert once.tokens == twice.tokens
-    assert once.labels == rec.labels
-    assert len(once.tokens) == len(rec.tokens)
+    """deidentify rewrites the record's token texts in place and leaves its
+    labels as they were, the same list."""
+    labels = tags("O", "B-D", "I-D", "O")
+    rec = make_record("r", ["check", "12/03/2019", "9998887", "[**Name**]"], labels)
+    deidentify(rec)
+    once = list(rec.tokens)
+    assert once == ["check", "<DATE>", "<ID>", "<PHI>"]
+    deidentify(rec)
+    assert rec.tokens == once
+    assert rec.labels is labels and labels == tags("O", "B-D", "I-D", "O")
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +509,16 @@ def test_build_vocab_max_size_truncates():
     assert len(build_vocab(corpus, max_vocab=3)) == 3
     with pytest.raises(ValueError, match="max_vocab"):
         build_vocab(corpus, max_vocab=1)
+
+
+def test_build_vocab_counts_no_reserved_text():
+    """A token text <PAD> or <UNK> in the split keeps id 0 or 1, which
+    Vocabulary.ids gives it, and takes no slot of max_vocab."""
+    corpus = Corpus([make_record("1", ["<UNK>", "a", "<PAD>", "<UNK>", "b", "b"],
+                                 tags("O", "O", "O", "O", "O", "O"))], label_inventory=[])
+    vocab = build_vocab(corpus, max_vocab=3)
+    assert vocab.id_to_token == ["<PAD>", "<UNK>", "b"]
+    assert vocab.ids(["<PAD>", "<UNK>", "b", "a"]) == [0, 1, 2, 1]
 
 
 def test_vocab_file_roundtrip(tmp_path):
