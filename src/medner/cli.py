@@ -7,9 +7,11 @@ from an INI-style config file (sections [data], [split], [model],
 MEDNER_SEED is the fallback seed when neither --seed nor the config
 provides one.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, a file that
-cannot be read or written (a closed stdout included) or a size that memory
-cannot hold, 4 numerical failure (divergence/NaN), 130 interrupted.
+Exit codes: 0 success, 2 usage error (errors.UsageError, raised only by
+the checks of settings), 3 data/format error, a file that cannot be read
+or written (a closed stdout included) or a size that memory cannot hold,
+4 numerical failure (divergence/NaN), 130 interrupted. Any other
+exception is a defect and escapes main with its traceback.
 Outputs are written to a temp file and renamed into place, so failures
 never leave partial files behind.
 """
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, training
-from .errors import BioViolationError, CheckpointError, FormatError, NumericalError
+from .errors import BioViolationError, CheckpointError, FormatError, NumericalError, UsageError
 from .ioutil import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint_full
 from .training import TrainConfig
@@ -77,11 +79,11 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
     # [DEFAULT] first: its keys would otherwise show up in every section
     for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
         if section not in CONFIG_KEYS:
-            raise ValueError(f"{path}: [{section}]: unknown section "
+            raise UsageError(f"{path}: [{section}]: unknown section "
                              f"(known: {', '.join(CONFIG_KEYS)})")
         for key in cp.options(section):
             if key not in CONFIG_KEYS[section]:
-                raise ValueError(f"{path}: [{section}] {key}: unknown key "
+                raise UsageError(f"{path}: [{section}] {key}: unknown key "
                                  f"(known: {', '.join(sorted(CONFIG_KEYS[section]))})")
     return cp
 
@@ -106,7 +108,7 @@ def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default:
         try:
             return int(env)
         except ValueError:
-            raise ValueError(f"MEDNER_SEED is not an integer: {env!r}") from None
+            raise UsageError(f"MEDNER_SEED is not an integer: {env!r}") from None
     return default
 
 
@@ -126,7 +128,7 @@ def _precision_dtype(precision: int):
         return np.float32
     if precision == 64:
         return np.float64
-    raise ValueError(f"precision must be 32 or 64, got {precision}")
+    raise UsageError(f"precision must be 32 or 64, got {precision}")
 
 
 def _load_gold(path, mode: str = "strict", text: Optional[str] = None) -> corpus_mod.Corpus:
@@ -407,7 +409,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # memory than this machine gives, whichever input it was
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

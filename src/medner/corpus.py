@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import BioViolationError, FormatError
+from .errors import BioViolationError, FormatError, UsageError
 from .ioutil import read_text
 
 PAD_TOKEN = "<PAD>"
@@ -170,11 +170,11 @@ class SplitSpec:
             ("test_frac", self.test_frac),
         ):
             if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {frac}")
+                raise UsageError(f"{name} must be in [0, 1], got {frac}")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+            raise UsageError("split fractions must sum to 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
 
 
 @dataclass
@@ -450,9 +450,9 @@ def build_vocab(train: Corpus, min_freq: int = 1, max_vocab: int = 50000) -> Voc
     counted: they keep ids 0 and 1 wherever they occur.
     """
     if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        raise UsageError(f"min_freq must be >= 1, got {min_freq}")
     if max_vocab < 2:
-        raise ValueError(f"max_vocab must be >= 2 to hold PAD and UNK, got {max_vocab}")
+        raise UsageError(f"max_vocab must be >= 2 to hold PAD and UNK, got {max_vocab}")
     counts = Counter(itertools.chain.from_iterable(map(attrgetter("tokens"), train.records)))
     del counts[PAD_TOKEN], counts[UNK_TOKEN]  # a Counter ignores a missing key
     kept = sorted(
@@ -558,21 +558,21 @@ def gen_synthetic(
     min(): those calls were most of the generator's time.
     """
     if n_records < 1:
-        raise ValueError("n_records must be >= 1")
+        raise UsageError("n_records must be >= 1")
     if not entity_types:
-        raise ValueError("entity_types must be non-empty")
+        raise UsageError("entity_types must be non-empty")
     if vocab_size < 20:
-        raise ValueError("vocab_size must be >= 20")
+        raise UsageError("vocab_size must be >= 20")
     if max_len < 4:
-        raise ValueError("max_len must be >= 4")
+        raise UsageError("max_len must be >= 4")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise UsageError("seed must be >= 0")
     types = list(entity_types)
     for etype in types:
         if not _TYPE_RE.match(etype):
-            raise ValueError(f"invalid entity type {etype!r}")
+            raise UsageError(f"invalid entity type {etype!r}")
     if len(set(types)) != len(types):
-        raise ValueError("entity_types contains duplicates")
+        raise UsageError("entity_types contains duplicates")
 
     words = _pseudo_words(vocab_size)
     per_type = max(3, (2 * vocab_size // 5) // len(types))
@@ -582,7 +582,7 @@ def gen_synthetic(
              for i, etype in enumerate(types)]
     filler = words[len(types) * per_type :]
     if len(filler) < 5:
-        raise ValueError("vocab_size too small for the requested entity types")
+        raise UsageError("vocab_size too small for the requested entity types")
     n_filler = len(filler)
     k_pool, k_filler = per_type.bit_length(), n_filler.bit_length()
 

@@ -1,13 +1,20 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: FormatError and subclasses are data
-problems (exit 3), NumericalError covers divergence/NaN (exit 4), and
-plain ValueError is treated as a usage error (exit 2).
+The CLI maps these onto exit codes: UsageError is a usage error (exit 2),
+FormatError and subclasses are data problems (exit 3), and NumericalError
+covers divergence/NaN (exit 4). Any other exception, a plain ValueError
+included, is a defect: it escapes the CLI with its traceback.
 """
 
 
 class MednerError(Exception):
     """Base class for all toolkit errors."""
+
+
+class UsageError(MednerError, ValueError):
+    """A setting out of range: a config section or key, a seed, a precision,
+    or a value that a config class or gen_synthetic refuses. A ValueError,
+    so a direct caller may catch it as one."""
 
 
 class FormatError(MednerError):

@@ -436,8 +436,6 @@ def render_comparison(rows: Sequence[ComparisonRow]) -> str:
     """Markdown-style table with header `Model | Precision% | F1-score`,
     one row per input row, order preserved.
     """
-    if not rows:
-        raise ValueError("no comparison rows")
     lines = ["Model | Precision% | F1-score", "----- | ---------- | ---------"]
     for row in rows:
         lines.append(

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import TagLabel, Vocabulary, label_index_from_types
-from .errors import CheckpointError, FormatError
+from .errors import CheckpointError, FormatError, UsageError
 from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
@@ -65,13 +65,13 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("vocab_size", "n_labels", "d_model", "n_heads", "n_layers", "d_ff", "max_len"):
             if type(getattr(self, name)) is not int or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+                raise UsageError(f"{name} must be an integer >= 1")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
+            raise UsageError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise UsageError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -515,7 +515,8 @@ def forward(
     after the FF activation, and masks are recorded in the trace. The
     input is the token embeddings plus sinusoidal_positions(T, d_model),
     the first T rows of the max_len table, so max_len costs nothing until
-    a batch is that wide.
+    a batch is that wide. Rows longer than max_len are the caller's to
+    refuse, as train and evaluation.tag_rows do for every record.
     Only the real tokens are computed (see the module docstring): the
     logits are N x n_labels, row i scoring the token at flat position
     np.flatnonzero(mask)[i].
@@ -524,8 +525,6 @@ def forward(
     if ids.ndim != 2:
         raise ValueError(f"token_ids must be 2-D, got shape {ids.shape}")
     b, t = ids.shape
-    if t > config.max_len:
-        raise ValueError(f"sequence too long: {t} > max_len {config.max_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
     if mask is None:

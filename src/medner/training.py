@@ -25,7 +25,7 @@ from .corpus import (
     encode_corpus,
     label_index_from_types,
 )
-from .errors import DivergenceError, FormatError, NumericalError
+from .errors import DivergenceError, FormatError, NumericalError, UsageError
 from .ioutil import atomic_write_text
 from .model import (
     ForwardTrace,
@@ -82,19 +82,19 @@ class TrainConfig:
         for name in ("learning_rate", "min_lr", "grad_clip_norm"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+                raise UsageError(f"{name} must be a finite number > 0, got {value}")
         if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in (0, 1)")
+            raise UsageError("decay_factor must be in (0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise UsageError("max_epochs must be >= 1")
         if self.decay_patience < 1:
-            raise ValueError("decay_patience must be >= 1")
+            raise UsageError("decay_patience must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+            raise UsageError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -114,10 +114,8 @@ def make_batches(
 ) -> list[Batch]:
     """Shuffle the records with `seed`, then group them into batches of
     <= batch_size, each padded to its own max length. Every record appears
-    exactly once.
+    exactly once. train, the one caller, refuses an empty training split.
     """
-    if not records:
-        raise ValueError("no records to batch")
     order = list(records)
     random.Random(seed).shuffle(order)
     chunks = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
@@ -422,7 +420,7 @@ def train(
     selection fall back to the training loss. On divergence the last good
     parameters are written out (when out_dir is set) and DivergenceError
     is raised. A model config whose parameter-sized state would pass
-    MAX_STATE_BYTES raises ValueError before anything is allocated.
+    MAX_STATE_BYTES raises UsageError before anything is allocated.
     """
     if not train_corpus.records:
         raise ValueError("training split is empty")
@@ -447,7 +445,7 @@ def train(
     # float64 draws
     state_bytes = layout.size * (8 * np.dtype(dtype).itemsize + 8)
     if state_bytes > MAX_STATE_BYTES:
-        raise ValueError(
+        raise UsageError(
             f"model config d_model = {model_config.d_model}, d_ff = {model_config.d_ff}, "
             f"n_layers = {model_config.n_layers} (vocab_size {model_config.vocab_size}, "
             f"n_labels {model_config.n_labels}) gives {layout.size} parameters, whose "

@@ -127,7 +127,7 @@ def test_prepare_splits_100_records(tmp_path, capsys):
              for name in ("train", "val", "test")}
     assert sizes == {"train": 70, "val": 15, "test": 15}
     assert (out / "vocab.txt").exists()
-    assert (out / "manifest.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["repair"] is False
     vocab_lines = (out / "vocab.txt").read_text().splitlines()
     assert vocab_lines[:2] == ["<PAD>", "<UNK>"]
 
@@ -741,6 +741,8 @@ def _bad_checkpoint(tmp_path, kind):
         rewrite_manifest(path, lambda m: m.update(labels=["9Drug"]))
     elif kind == "label_newline":
         rewrite_manifest(path, lambda m: m.update(labels=["Drug\n"]))
+    elif kind == "invalid_config":
+        rewrite_manifest(path, lambda m: m["config"].update(n_heads=3))
     else:
         blob = bytearray(path.read_bytes())
         blob[-4:] = b"\x00\x00\xc0\x7f"  # float32 NaN
@@ -763,6 +765,9 @@ _BAD_CHECKPOINT_REASONS = {
     "tensors_not_objects": "manifest 'tensors' is not a list of objects",
     "renamed_tensor": "manifest tensors do not match config: missing=['emb.tok'] "
                       "extra=['emb.word']",
+    # a config a usage check refuses: in a checkpoint, that is bad data
+    "invalid_config": "invalid config in manifest: d_model (8) must be divisible by "
+                      "n_heads (3)",
 }
 
 
@@ -1197,6 +1202,31 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-synthetic"])  # --out is required
     assert exc.value.code == 2
+
+
+def test_a_plain_value_error_escapes_main(tmp_path, monkeypatch):
+    """Exit 2 is UsageError's alone: any other ValueError raised inside a
+    subcommand is a defect, and main lets it through."""
+    def defect(args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("medner.cli.cmd_compare", defect)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(["compare", str(tmp_path / "results.csv")])
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("n_heads = 3", "d_model (16) must be divisible by n_heads (3)"),
+    ("dropout_rate = 1.0", "dropout_rate must be in [0, 1)"),
+])
+def test_train_with_an_invalid_model_setting_exits_2_naming_it(tmp_path, capsys, setting,
+                                                                message):
+    key, value = setting.split(" = ")
+    cfg, out_dir = _one_epoch_config(tmp_path, **{key: value})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out_dir.glob("*.ckpt"))
 
 
 # ---------------------------------------------------------------------------

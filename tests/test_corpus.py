@@ -395,6 +395,16 @@ def test_spans_match_brute_force_exhaustive():
         ("mrn:99887766", "<ID>"),
         ("1234", "1234"),
         ("12/2019", "12/2019"),
+        # each rule at its limits: five digits make an id, four do not; a
+        # date has three parts of 1-4 digits; a placeholder needs both "**"
+        ("12345", "<ID>"),
+        ("1-1-1", "<DATE>"),
+        ("1234/1234/1234", "<DATE>"),
+        ("12345/1/1", "<ID>"),
+        ("1/1/12345", "<ID>"),
+        ("1234-1234", "1234-1234"),
+        ("[**Name*]", "[**Name*]"),
+        ("[*Name**]", "[*Name**]"),
     ],
 )
 def test_deid_patterns(text, expected):
@@ -458,6 +468,13 @@ def test_split_deterministic():
     )
 
 
+def test_split_rounds_half_up():
+    """15 records at 0.70/0.15/0.15: 10.5 train records round up to 11,
+    where Python's round (half to even) would give 10."""
+    tr, va, te = split(_corpus_of(15), SplitSpec(seed=1))
+    assert (len(tr), len(va), len(te)) == (11, 2, 2)
+
+
 def test_split_too_small():
     with pytest.raises(FormatError):
         split(_corpus_of(2), SplitSpec())
@@ -490,6 +507,9 @@ def test_build_vocab_min_freq():
     ], label_inventory=[])
     vocab = build_vocab(corpus, min_freq=2)
     assert vocab.id_to_token == ["<PAD>", "<UNK>", "a"]
+    # "a" is seen exactly 3 times
+    assert build_vocab(corpus, min_freq=3).id_to_token == ["<PAD>", "<UNK>", "a"]
+    assert build_vocab(corpus, min_freq=4).id_to_token == ["<PAD>", "<UNK>"]
 
 
 def test_build_vocab_empty_corpus():

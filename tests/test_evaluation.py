@@ -601,8 +601,6 @@ def test_render_preserves_order_and_validates():
     assert [ln.split(" | ")[0] for ln in body] == [r.model_name for r in TABLE_ROWS]
     with pytest.raises(ValueError):
         ComparisonRow("Bad", 101.0, 5.0)
-    with pytest.raises(ValueError):
-        render_comparison([])
 
 
 def test_parse_comparison_rows():

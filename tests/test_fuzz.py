@@ -6,6 +6,10 @@ as bad data (exit 3). A
 mutant config may also be a usage error (exit 2), and a mutant training
 split or vocabulary may also make training diverge (exit 4). None may
 raise, exit with another code, or print a traceback.
+
+Exit 2 comes only from errors.UsageError, raised by the checks of
+settings. Any other exception is a defect that escapes main, so a fuzzed
+input that reaches one fails here instead of passing as a usage error.
 """
 
 import shutil

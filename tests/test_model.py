@@ -145,9 +145,20 @@ def test_softmax_matches_the_np_max_form_bit_for_bit(dtype):
         z[1, 0] = np.where(rng.random((5, n)) < 0.5, -0.0, 0.0)
         z[1, 1, 0, rng.integers(n)] = np.nan
         z[2, 1, :, rng.integers(n)] = 1e30
-        got = softmax(z)
+        got, want = softmax(z), np_max_softmax(z)
         assert got.dtype == dtype
-        assert got.tobytes() == np_max_softmax(z).tobytes(), n
+        assert got.tobytes() == want.tobytes(), bit_differences(got, want, n)
+
+
+def bit_differences(got: np.ndarray, want: np.ndarray, n: int) -> str:
+    """The key length, then each element whose bits differ: its index and
+    the bytes of both values, in hex."""
+    uint = np.dtype(f"u{got.itemsize}")
+    diff = np.argwhere(np.ascontiguousarray(got).view(uint)
+                       != np.ascontiguousarray(want).view(uint))
+    return f"n={n}, {len(diff)} differ: " + "; ".join(
+        f"{tuple(i.tolist())} got {got[tuple(i)].tobytes().hex()} "
+        f"want {want[tuple(i)].tobytes().hex()}" for i in diff)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +501,28 @@ def test_forward_deterministic_with_and_without_dropout():
     assert not np.array_equal(drop1, plain1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_dropout_masks_are_inverted(dtype):
+    """Each dropout mask in a forward trace holds only 0 and 1/(1 - rate),
+    so a layer's expected output is unchanged: over the 98k attention and
+    49k feed-forward entries here, a mask's mean is 1 within 0.03, more
+    than ten standard deviations."""
+    rate = 0.25
+    cfg = tiny_config(dropout_rate=rate, max_len=64, d_ff=64)
+    params = init_params(cfg, seed=0, dtype=dtype)
+    ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(12, 64))
+    _, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(5))
+    keep = dtype(1) / dtype(1 - rate)
+    for layer in trace.layers:
+        for drop in (layer.attn.drop, layer.ff.drop):
+            assert drop.dtype == dtype
+            assert np.unique(drop).tolist() == [0.0, keep]
+            assert abs(drop.mean() - 1.0) < 0.03, drop.mean()
+
+
 def test_forward_input_validation():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    with pytest.raises(ValueError, match="sequence too long"):
-        forward(params, cfg, np.zeros((1, cfg.max_len + 1), dtype=int))
     with pytest.raises(ValueError, match="out of range"):
         forward(params, cfg, np.full((1, 2), cfg.vocab_size))
     with pytest.raises(ValueError, match="all positions masked"):

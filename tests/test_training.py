@@ -813,6 +813,46 @@ def test_train_best_checkpoint_highest_val_f1():
     assert result.best_epoch == f1s.index(max(f1s)) + 1
 
 
+def test_train_best_epoch_is_the_earliest_of_a_val_f1_tie(tmp_path, monkeypatch):
+    """Validation span-F1 of 0.5, 0.8, 0.8, 0.6: the best checkpoint is
+    epoch 2's, as the final checkpoint of a two-epoch run holds it."""
+    corpus = _tiny_corpus(12)
+    vocab = build_vocab(corpus)
+    mc = _model_for(corpus, vocab)
+    for epochs in (4, 2):
+        scripted = iter([(1.0, 0.5), (0.9, 0.8), (0.8, 0.8), (0.7, 0.6)])
+        monkeypatch.setattr(training, "_val_metrics", lambda *args: next(scripted))
+        tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=epochs, seed=6)
+        result = train(corpus, _tiny_corpus(5, seed=4), vocab, mc, tc,
+                       out_dir=tmp_path / str(epochs))
+        assert result.best_epoch == 2
+    assert (tmp_path / "4" / "best.ckpt").read_bytes() == \
+        (tmp_path / "2" / "final.ckpt").read_bytes()
+
+
+def test_train_loss_is_the_token_weighted_mean_of_the_batch_losses(tmp_path, monkeypatch):
+    """trainlog.csv's train_loss is the mean loss per token of the epoch:
+    its batches' losses weighted by their token counts, not by their
+    record counts (10 records in batches of 3, 3, 3 and 1)."""
+    corpus = _tiny_corpus(10)
+    vocab = build_vocab(corpus)
+    mc = _model_for(corpus, vocab)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=3, max_epochs=1, seed=2)
+    losses = []
+
+    def recording(logits, labels):
+        loss, dlogits = cross_entropy(logits, labels)
+        losses.append((loss, len(labels)))
+        return loss, dlogits
+
+    monkeypatch.setattr(training, "cross_entropy", recording)
+    train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
+    per_token = sum(loss * n for loss, n in losses) / sum(n for _, n in losses)
+    per_record = sum(loss * r for (loss, _), r in zip(losses, [3, 3, 3, 1])) / 10
+    logged = (tmp_path / "trainlog.csv").read_text().splitlines()[1].split(",")[1]
+    assert f"{per_record:.6g}" != f"{per_token:.6g}" == logged
+
+
 def test_train_early_stop():
     corpus = _tiny_corpus(6)
     vocab = build_vocab(corpus)
