@@ -68,9 +68,11 @@ CONFIG_KEYS = {"data": {"dir", "min_freq", "max_vocab"},
 
 
 def _load_config(path: Optional[str]) -> configparser.ConfigParser:
-    """The config file at `path`, values read literally (no interpolation).
-    An unknown section or key is a usage error naming it."""
+    """The config file at `path`, values read literally (no interpolation),
+    with the path kept as `cp.path` for the errors that name it. An unknown
+    section or key is a usage error naming it."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    cp.path = path
     if path is not None:
         try:
             cp.read_string(read_text(path), source=path)
@@ -89,13 +91,16 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
 
 
 def _cfg(cp, section: str, key: str, cast, default):
+    """The value of [section] key cast to its type, or `default` when the
+    file leaves it unset or empty; a value that does not parse is a usage
+    error naming the file, the section, the key and the value."""
     raw = cp.get(section, key, fallback="").strip()
     if not raw:
         return default
     try:
         return cast(raw)
     except ValueError:
-        raise FormatError(f"config [{section}] {key}: cannot parse {raw!r}") from None
+        raise UsageError(f"{cp.path}: [{section}] {key}: cannot parse {raw!r}") from None
 
 
 def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default: int) -> int:

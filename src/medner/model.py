@@ -1,17 +1,20 @@
 """From-scratch transformer encoder for per-token classification.
 
-Parameters are name -> ndarray views into one flat vector whose layout
-(names, shapes, order, offsets) only ParamLayout knows; the checkpoint
-payload is that vector. It holds learned tensors only: forward adds the
-fixed sinusoidal positions.
+This module owns the parameter vector and the whole gradient. Parameters
+are one flat vector from init_params to the checkpoint payload, and its
+layout (names, shapes, order, offsets) only ParamLayout knows; a
+name -> array map of them is always ParamLayout.views of a vector. The
+vector holds learned tensors only: forward adds the fixed sinusoidal
+positions.
 Pre-norm residual blocks: x + MHA(LN(x)) then x + FF(LN(x)), with a
 linear classifier head on the final hidden states (no final norm).
 
 forward is a chain of sublayers (affine, layer_norm, attention,
 feed_forward) whose records it keeps in a ForwardTrace. Each has its
 backward next to it, which writes its parameters' gradients (every
-element, through out=) and returns its input's; training.backward runs
-them in reverse.
+element, through out=) and returns its input's; backward, next to
+forward, runs them in reverse, so the trace and its replay are decided
+here together.
 
 Activations are packed: forward takes a padded B x T batch, but every
 position-wise layer (embedding, layer norms, projections, GELU, dropout,
@@ -32,7 +35,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,14 +111,6 @@ class ParamLayout:
     def _spans(self):
         return zip(self.shapes.items(), self.starts, self.starts[1:])
 
-    def flatten(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """Copy a name -> array map into a new vector of the arrays' dtype."""
-        wrong = sorted(set(arrays) ^ set(self.shapes)) or [
-            name for name, shape in self.shapes.items() if arrays[name].shape != shape]
-        if wrong:
-            raise ValueError(f"parameters do not match the model config: {wrong}")
-        return np.concatenate([arrays[name].ravel() for name in self.shapes])
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> array views into `flat`; writing a view writes the vector."""
         if flat.shape != (self.size,):
@@ -153,22 +148,23 @@ def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.nda
     return pe
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains.
-    Deterministic given (config, seed, dtype).
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> np.ndarray:
+    """The flat parameter vector of a new model: Glorot-uniform weights,
+    zero biases, unit layer-norm gains. Each weight is drawn in float64,
+    tensor by tensor in param_shapes order, and cast as it is written into
+    its view. Deterministic given (config, seed, dtype).
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if len(shape) == 2:
-            fan_in, fan_out = shape
+    layout = ParamLayout(config)
+    flat = np.empty(layout.size, dtype=dtype)
+    for name, view in layout.views(flat).items():
+        if view.ndim == 2:
+            fan_in, fan_out = view.shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-        elif name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=dtype)
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
         else:
-            params[name] = np.zeros(shape, dtype=dtype)
-    return params
+            view.fill(1.0 if name.endswith(".g") else 0.0)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,9 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sublayers, each backward next to its forward, and the forward pass; p and
-# g are a layer's parameters and gradients as layer_tensors keys them
+# Sublayers, each backward next to its forward, then the forward and
+# backward passes; p and g are a layer's parameters and gradients as
+# layer_tensors keys them
 # ---------------------------------------------------------------------------
 
 
@@ -483,8 +480,8 @@ class ForwardTrace:
 
     token_ids: np.ndarray   # B,T
     mask: np.ndarray        # B,T
-    layers: list[LayerTrace] = field(default_factory=list)
-    final: np.ndarray = None  # type: ignore[assignment]  # N,D last hidden states
+    layers: list[LayerTrace]
+    final: np.ndarray       # N,D last hidden states
 
 
 @functools.lru_cache(maxsize=64)
@@ -542,7 +539,7 @@ def forward(
     rows = np.flatnonzero(mask)
     x = params["emb.tok"][ids.reshape(-1)[rows]]
     x += sinusoidal_positions(t, config.d_model, dtype)[rows % t]
-    trace = ForwardTrace(token_ids=ids, mask=mask) if need_trace else None
+    layers = []
 
     for layer in range(config.n_layers):
         p = layer_tensors(params, layer)
@@ -553,11 +550,53 @@ def forward(
         x, ff = feed_forward(h2, p, dropout)
         x += x_mid
         if need_trace:
-            trace.layers.append(LayerTrace((hat1, inv1), attn, (hat2, inv2), ff))
+            layers.append(LayerTrace((hat1, inv1), attn, (hat2, inv2), ff))
 
-    if need_trace:
-        trace.final = x
+    trace = ForwardTrace(ids, mask, layers, x) if need_trace else None
     return affine(x, params["head.w"], params["head.b"]), trace
+
+
+def backward(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    trace: ForwardTrace,
+    dlogits: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> None:
+    """Exact reverse-mode gradients of the scalar loss whose logit gradient
+    is `dlogits`, N x n_labels in the trace's packed row order, written
+    into `grads`: a name -> array map shaped like params, usually
+    ParamLayout.views of one gradient vector that the caller reuses across
+    steps, each C-contiguous. Every element of every tensor is written, so
+    whatever the arrays held before does not matter. The sublayers'
+    backward functions run in the reverse of forward's order.
+    """
+    dlogits = np.asarray(dlogits)
+    if dlogits.shape != (len(trace.final), config.n_labels):
+        raise ValueError(f"trace/gradient mismatch: {len(trace.final)} tokens x "
+                         f"{config.n_labels} labels vs dlogits {dlogits.shape}")
+    if len(trace.layers) != config.n_layers:
+        raise ValueError("trace/config mismatch: wrong layer count")
+    if trace.final.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
+        raise ValueError("trace/params mismatch: wrong model width")
+
+    dx = affine_backward(dlogits, trace.final, params["head.w"], grads["head.w"], grads["head.b"])
+    for layer in reversed(range(config.n_layers)):
+        lt = trace.layers[layer]
+        p, g = layer_tensors(params, layer), layer_tensors(grads, layer)
+        dh2 = feed_forward_backward(dx, lt.ff, p, g)
+        dx_mid = layer_norm_backward(dh2, *lt.ln2, p["ln2.g"], g["ln2.g"], g["ln2.b"])
+        dx_mid += dx
+        dh = attention_backward(dx_mid, lt.attn, p, g)
+        dx = layer_norm_backward(dh, *lt.ln1, p["ln1.g"], g["ln1.g"], g["ln1.b"])
+        dx += dx_mid
+
+    # One 1-D add.at over flat cell indices: per cell the same sequence of
+    # adds as a 2-D add.at over rows, at a third of its cost.
+    d = config.d_model
+    grads["emb.tok"].fill(0.0)
+    cells = trace.token_ids.reshape(-1)[np.flatnonzero(trace.mask), None] * d + np.arange(d)
+    np.add.at(grads["emb.tok"].reshape(-1), cells.reshape(-1), dx.reshape(-1))
 
 
 def pad_rows(id_rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -607,17 +646,20 @@ class CheckpointData:
 
 
 def save_checkpoint(
-    params: dict[str, np.ndarray],
+    flat: np.ndarray,
     config: ModelConfig,
     seed: int,
     path,
     vocab: list[str],
     labels: list[str],
 ) -> None:
+    """Write the parameter vector `flat` of a model of `config`, with its
+    manifest, atomically to `path`."""
     layout = ParamLayout(config)
-    flat = layout.flatten(params)
+    if flat.shape != (layout.size,):
+        raise ValueError(f"parameter vector shape {flat.shape} != ({layout.size},)")
     precision = flat.dtype.itemsize * 8
-    if precision not in (32, 64):
+    if flat.dtype.kind != "f" or precision not in (32, 64):
         raise ValueError(f"unsupported parameter dtype {flat.dtype}")
     manifest = {
         "format_version": CHECKPOINT_VERSION,

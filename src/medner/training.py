@@ -1,7 +1,10 @@
-"""Training machinery: categorical cross-entropy, exact backpropagation
-through the encoder, Adam with optional global-norm clipping,
-reduce-on-plateau learning-rate decay, batching, and the epoch loop with
-per-epoch logging.
+"""Training machinery: categorical cross-entropy, Adam with optional
+global-norm clipping, reduce-on-plateau learning-rate decay, batching,
+and the epoch loop with per-epoch logging.
+
+The parameter vector and the gradient through the encoder are model.py's:
+train takes the vector from init_params, updates it in place with the
+gradients of model.backward, and hands it to save_checkpoint as it is.
 """
 
 from __future__ import annotations
@@ -28,17 +31,12 @@ from .corpus import (
 from .errors import DivergenceError, FormatError, NumericalError, UsageError
 from .ioutil import atomic_write_text
 from .model import (
-    ForwardTrace,
     ModelConfig,
     ParamLayout,
-    affine_backward,
-    attention_backward,
-    feed_forward_backward,
+    backward,
     forward,
     gelu_grad,  # unused here; bench/test_bench.py checks that the tracer wraps it here
     init_params,
-    layer_norm_backward,
-    layer_tensors,
     pad_rows,
     predict_labels,
     save_checkpoint,
@@ -154,55 +152,6 @@ def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.
     dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
-
-
-# ---------------------------------------------------------------------------
-# Backpropagation
-# ---------------------------------------------------------------------------
-
-
-def backward(
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-    trace: ForwardTrace,
-    dlogits: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Exact reverse-mode gradients of the scalar loss whose logit gradient
-    is `dlogits`, N x n_labels in the trace's packed row order, written
-    into `grads`: a name -> array map shaped like params, usually
-    ParamLayout.views of one gradient vector that the caller reuses across
-    steps, each C-contiguous. Every element of every tensor is written, so
-    whatever the arrays held before does not matter.
-    """
-    if trace.final is None:
-        raise ValueError("trace was recorded with need_trace=False")
-    dlogits = np.asarray(dlogits)
-    if dlogits.shape != (len(trace.final), config.n_labels):
-        raise ValueError(f"trace/gradient mismatch: {len(trace.final)} tokens x "
-                         f"{config.n_labels} labels vs dlogits {dlogits.shape}")
-    if len(trace.layers) != config.n_layers:
-        raise ValueError("trace/config mismatch: wrong layer count")
-    if trace.final.shape[-1] != config.d_model or params["emb.tok"].shape[1] != config.d_model:
-        raise ValueError("trace/params mismatch: wrong model width")
-
-    dx = affine_backward(dlogits, trace.final, params["head.w"], grads["head.w"], grads["head.b"])
-    for layer in reversed(range(config.n_layers)):
-        lt = trace.layers[layer]
-        p, g = layer_tensors(params, layer), layer_tensors(grads, layer)
-        dh2 = feed_forward_backward(dx, lt.ff, p, g)
-        dx_mid = layer_norm_backward(dh2, *lt.ln2, p["ln2.g"], g["ln2.g"], g["ln2.b"])
-        dx_mid += dx
-        dh = attention_backward(dx_mid, lt.attn, p, g)
-        dx = layer_norm_backward(dh, *lt.ln1, p["ln1.g"], g["ln1.g"], g["ln1.b"])
-        dx += dx_mid
-
-    # One 1-D add.at over flat cell indices: per cell the same sequence of
-    # adds as a 2-D add.at over rows, at a third of its cost.
-    d = config.d_model
-    grads["emb.tok"].fill(0.0)
-    cells = trace.token_ids.reshape(-1)[np.flatnonzero(trace.mask), None] * d + np.arange(d)
-    np.add.at(grads["emb.tok"].reshape(-1), cells.reshape(-1), dx.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +413,7 @@ def train(
         val_enc = encode_corpus(val_corpus, vocab, label_index)
         val_gold = [rec.labels for rec in val_corpus.records]
 
-    flat = layout.flatten(init_params(model_config, train_config.seed, dtype))
+    flat = init_params(model_config, train_config.seed, dtype)
     params = layout.views(flat)
     state = init_adam_state(flat)
     grad_flat = np.empty_like(flat)
@@ -484,7 +433,7 @@ def train(
 
     def save_outputs(final: np.ndarray, best: np.ndarray):
         for fname, vector in (("final.ckpt", final), ("best.ckpt", best)):
-            save_checkpoint(layout.views(vector), model_config, train_config.seed,
+            save_checkpoint(vector, model_config, train_config.seed,
                             os.path.join(out_dir, fname), vocab.id_to_token, inventory)
         atomic_write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
 

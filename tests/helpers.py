@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from medner.model import ParamLayout
-from medner.training import backward
+from medner.model import ParamLayout, backward, init_params
+
+
+def init_param_views(config, seed, dtype=np.float32) -> dict[str, np.ndarray]:
+    """The vector of init_params(config, seed, dtype), by name: its
+    ParamLayout.views."""
+    return ParamLayout(config).views(init_params(config, seed, dtype))
 
 
 def backward_grads(params, config, trace, dlogits, fill=np.nan) -> dict[str, np.ndarray]:
-    """training.backward into the views of a new gradient vector whose
+    """model.backward into the views of a new gradient vector whose
     elements all start as `fill`, returned by name. The NaN default makes
     any element that backward fails to write fail the checks that read it.
     """

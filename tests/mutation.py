@@ -84,6 +84,42 @@ MUTANTS = [
            "except UsageError as exc:",
            "except ValueError as exc:",
            "test_cli.py"),
+    Mutant("embedding-grad-fancy-assignment", "model.py",
+           "np.add.at(grads[\"emb.tok\"].reshape(-1), cells.reshape(-1), dx.reshape(-1))",
+           "grads[\"emb.tok\"].reshape(-1)[cells.reshape(-1)] += dx.reshape(-1)",
+           "test_training.py"),
+    Mutant("backward-drops-ff-residual", "model.py",
+           "dx_mid += dx\n", "\n",
+           "test_training.py"),
+    Mutant("backward-drops-attention-residual", "model.py",
+           "dx += dx_mid\n", "\n",
+           "test_training.py"),
+    Mutant("improvement-threshold-inclusive", "training.py",
+           "if best is not None and loss < best - IMPROVEMENT_THRESHOLD:",
+           "if best is not None and loss <= best - IMPROVEMENT_THRESHOLD:",
+           "test_training.py"),
+    Mutant("clip-at-the-norm-itself", "training.py",
+           "if norm > grad_clip_norm > 0:",
+           "if norm >= grad_clip_norm > 0:",
+           "test_training.py",
+           equivalent="at norm == grad_clip_norm the scale is exactly 1.0, "
+                      "so the clipped gradient has the same bits"),
+    Mutant("manifest-length-unchecked", "model.py",
+           'for key in ("shape", "offset", "length"):',
+           'for key in ("shape", "offset"):',
+           "test_model.py"),
+    Mutant("repair-keeps-the-invalid-i", "corpus.py",
+           'lab = checked[i] = TagLabel.from_tag(f"B-{lab.entity_type}")',
+           'lab = checked[i] = TagLabel.from_tag(f"I-{lab.entity_type}")',
+           "test_corpus.py"),
+    Mutant("batch-budget-exclusive", "evaluation.py",
+           "* row_bytes(len(id_rows[order[stop]])) <= _BATCH_BYTES):",
+           "* row_bytes(len(id_rows[order[stop]])) < _BATCH_BYTES):",
+           "test_evaluation.py"),
+    Mutant("fork-fallback-own-share-only", "evaluation.py",
+           "    forward(range(len(batches)))\n",
+           "    forward(range(0, len(batches), processes))\n",
+           "test_evaluation.py"),
     Mutant("fork-threshold-2", "evaluation.py",
            "_FORK_MIN_BATCHES = 8",
            "_FORK_MIN_BATCHES = 2",

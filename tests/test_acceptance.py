@@ -25,7 +25,7 @@ from medner.corpus import (
     split,
 )
 from medner.evaluation import ComparisonRow, evaluate, render_comparison, span_metrics
-from medner.model import ModelConfig, forward, init_params, load_checkpoint_full, softmax
+from medner.model import ModelConfig, forward, load_checkpoint_full, softmax
 from medner.training import (
     TrainConfig,
     TrainLogRow,
@@ -34,7 +34,7 @@ from medner.training import (
     train,
 )
 
-from helpers import backward_grads
+from helpers import backward_grads, init_param_views
 from oracles import (
     all_valid_bio,
     binary_cross_entropy,
@@ -184,7 +184,7 @@ def test_criterion_gradient_oracle():
         cfg = ModelConfig(vocab_size=9, n_labels=3, d_model=8, n_heads=2,
                           n_layers=1, d_ff=10, max_len=4, dropout_rate=0.0)
         rng = np.random.default_rng(seed)
-        params = init_params(cfg, seed=seed + 10, dtype=np.float64)
+        params = init_param_views(cfg, seed=seed + 10, dtype=np.float64)
         ids = rng.integers(0, cfg.vocab_size, size=(2, 3))
         mask = np.ones((2, 3), dtype=bool)
         mask[1, 2] = False
@@ -256,8 +256,8 @@ def test_criterion_softmax_attention_invariants():
         n_heads = int(rng.integers(1, 4))
         cfg = ModelConfig(vocab_size=11, n_labels=3, d_model=4 * n_heads, n_heads=n_heads,
                           n_layers=2, d_ff=8, max_len=8, dropout_rate=0.0)
-        params = init_params(cfg, seed=trial,
-                             dtype=np.float32 if trial % 2 else np.float64)
+        params = init_param_views(cfg, seed=trial,
+                                  dtype=np.float32 if trial % 2 else np.float64)
         for name in ("enc.0.attn.wq", "enc.0.attn.wk"):
             params[name] *= rng.uniform(1, 30)
         b, t = int(rng.integers(1, 5)), int(rng.integers(1, 9))

@@ -20,8 +20,8 @@ import medner
 from medner.cli import _parse_token_blocks, main
 from medner.corpus import gen_synthetic, load_corpus, parse_conll, validate_bio
 from medner.errors import FormatError
-from medner.model import (ModelConfig, init_params, load_checkpoint_full, save_checkpoint,
-                          sinusoidal_positions)
+from medner.model import (ModelConfig, ParamLayout, init_params, load_checkpoint_full,
+                          save_checkpoint, sinusoidal_positions)
 
 from oracles import parse_token_blocks_by_line
 from test_evaluation import assert_no_children, force_fork, one_thread, refuse_fork
@@ -386,16 +386,41 @@ def test_config_unknown_key_or_section_exits_2_naming_it(tmp_path, capsys, verb,
 
 def test_config_values_are_read_literally(tmp_path, capsys):
     """No interpolation: a '%' is a plain character, so '%(x)s' is a value
-    that does not parse (exit 3, no traceback) and a '%' in a path is kept."""
+    that does not parse (exit 2, no traceback) and a '%' in a path is kept."""
     raw = gen_corpus(tmp_path)
     cfg, data_dir, _ = write_config(tmp_path)
     text = cfg.read_text()
     cfg.write_text(text.replace("seed = 11", "seed = %(x)s", 1))
-    assert main(["prepare", str(raw), "--config", str(cfg)]) == 3
-    assert capsys.readouterr().err == "error: config [split] seed: cannot parse '%(x)s'\n"
+    assert main(["prepare", str(raw), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [split] seed: cannot parse '%(x)s'\n"
     cfg.write_text(text.replace(str(data_dir), str(tmp_path / "100%prepared")))
     assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
     assert (tmp_path / "100%prepared" / "train.conll").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "batch_size", "1e308"), ("train", "batch_size", "0.999999"),
+    ("train", "batch_size", "nan"), ("model", "d_model", "64.0"), ("split", "seed", "1.5"),
+    ("data", "min_freq", "two"), ("output", "precision", "x"),
+])
+def test_config_value_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, section, key,
+                                                            value):
+    """A value that its key's type cannot parse is a usage error, as a value
+    out of range is: one line naming the file, section, key and value, and
+    nothing written."""
+    raw = gen_corpus(tmp_path)
+    cfg, _, _ = write_config(tmp_path)
+    verb = ["prepare", str(raw)] if section in ("data", "split") else ["train"]
+    if verb == ["train"]:
+        assert main(["prepare", str(raw), "--config", str(cfg)]) == 0
+    head, rest = cfg.read_text().split(f"[{section}]\n")
+    lines = [line for line in rest.split("\n") if line.split(" = ")[0] != key]
+    cfg.write_text(head + "\n".join([f"[{section}]", f"{key} = {value}", *lines]))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(verb + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [{section}] {key}: cannot parse '{value}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +671,10 @@ def test_checkpoint_whose_forward_overflows_exits_3(tmp_path, capsys, verb):
     checkpoint is rejected, not used to tag with non-finite values."""
     cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
                       d_ff=8, max_len=8, dropout_rate=0.0)
-    params = init_params(cfg, 0)
-    params["emb.tok"] *= np.float32(1e30)
+    flat = init_params(cfg, 0)
+    ParamLayout(cfg).views(flat)["emb.tok"] *= np.float32(1e30)
     ckpt = tmp_path / "huge.ckpt"
-    save_checkpoint(params, cfg, seed=0, path=ckpt,
+    save_checkpoint(flat, cfg, seed=0, path=ckpt,
                     vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
     data = tmp_path / "data.txt"
     data.write_text("aspirin\tB-Drug\n" if verb == "eval" else "aspirin\n")
@@ -667,10 +692,10 @@ def test_forked_forward_that_overflows_exits_3_with_the_same_error(tmp_path, cap
                                                                    monkeypatch, verb):
     cfg = ModelConfig(vocab_size=3, n_labels=3, d_model=8, n_heads=2, n_layers=1,
                       d_ff=8, max_len=8, dropout_rate=0.0)
-    params = init_params(cfg, 0)
-    params["emb.tok"] *= np.float32(1e30)
+    flat = init_params(cfg, 0)
+    ParamLayout(cfg).views(flat)["emb.tok"] *= np.float32(1e30)
     ckpt = tmp_path / "huge.ckpt"
-    save_checkpoint(params, cfg, seed=0, path=ckpt,
+    save_checkpoint(flat, cfg, seed=0, path=ckpt,
                     vocab=["<PAD>", "<UNK>", "aspirin"], labels=["Drug"])
     data = tmp_path / "data.txt"
     line = "aspirin\tB-Drug\n" if verb == "eval" else "aspirin\n"

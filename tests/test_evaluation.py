@@ -40,6 +40,7 @@ from medner.evaluation import (
 )
 from medner.model import ModelConfig, forward, init_params, load_checkpoint_full, save_checkpoint
 
+from helpers import init_param_views
 from oracles import (
     all_valid_bio,
     brute_force_match,
@@ -335,7 +336,7 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
 def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
     cfg = ModelConfig(vocab_size=30, n_labels=5, d_model=16, n_heads=2, n_layers=1,
                       d_ff=32, max_len=12, dropout_rate=0.0)
-    params = init_params(cfg, seed=3)
+    params = init_param_views(cfg, seed=3)
     rng = np.random.default_rng(0)
     rows = [rng.integers(2, 30, size=n).tolist() for n in rng.integers(1, 13, size=200)]
     shapes = []
@@ -427,7 +428,7 @@ def _random_rows(n, seed=0):
 def _forked_config():
     cfg = ModelConfig(vocab_size=30, n_labels=5, d_model=16, n_heads=2, n_layers=1,
                       d_ff=32, max_len=12, dropout_rate=0.0)
-    return cfg, init_params(cfg, seed=3)
+    return cfg, init_param_views(cfg, seed=3)
 
 
 @one_thread
@@ -514,6 +515,15 @@ def test_a_process_running_another_thread_tags_in_process(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+
+
+def test_a_batch_fills_the_byte_budget_inclusive():
+    """A batch grows while its widest activation stays within _BATCH_BYTES,
+    the budget itself included: an 8-token row of this model takes
+    8 x d_ff 32 x 4 bytes = 1 KiB, so 120 rows fill the 120 KiB exactly."""
+    cfg, params = _forked_config()
+    assert evaluation._BATCH_BYTES == 120 * 1024
+    assert [len(b) for b in evaluation._batches(params, cfg, [[2] * 8] * 241)] == [120, 120, 1]
 
 
 def test_batch_budget_stays_below_the_mmap_threshold():

@@ -43,7 +43,7 @@ from medner.model import (
     softmax,
 )
 
-from helpers import matvec_row_means, matvec_row_sums
+from helpers import init_param_views, matvec_row_means, matvec_row_sums
 from oracles import finite_difference_grads, max_relative_error, reference_attention
 
 # softmax([1, 2, 3]) evaluated at 40 decimal digits
@@ -290,7 +290,7 @@ def test_in_place_ops_give_the_bits_of_their_formulas(dtype):
 def test_forward_keeps_the_gelu_tanh_of_each_layer():
     cfg = ModelConfig(vocab_size=9, n_labels=3, d_model=8, n_heads=2, n_layers=2,
                       d_ff=12, max_len=5, dropout_rate=0.0)
-    params = init_params(cfg, seed=2)
+    params = init_param_views(cfg, seed=2)
     _, trace = forward(params, cfg, np.array([[1, 2, 3], [4, 5, 6]]))
     for lt in trace.layers:
         act, t = gelu(lt.ff.u)
@@ -306,16 +306,30 @@ def test_forward_keeps_the_gelu_tanh_of_each_layer():
 def test_init_deterministic():
     cfg = tiny_config()
     a = init_params(cfg, seed=5)
-    b = init_params(cfg, seed=5)
-    assert set(a) == set(param_shapes(cfg))
-    for name in a:
-        assert a[name].tobytes() == b[name].tobytes(), name
-    c = init_params(cfg, seed=6)
-    assert any(a[n].tobytes() != c[n].tobytes() for n in a)
+    assert a.shape == (ParamLayout(cfg).size,) and a.dtype == np.float32
+    assert a.tobytes() == init_params(cfg, seed=5).tobytes()
+    assert a.tobytes() != init_params(cfg, seed=6).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_draws_each_tensor_in_float64_in_layout_order(dtype):
+    """The vector holds, tensor by tensor in param_shapes order, the
+    float64 Glorot draws of one generator cast to dtype, ones for the
+    gains and zeros for the biases."""
+    cfg = tiny_config(n_layers=2)
+    rng = np.random.default_rng(8)
+    want = []
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            want.append(rng.uniform(-bound, bound, size=shape).astype(dtype).ravel())
+        else:
+            want.append(np.full(shape, 1.0 if name.endswith(".g") else 0.0, dtype=dtype))
+    assert init_params(cfg, seed=8, dtype=dtype).tobytes() == np.concatenate(want).tobytes()
 
 
 def test_init_biases_zero_gains_one():
-    params = init_params(tiny_config(), seed=0)
+    params = init_param_views(tiny_config(), seed=0)
     for name, arr in params.items():
         if arr.ndim == 1 and not name.endswith(".g"):
             assert not arr.any(), name
@@ -325,7 +339,7 @@ def test_init_biases_zero_gains_one():
 
 def test_init_weight_bounds():
     cfg = tiny_config()
-    params = init_params(cfg, seed=3)
+    params = init_param_views(cfg, seed=3)
     for name, shape in param_shapes(cfg).items():
         if len(shape) == 2:
             bound = math.sqrt(6.0 / (shape[0] + shape[1]))
@@ -348,7 +362,7 @@ def test_position_table_is_shared_read_only_and_prefix_exact():
 
 def test_layer_tensors_are_the_prefixed_entries_of_each_layer():
     cfg = tiny_config(n_layers=3)
-    params = init_params(cfg, seed=1)
+    params = init_param_views(cfg, seed=1)
     for layer in range(cfg.n_layers):
         pfx = f"enc.{layer}."
         want = {name[len(pfx):]: params[name] for name in param_shapes(cfg)
@@ -362,7 +376,7 @@ def test_positional_row_zero_pattern():
     pe = sinusoidal_positions(4, 8)
     np.testing.assert_allclose(pe[0], [0, 1, 0, 1, 0, 1, 0, 1], atol=1e-7)
     # the table is a function of the config, not a parameter
-    assert "emb.pos" not in init_params(tiny_config(), seed=1)
+    assert "emb.pos" not in init_param_views(tiny_config(), seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,7 @@ def test_positional_row_zero_pattern():
 
 def test_forward_logit_shape():
     cfg = tiny_config(n_labels=4)
-    params = init_params(cfg, seed=0)
+    params = init_param_views(cfg, seed=0)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 5))
     logits, trace = forward(params, cfg, ids)
     assert logits.shape == (10, 4)
@@ -382,7 +396,7 @@ def test_forward_logit_shape():
 
 def test_forward_batch_permutation_equivariant():
     cfg = tiny_config()
-    params = init_params(cfg, seed=1)
+    params = init_param_views(cfg, seed=1)
     rng = np.random.default_rng(4)
     ids = rng.integers(0, cfg.vocab_size, size=(3, 4))
     mask = np.ones((3, 4), dtype=bool)
@@ -394,7 +408,7 @@ def test_forward_batch_permutation_equivariant():
 
 def test_forward_no_cross_record_mixing():
     cfg = tiny_config()
-    params = init_params(cfg, seed=1)
+    params = init_param_views(cfg, seed=1)
     rng = np.random.default_rng(5)
     ids = rng.integers(0, cfg.vocab_size, size=(2, 4))
     logits, _ = forward(params, cfg, ids)
@@ -417,7 +431,7 @@ def test_forward_padded_batch_matches_one_row_passes(dtype):
     """Each record's rows of the packed logits of a padded, traced batch
     are the logits of the record run alone."""
     cfg = tiny_config(n_layers=2)
-    params = init_params(cfg, seed=3, dtype=dtype)
+    params = init_param_views(cfg, seed=3, dtype=dtype)
     ids, mask = _ragged_batch(cfg, 8)
     logits, trace = forward(params, cfg, ids, mask, need_trace=True)
     assert trace.final.shape == (mask.sum(), cfg.d_model)
@@ -435,7 +449,7 @@ def test_forward_logits_are_one_row_per_real_token(need_trace):
     """Padded positions have no logits; with or without a trace, the packed
     rows are the same."""
     cfg = tiny_config()
-    params = init_params(cfg, seed=4)
+    params = init_param_views(cfg, seed=4)
     ids, mask = _ragged_batch(cfg, 9)
     logits, _ = forward(params, cfg, ids, mask, need_trace=need_trace)
     assert logits.shape == (mask.sum(), cfg.n_labels)
@@ -456,7 +470,7 @@ def test_forward_zero_params_uniform():
 
 def test_forward_attention_rows_stochastic_and_masked():
     cfg = tiny_config(n_layers=2)
-    params = init_params(cfg, seed=2)
+    params = init_param_views(cfg, seed=2)
     ids = np.random.default_rng(6).integers(0, cfg.vocab_size, size=(3, 5))
     mask = np.ones((3, 5), dtype=bool)
     mask[1, 3:] = False
@@ -473,7 +487,7 @@ def test_forward_attention_matches_reference():
     """The batched multi-head computation must agree with the reference
     attention applied per record and head."""
     cfg = tiny_config(n_layers=1, n_heads=2)
-    params = init_params(cfg, seed=7, dtype=np.float64)
+    params = init_param_views(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(7)
     ids = rng.integers(0, cfg.vocab_size, size=(2, 4))
     mask = np.ones((2, 4), dtype=bool)
@@ -490,7 +504,7 @@ def test_forward_attention_matches_reference():
 
 def test_forward_deterministic_with_and_without_dropout():
     cfg = tiny_config(dropout_rate=0.3)
-    params = init_params(cfg, seed=0)
+    params = init_param_views(cfg, seed=0)
     ids = np.random.default_rng(1).integers(0, cfg.vocab_size, size=(2, 4))
     plain1, _ = forward(params, cfg, ids)
     plain2, _ = forward(params, cfg, ids)
@@ -509,7 +523,7 @@ def test_forward_dropout_masks_are_inverted(dtype):
     than ten standard deviations."""
     rate = 0.25
     cfg = tiny_config(dropout_rate=rate, max_len=64, d_ff=64)
-    params = init_params(cfg, seed=0, dtype=dtype)
+    params = init_param_views(cfg, seed=0, dtype=dtype)
     ids = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(12, 64))
     _, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(5))
     keep = dtype(1) / dtype(1 - rate)
@@ -522,7 +536,7 @@ def test_forward_dropout_masks_are_inverted(dtype):
 
 def test_forward_input_validation():
     cfg = tiny_config()
-    params = init_params(cfg, seed=0)
+    params = init_param_views(cfg, seed=0)
     with pytest.raises(ValueError, match="out of range"):
         forward(params, cfg, np.full((1, 2), cfg.vocab_size))
     with pytest.raises(ValueError, match="all positions masked"):
@@ -636,9 +650,10 @@ def test_predict_labels_softmax_invariant():
 def test_checkpoint_roundtrip_bits(tmp_path):
     cfg = tiny_config(n_layers=2, n_labels=3)
     for dtype in (np.float32, np.float64):
-        params = init_params(cfg, seed=11, dtype=dtype)
+        flat = init_params(cfg, seed=11, dtype=dtype)
+        params = ParamLayout(cfg).views(flat)
         path = tmp_path / f"model{dtype().itemsize}.ckpt"
-        save_checkpoint(params, cfg, seed=11, path=path,
+        save_checkpoint(flat, cfg, seed=11, path=path,
                         vocab=TINY_VOCAB, labels=TINY_LABELS)
         full = load_checkpoint_full(path)
         assert full.config == cfg
@@ -677,9 +692,10 @@ def test_checkpoint_payload_of_the_wrong_size_names_both_sizes(tmp_path, change)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loaded_params_are_writeable_native_and_equal_to_the_saved(tmp_path, dtype):
     cfg = tiny_config(n_layers=2, n_labels=3)
-    params = init_params(cfg, seed=5, dtype=dtype)
+    flat = init_params(cfg, seed=5, dtype=dtype)
+    params = ParamLayout(cfg).views(flat)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, cfg, seed=5, path=path, vocab=TINY_VOCAB, labels=TINY_LABELS)
+    save_checkpoint(flat, cfg, seed=5, path=path, vocab=TINY_VOCAB, labels=TINY_LABELS)
     loaded = load_checkpoint_full(path).params
     assert list(loaded) == list(params)
     for name, array in loaded.items():
@@ -742,6 +758,24 @@ def test_checkpoint_missing_offset_names_tensor(tmp_path):
     name = list(param_shapes(tiny_config()))[3]
     with pytest.raises(CheckpointError,
                        match=re.escape(f"{path}: tensor '{name}': manifest offset")):
+        load_checkpoint_full(path)
+
+
+@pytest.mark.parametrize("key", ["shape", "offset", "length"])
+def test_checkpoint_manifest_entry_off_by_one_names_tensor_and_key(tmp_path, key):
+    """A tensor's shape, offset and length must each be the canonical one.
+    The payload is read by the config's layout, so a wrong offset or length
+    would otherwise go unnoticed."""
+    path = _saved_checkpoint(tmp_path)
+
+    def bump(manifest):
+        entry = manifest["tensors"][3]
+        entry[key] = [entry[key][0] + 1] if key == "shape" else entry[key] + 1
+
+    rewrite_manifest(path, bump)
+    name = list(param_shapes(tiny_config()))[3]
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: tensor '{name}': manifest {key} ")):
         load_checkpoint_full(path)
 
 
@@ -815,23 +849,38 @@ def test_checkpoint_bytes_pinned(tmp_path, dtype):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[dtype]
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda flat: flat[:-1], "shape"),
+    (lambda flat: np.concatenate([flat, flat[:1]]), "shape"),
+    (lambda flat: flat.astype(np.float16), "dtype float16"),
+    (lambda flat: flat.astype(np.int32), "dtype int32"),
+], ids=["short", "long", "float16", "int32"])
+def test_save_checkpoint_refuses_a_vector_it_cannot_write(tmp_path, make, needle):
+    """A vector of another length than the config's layout, or of a type
+    the format has no precision tag for, is refused before anything is
+    written: no checkpoint and no temporary file. An int32 vector has the
+    itemsize of float32 but would be written as its values cast."""
+    cfg = tiny_config(n_labels=3)
+    with pytest.raises(ValueError, match=needle):
+        save_checkpoint(make(init_params(cfg, seed=0)), cfg, seed=0,
+                        path=tmp_path / "model.ckpt", vocab=TINY_VOCAB, labels=TINY_LABELS)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_param_layout_views_share_one_vector():
     cfg = tiny_config(n_layers=2)
     layout = ParamLayout(cfg)
-    params = init_params(cfg, seed=2)
-    flat = layout.flatten(params)
-    assert flat.shape == (layout.size,) and flat.dtype == np.float32
+    flat = init_params(cfg, seed=2)
     views = layout.views(flat)
     assert list(views) == list(param_shapes(cfg))
-    for name in params:
-        np.testing.assert_array_equal(views[name], params[name])
+    assert all(views[name].shape == shape for name, shape in param_shapes(cfg).items())
     views["head.b"][0] = 5.0
     assert flat[layout.size - cfg.n_labels] == 5.0
     assert layout.first_nonfinite(flat) is None
     views["enc.1.ff.w1"][2, 3] = np.inf
     assert layout.first_nonfinite(flat) == "enc.1.ff.w1"
-    with pytest.raises(ValueError, match="head.w"):
-        layout.flatten({k: v for k, v in params.items() if k != "head.w"})
+    with pytest.raises(ValueError, match="shape"):
+        layout.views(flat[:-1])
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):

@@ -23,7 +23,6 @@ from medner.corpus import (
 from medner.errors import DivergenceError, FormatError, NumericalError
 from medner.evaluation import span_metrics
 from medner.model import (
-    ForwardTrace,
     ModelConfig,
     ParamLayout,
     forward,
@@ -51,7 +50,7 @@ from medner.training import (
     train,
 )
 
-from helpers import backward_grads, matvec_column_sums, matvec_row_means
+from helpers import backward_grads, init_param_views, matvec_column_sums, matvec_row_means
 from test_evaluation import assert_no_children, force_fork, one_thread
 from oracles import (
     binary_cross_entropy,
@@ -152,7 +151,7 @@ def _loss_on(params, cfg, ids, mask, labels):
 def test_backward_matches_finite_differences():
     cfg = tiny_config()
     rng = np.random.default_rng(0)
-    params = init_params(cfg, seed=1, dtype=np.float64)
+    params = init_param_views(cfg, seed=1, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(2, 3))
     mask = np.array([[True, True, True], [True, True, False]])
     labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
@@ -176,7 +175,7 @@ def test_every_learned_tensor_gets_a_nonzero_gradient():
     cfg = ModelConfig(vocab_size=9, n_labels=3, d_model=8, n_heads=2,
                       n_layers=1, d_ff=10, max_len=4, dropout_rate=0.0)
     rng = np.random.default_rng(5)
-    params = init_params(cfg, seed=10, dtype=np.float64)
+    params = init_param_views(cfg, seed=10, dtype=np.float64)
     for name, arr in params.items():
         if arr.ndim == 1 and not name.endswith(".g"):
             arr[:] = rng.normal(size=arr.shape)
@@ -210,7 +209,7 @@ def test_backward_with_dropout_masks_in_trace():
     backward is still the exact gradient of the realized forward pass."""
     cfg = tiny_config(dropout_rate=0.25)
     rng = np.random.default_rng(1)
-    params = init_params(cfg, seed=2, dtype=np.float64)
+    params = init_param_views(cfg, seed=2, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(1, 3))
     labels = rng.integers(0, cfg.n_labels, size=3)
     logits, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(3))
@@ -251,7 +250,7 @@ def test_backward_padded_batch_with_dropout_matches_finite_differences():
     forward pass is a function of the parameters alone."""
     cfg = tiny_config(dropout_rate=0.25, n_layers=2)
     rng = np.random.default_rng(21)
-    params = init_params(cfg, seed=22, dtype=np.float64)
+    params = init_param_views(cfg, seed=22, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(3, 5))
     mask = np.arange(5) < np.array([[5], [2], [4]])
     labels = rng.integers(0, cfg.n_labels, size=(3, 5))[mask]
@@ -276,7 +275,7 @@ def test_backward_padded_batch_with_dropout_matches_finite_differences():
 def test_backward_linear_in_upstream_gradient():
     cfg = tiny_config()
     rng = np.random.default_rng(4)
-    params = init_params(cfg, seed=4, dtype=np.float64)
+    params = init_param_views(cfg, seed=4, dtype=np.float64)
     ids = rng.integers(0, cfg.vocab_size, size=(1, 4))
     labels = rng.integers(0, cfg.n_labels, size=4)
     logits, trace = forward(params, cfg, ids)
@@ -311,8 +310,8 @@ def test_layer_norm_backward_gives_the_bits_of_its_formula(dtype):
 
 
 def test_training_binds_no_private_name_of_model():
-    """Layering: training chains the sublayers' public backward functions;
-    the packed rows, the heads and the padded layout stay model's own."""
+    """Layering: training calls model's public forward and backward; the
+    packed rows, the heads and the padded layout stay model's own."""
     private = {id(value): name for name, value in vars(model).items()
                if name.startswith("_") and not name.startswith("__")}
     assert [private[id(value)] for value in vars(training).values() if id(value) in private] == []
@@ -320,16 +319,13 @@ def test_training_binds_no_private_name_of_model():
 
 def test_backward_trace_mismatch():
     cfg = tiny_config()
-    params = init_params(cfg, seed=0)
+    params = init_param_views(cfg, seed=0)
     ids = np.zeros((1, 3), dtype=int)
     logits, trace = forward(params, cfg, ids)
     with pytest.raises(ValueError, match="mismatch"):
         backward_grads(params, cfg, trace, np.zeros((4, cfg.n_labels)))
     with pytest.raises(ValueError, match="mismatch"):  # padded dlogits
         backward_grads(params, cfg, trace, logits[None])
-    traceless = ForwardTrace(token_ids=ids, mask=np.ones_like(ids, bool))
-    with pytest.raises(ValueError, match="need_trace"):
-        backward_grads(params, cfg, traceless, np.zeros_like(logits))
 
 
 def _traced_batch(cfg, params, seed, shape, n_ids=None):
@@ -351,7 +347,7 @@ def test_backward_overwrites_stale_buffers(dtype):
     """Whatever the reused gradient vector held, backward leaves exactly
     the gradients it writes into a zeroed one."""
     cfg = tiny_config(vocab_size=13, max_len=6, n_layers=2)
-    params = init_params(cfg, seed=5, dtype=dtype)
+    params = init_param_views(cfg, seed=5, dtype=dtype)
     trace, dlogits = _traced_batch(cfg, params, 6, (3, 6))
     zeroed = _joined(backward_grads(params, cfg, trace, dlogits, fill=0.0))
     assert np.isfinite(zeroed).all()
@@ -364,7 +360,7 @@ def test_backward_second_call_leaves_no_residue():
     """A shorter batch with other token ids, into the vector the longer
     batch filled: no row of emb.tok keeps its old value."""
     cfg = tiny_config(vocab_size=13, max_len=6)
-    params = init_params(cfg, seed=7, dtype=np.float32)
+    params = init_param_views(cfg, seed=7, dtype=np.float32)
     layout = ParamLayout(cfg)
     reused = np.zeros(layout.size, dtype=np.float32)
     grads = layout.views(reused)
@@ -383,7 +379,7 @@ def test_token_embedding_gradient_matches_sequential_loop():
     token ids all distinct, the rows of emb.tok are those per-position
     gradients themselves, so the reference can be built from them."""
     cfg = tiny_config(vocab_size=24, max_len=6)
-    params = init_params(cfg, seed=11, dtype=np.float32)
+    params = init_param_views(cfg, seed=11, dtype=np.float32)
     trace, dlogits = _traced_batch(cfg, params, 12, (4, 6), n_ids=3)
     got = backward_grads(params, cfg, trace, dlogits)["emb.tok"]
     distinct = np.arange(24).reshape(4, 6)
@@ -427,7 +423,7 @@ def test_adam_deterministic_runs():
     size = ParamLayout(cfg).size
 
     def run():
-        params = ParamLayout(cfg).flatten(init_params(cfg, seed=6, dtype=np.float64))
+        params = init_params(cfg, seed=6, dtype=np.float64)
         state = init_adam_state(params)
         grad_rng = np.random.default_rng(7)
         for _ in range(10):
@@ -450,26 +446,26 @@ def test_adam_clipped_matches_per_tensor_reference():
 def _check_adam_against_per_tensor_reference(clip):
     cfg = tiny_config()
     layout = ParamLayout(cfg)
-    ref = init_params(cfg, seed=3)
+    flat = init_params(cfg, seed=3)
+    ref = {n: a.copy() for n, a in layout.views(flat).items()}
     m = {n: np.zeros_like(a) for n, a in ref.items()}
     v = {n: np.zeros_like(a) for n, a in ref.items()}
-    flat = layout.flatten(ref)
     state = init_adam_state(flat)
     grad_rng = np.random.default_rng(4)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
     for t in range(1, 6):
         grads = {n: grad_rng.normal(size=a.shape).astype(np.float32) for n, a in ref.items()}
-        adam_step(flat, layout.flatten(grads), state, lr, grad_clip_norm=clip)
+        adam_step(flat, _joined(grads), state, lr, grad_clip_norm=clip)
         if clip is not None:
-            norm = training.global_grad_norm(layout.flatten(grads))
+            norm = training.global_grad_norm(_joined(grads))
             assert norm > clip
             grads = {n: g * (clip / norm) for n, g in grads.items()}
         for n, g in grads.items():
             m[n] = b1 * m[n] + (1.0 - b1) * g
             v[n] = b2 * v[n] + (1.0 - b2) * (g * g)
             ref[n] = ref[n] - lr * (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + eps)
-    assert flat.tobytes() == layout.flatten(ref).tobytes()
-    assert state.m.tobytes() == layout.flatten(m).tobytes()
+    assert flat.tobytes() == _joined(ref).tobytes()
+    assert state.m.tobytes() == _joined(m).tobytes()
 
 
 def test_adam_nonfinite_gradient_changes_nothing():
@@ -706,7 +702,7 @@ def test_val_metrics_match_one_row_passes():
     corpus = _tiny_corpus(n=40, seed=4)
     vocab = build_vocab(corpus)
     cfg = _model_for(corpus, vocab)
-    params = init_params(cfg, seed=4)
+    params = init_param_views(cfg, seed=4)
     label_index = label_index_from_types(corpus.label_inventory)
     label_of = [TagLabel.from_tag(tag) for tag in label_index]
     records = encode_corpus(corpus, vocab, label_index)
@@ -900,7 +896,7 @@ def test_train_divergence_names_nonfinite_gradient_tensor(tmp_path, monkeypatch)
         train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
     # nothing was stepped: the retained checkpoint is the initialization
     saved = load_checkpoint_full(tmp_path / "final.ckpt").params
-    for name, arr in init_params(mc, seed=tc.seed).items():
+    for name, arr in init_param_views(mc, seed=tc.seed).items():
         np.testing.assert_array_equal(saved[name], arr)
 
 
@@ -945,7 +941,7 @@ def test_positions_stay_sinusoidal():
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, seed=1)
     result = train(corpus, None, vocab, mc, tc)
-    fresh = init_params(mc, seed=tc.seed)
+    fresh = init_param_views(mc, seed=tc.seed)
     assert list(result.params) == list(param_shapes(mc)) == list(fresh)
     assert not np.array_equal(result.params["emb.tok"], fresh["emb.tok"])
     ids = np.array([[2, 3, 4]])
