@@ -8,10 +8,11 @@ MEDNER_SEED is the fallback seed when neither --seed nor the config
 provides one.
 
 Exit codes: 0 success, 2 usage error (errors.UsageError, raised only by
-the checks of settings), 3 data/format error, a file that cannot be read
-or written (a closed stdout included) or a size that memory cannot hold,
-4 numerical failure (divergence/NaN), 130 interrupted. Any other
-exception is a defect and escapes main with its traceback.
+the checks of settings), 3 data/format error (errors.FormatError, a file
+that cannot be read or written, a closed stdout included, or a size that
+memory cannot hold), 4 numerical failure (errors.NumericalError,
+divergence/NaN), 130 interrupted. Any other exception is a defect and
+escapes main with its traceback.
 Outputs are written to a temp file and renamed into place, so failures
 never leave partial files behind.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, training
-from .errors import BioViolationError, CheckpointError, FormatError, NumericalError, UsageError
+from .errors import FormatError, NumericalError, UsageError
 from .ioutil import atomic_write_text, read_text
 from .model import ModelConfig, load_checkpoint_full
 from .training import TrainConfig
@@ -145,7 +146,7 @@ def _load_gold(path, mode: str = "strict", text: Optional[str] = None) -> corpus
     for rec in corpus.records:
         try:
             rec.labels = corpus_mod.validate_bio(rec.labels, mode)
-        except BioViolationError as exc:
+        except FormatError as exc:
             raise FormatError(f"{path}: record {rec.record_id!r}: {exc}") from None
     return corpus
 
@@ -209,8 +210,10 @@ def cmd_train(args) -> int:
     train_c = _load_gold(train_path)
     if not train_c.records:
         raise FormatError(f"{train_path}: training split is empty")
-    # a missing or blank val.conll is an empty validation split; train falls back
-    val_text = read_text(val_path) if os.path.exists(val_path) else ""
+    # no val.conll at all, or a blank one, is an empty validation split and
+    # train falls back; anything else at the name, a dangling link included,
+    # is its reader's to name
+    val_text = read_text(val_path) if os.path.lexists(val_path) else ""
     val_c = _load_gold(val_path, text=val_text) if val_text.strip() else None
     vocab = corpus_mod.Vocabulary.load(vocab_path)
 
@@ -237,12 +240,7 @@ def cmd_eval(args) -> int:
     corpus = _load_gold(args.corpus)
     if not corpus.records:
         raise FormatError(f"{args.corpus}: no records to evaluate")
-    try:
-        report = evaluation.evaluate(args.checkpoint, corpus)
-    except CheckpointError:
-        raise
-    except FormatError as exc:  # a record or type of the corpus the model cannot take
-        raise FormatError(f"{args.corpus}: {exc}") from None
+    report = evaluation.evaluate(load_checkpoint_full(args.checkpoint), corpus, args.corpus)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "eval_report.txt")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import BioViolationError, FormatError, UsageError
+from .errors import FormatError, UsageError
 from .ioutil import read_text
 
 PAD_TOKEN = "<PAD>"
@@ -335,7 +335,7 @@ def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> Sequence[T
     """Check or repair BIO well-formedness.
 
     strict: return the input itself iff every I continues a same-type
-    B/I; raise BioViolationError at the first offending index otherwise.
+    B/I; raise a FormatError naming the first offending index otherwise.
     repair: return a new list with every invalid I rewritten to a B of the
     same type (left to right, so later labels are judged against repaired
     predecessors).
@@ -348,11 +348,8 @@ def validate_bio(labels: Sequence[TagLabel], mode: str = "strict") -> Sequence[T
         # an O before it has type "", which no I has
         if lab.position == "I" and prev.entity_type != lab.entity_type:
             if mode == "strict":
-                raise BioViolationError(
-                    f"index {i}: I-{lab.entity_type} does not continue a "
-                    f"same-type entity",
-                    index=i,
-                )
+                raise FormatError(f"index {i}: I-{lab.entity_type} does not continue a "
+                                  f"same-type entity")
             lab = checked[i] = TagLabel.from_tag(f"B-{lab.entity_type}")
         prev = lab
     return checked

@@ -1,8 +1,8 @@
-"""Exception hierarchy shared across the toolkit.
+"""The exit-code contract: one exception class per exit code of the CLI.
 
-The CLI maps these onto exit codes: UsageError is a usage error (exit 2),
-FormatError and subclasses are data problems (exit 3), and NumericalError
-covers divergence/NaN (exit 4). Any other exception, a plain ValueError
+UsageError is a usage error (exit 2), FormatError a data problem (exit 3)
+and NumericalError a numerical failure, divergence or NaN (exit 4); all
+three derive from MednerError. Any other exception, a plain ValueError
 included, is a defect: it escapes the CLI with its traceback.
 """
 
@@ -18,28 +18,10 @@ class UsageError(MednerError, ValueError):
 
 
 class FormatError(MednerError):
-    """Malformed input data: corpus files, tags, vocabularies, results files."""
-
-
-class BioViolationError(FormatError):
-    """Strict BIO validation failed.
-
-    Carries the offending token index so callers can point at the exact
-    position in the record.
-    """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
-class CheckpointError(FormatError):
-    """Checkpoint file is unreadable: bad version, shape mismatch, truncation."""
+    """Malformed input data: corpus files, tags, vocabularies, checkpoints,
+    results files."""
 
 
 class NumericalError(MednerError):
-    """Non-finite values where finite ones are required."""
-
-
-class DivergenceError(NumericalError):
-    """Training produced a non-finite loss or gradient and was aborted."""
+    """Non-finite values where finite ones are required, a diverging
+    training run included."""

@@ -28,8 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, TagLabel, spans_from_labels, validate_bio
-from .errors import CheckpointError, FormatError
-from .model import CheckpointData, forward, load_checkpoint_full, pad_rows, predict_labels
+from .errors import FormatError
+from .model import CheckpointData, forward, pad_rows, predict_labels
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,7 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
     input order, each row looked up by Vocabulary.ids. A row longer than
     the model's max_len raises a FormatError naming it by its entry in
     row_names. Finite weights that still overflow in the forward pass raise
-    a CheckpointError naming the checkpoint file, rather than tag with
+    a FormatError naming the checkpoint file, rather than tag with
     non-finite values.
     """
     max_len = checkpoint.config.max_len
@@ -384,28 +384,28 @@ def tag_rows(checkpoint: CheckpointData, token_rows: Sequence[Sequence[str]],
         with np.errstate(over="raise", invalid="raise"):
             pred_ids = predict_label_ids(checkpoint.params, checkpoint.config, id_rows)
     except FloatingPointError as exc:
-        raise CheckpointError(f"{checkpoint.path}: checkpoint weights give non-finite "
-                              f"values in the forward pass ({exc})") from None
+        raise FormatError(f"{checkpoint.path}: checkpoint weights give non-finite "
+                          f"values in the forward pass ({exc})") from None
     return [validate_bio([checkpoint.tags[i] for i in row], "repair") for row in pred_ids]
 
 
-def evaluate(checkpoint_path, corpus: Corpus) -> EvalReport:
+def evaluate(checkpoint: CheckpointData, corpus: Corpus, name: str) -> EvalReport:
     """Run the checkpointed model over a corpus and compute both metric
-    families."""
-    data = load_checkpoint_full(checkpoint_path)
-    missing = sorted(set(corpus.label_inventory) - set(data.labels))
+    families. An error about the corpus, a type the model lacks or a record
+    longer than its max_len, starts with the corpus's name."""
+    missing = sorted(set(corpus.label_inventory) - set(checkpoint.labels))
     if missing:
-        raise FormatError(f"label inventory mismatch: checkpoint {checkpoint_path} "
+        raise FormatError(f"{name}: label inventory mismatch: checkpoint {checkpoint.path} "
                           f"lacks {', '.join(missing)}")
     gold_lists = [rec.labels for rec in corpus.records]
-    pred_lists = tag_rows(data, [rec.tokens for rec in corpus.records],
-                          [f"record {rec.record_id!r}" for rec in corpus.records])
+    pred_lists = tag_rows(checkpoint, [rec.tokens for rec in corpus.records],
+                          [f"{name}: record {rec.record_id!r}" for rec in corpus.records])
 
     return EvalReport(
         n_records=len(corpus.records),
         n_tokens=sum(map(len, gold_lists)),
         span=span_metrics(pred_lists, gold_lists),
-        token=token_metrics(pred_lists, gold_lists, data.tags),
+        token=token_metrics(pred_lists, gold_lists, checkpoint.tags),
     )
 
 

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import TagLabel, Vocabulary, label_index_from_types
-from .errors import CheckpointError, FormatError, UsageError
+from .errors import FormatError, UsageError
 from .ioutil import atomic_write_bytes
 
 LN_EPS = 1e-5
@@ -678,17 +678,17 @@ def save_checkpoint(
 
 
 def load_checkpoint_full(path) -> CheckpointData:
-    """Read and validate a checkpoint; rejections are CheckpointErrors
-    whose message starts with the path."""
+    """Read and validate a checkpoint; rejections are FormatErrors whose
+    message starts with the path."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
-            raise CheckpointError("not a regular file")
+            raise FormatError("not a regular file")
         with open(path, "rb") as fh:
             return _read_checkpoint(fh, str(path))
     except OSError as exc:
-        raise CheckpointError(f"{path}: {exc.strerror or exc}") from None
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+        raise FormatError(f"{path}: {exc.strerror or exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_checkpoint(fh, path: str) -> CheckpointData:
@@ -696,78 +696,78 @@ def _read_checkpoint(fh, path: str) -> CheckpointData:
     then the payload, read once, straight into the parameter vector."""
     magic_line = fh.readline()
     if not magic_line.endswith(b"\n"):
-        raise CheckpointError("not a checkpoint file: missing header")
+        raise FormatError("not a checkpoint file: missing header")
     magic = magic_line[:-1].decode("ascii", errors="replace").split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a checkpoint file: bad magic line")
+        raise FormatError("not a checkpoint file: bad magic line")
     if magic[1] != str(CHECKPOINT_VERSION):
-        raise CheckpointError(f"unsupported checkpoint version {magic[1]!r}")
+        raise FormatError(f"unsupported checkpoint version {magic[1]!r}")
     length_line = fh.readline()
     if not length_line.endswith(b"\n"):
-        raise CheckpointError("not a checkpoint file: missing manifest length")
+        raise FormatError("not a checkpoint file: missing manifest length")
     try:
         header_len = int(length_line[:-1])
     except ValueError:
-        raise CheckpointError("not a checkpoint file: bad manifest length") from None
+        raise FormatError("not a checkpoint file: bad manifest length") from None
     # the manifest, then one separator byte, then the payload
     header_end = len(magic_line) + len(length_line) + header_len
     file_size = os.fstat(fh.fileno()).st_size
     if header_len < 0 or file_size < header_end + 1:
-        raise CheckpointError("truncated manifest")
+        raise FormatError("truncated manifest")
     # ValueError: bad JSON or UTF-8, or an integer past int's digit limit;
     # RecursionError: arrays or objects nested past the recursion limit
     try:
         manifest = json.loads(fh.read(header_len).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise CheckpointError(f"unreadable manifest: {exc}") from None
+        raise FormatError(f"unreadable manifest: {exc}") from None
     if not isinstance(manifest, dict):
-        raise CheckpointError("unreadable manifest: not a JSON object")
+        raise FormatError("unreadable manifest: not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise FormatError(
             f"unsupported checkpoint version {manifest.get('format_version')!r}"
         )
     try:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError, KeyError) as exc:
-        raise CheckpointError(f"invalid config in manifest: {exc}") from None
+        raise FormatError(f"invalid config in manifest: {exc}") from None
     precision = manifest.get("precision")
     if precision not in (32, 64):
-        raise CheckpointError(f"unsupported precision tag {precision!r}")
+        raise FormatError(f"unsupported precision tag {precision!r}")
     wire_dtype = np.dtype("<f4" if precision == 32 else "<f8")
 
     layout = ParamLayout(config)
     problem = _manifest_problem(manifest.get("tensors"), layout.manifest(wire_dtype.itemsize))
     if problem:
-        raise CheckpointError(problem)
+        raise FormatError(problem)
     expected, found = layout.size * wire_dtype.itemsize, file_size - header_end - 1
     if found == expected:
         flat = np.empty(layout.size, dtype=wire_dtype)
         fh.seek(header_end + 1)
         found = fh.readinto(flat)  # short only if the file shrank meanwhile
     if found != expected:
-        raise CheckpointError(f"truncated payload: expected {expected} bytes, found {found}")
+        raise FormatError(f"truncated payload: expected {expected} bytes, found {found}")
     # a no-op on a little-endian host, where the wire order is the native one
     flat = flat.astype(np.float32 if precision == 32 else np.float64, copy=False)
     bad = layout.first_nonfinite(flat)
     if bad is not None:
-        raise CheckpointError(f"tensor '{bad}': non-finite values in payload")
+        raise FormatError(f"tensor '{bad}': non-finite values in payload")
     vocab, labels = manifest.get("vocab"), manifest.get("labels")
     if not all(isinstance(x, list) and all(map(isinstance, x, itertools.repeat(str)))
                for x in (vocab, labels)):
-        raise CheckpointError("manifest 'vocab' and 'labels' must be lists of strings "
-                              "(a checkpoint written by `medner train` carries both)")
+        raise FormatError("manifest 'vocab' and 'labels' must be lists of strings "
+                          "(a checkpoint written by `medner train` carries both)")
     if len(vocab) != config.vocab_size:
-        raise CheckpointError(f"manifest 'vocab' has {len(vocab)} tokens but "
-                              f"config vocab_size is {config.vocab_size}")
+        raise FormatError(f"manifest 'vocab' has {len(vocab)} tokens but "
+                          f"config vocab_size is {config.vocab_size}")
     tags = label_index_from_types(labels)
     if len(tags) != config.n_labels:
-        raise CheckpointError(f"manifest 'labels' give {len(tags)} tags but "
-                              f"config n_labels is {config.n_labels}")
+        raise FormatError(f"manifest 'labels' give {len(tags)} tags but "
+                          f"config n_labels is {config.n_labels}")
     try:
         tags = [TagLabel.from_tag(tag) for tag in tags]
         vocabulary = Vocabulary(vocab)
     except FormatError as exc:
-        raise CheckpointError(f"manifest inventory: {exc}") from None
+        raise FormatError(f"manifest inventory: {exc}") from None
     return CheckpointData(params=layout.views(flat), config=config, vocab=vocabulary,
                           labels=labels, tags=tags, path=path)
 

@@ -28,7 +28,7 @@ from .corpus import (
     encode_corpus,
     label_index_from_types,
 )
-from .errors import DivergenceError, FormatError, NumericalError, UsageError
+from .errors import FormatError, NumericalError, UsageError
 from .ioutil import atomic_write_text
 from .model import (
     ModelConfig,
@@ -346,7 +346,7 @@ def model_entity_types(train_corpus: Corpus, val_corpus: Optional[Corpus]) -> li
 
 
 # numpy does not warn of the overflow or the NaN of a diverging run: the
-# finiteness checks below find it and raise DivergenceError
+# finiteness checks below find it and raise NumericalError
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     train_corpus: Corpus,
@@ -367,7 +367,7 @@ def train(
     The best checkpoint is the epoch with the highest validation span-F1
     (earliest on ties); without a validation split, scheduling and best
     selection fall back to the training loss. On divergence the last good
-    parameters are written out (when out_dir is set) and DivergenceError
+    parameters are written out (when out_dir is set) and NumericalError
     is raised. A model config whose parameter-sized state would pass
     MAX_STATE_BYTES raises UsageError before anything is allocated.
     """
@@ -440,7 +440,7 @@ def train(
     def abort(epoch: int, reason: str):
         if out_dir is not None:
             save_outputs(last_good, best_flat)
-        raise DivergenceError(
+        raise NumericalError(
             f"training diverged at epoch {epoch} ({reason}); "
             f"last good checkpoint retained"
         )

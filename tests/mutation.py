@@ -125,6 +125,50 @@ MUTANTS = [
            "_FORK_MIN_BATCHES = 2",
            "test_evaluation.py",
            equivalent="a tuning constant: forked inference gives the bytes of one process"),
+    Mutant("manifest-name-set-unchecked", "model.py",
+           "if sorted(names, key=repr) != sorted(expected, key=repr):",
+           "if False:",
+           "test_cli.py"),
+    Mutant("manifest-order-unchecked", "model.py",
+           'if entry["name"] != want["name"]:',
+           "if False:",
+           "test_model.py"),
+    Mutant("manifest-shape-unchecked", "model.py",
+           'for key in ("shape", "offset", "length"):',
+           'for key in ("offset", "length"):',
+           "test_model.py"),
+    Mutant("manifest-offset-unchecked", "model.py",
+           'for key in ("shape", "offset", "length"):',
+           'for key in ("shape", "length"):',
+           "test_model.py"),
+    Mutant("strict-bio-ignores-type", "corpus.py",
+           'if lab.position == "I" and prev.entity_type != lab.entity_type:',
+           'if lab.position == "I" and prev.position == "O":',
+           "test_corpus.py"),
+    Mutant("cross-entropy-unclamped", "training.py",
+           "-np.log(np.maximum(p_true, PROB_CLAMP))",
+           "-np.log(p_true)",
+           "test_training.py"),
+    Mutant("adam-first-moment-uncorrected", "training.py",
+           "corr1 = 1.0 - b1**state.t",
+           "corr1 = 1.0",
+           "test_training.py"),
+    Mutant("adam-second-moment-uncorrected", "training.py",
+           "corr2 = 1.0 - b2**state.t",
+           "corr2 = 1.0",
+           "test_training.py"),
+    Mutant("lr-schedule-no-floor", "training.py",
+           "max(first * config.decay_factor**reductions, config.min_lr)",
+           "first * config.decay_factor**reductions",
+           "test_training.py"),
+    Mutant("dangling-val-link-as-missing", "cli.py",
+           "if os.path.lexists(val_path)",
+           "if os.path.exists(val_path)",
+           "test_cli.py"),
+    Mutant("gold-bio-error-unprefixed", "cli.py",
+           'raise FormatError(f"{path}: record {rec.record_id!r}: {exc}") from None',
+           "raise",
+           "test_cli.py"),
 ]
 
 

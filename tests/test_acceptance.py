@@ -105,7 +105,7 @@ def test_criterion_end_to_end_span_f1(tmp_path):
                      dropout_rate=0.0)
     tc = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=15, seed=42)
     train(train_c, val_c, vocab, mc, tc, out_dir=tmp_path)
-    report = evaluate(tmp_path / "best.ckpt", test_c)
+    report = evaluate(load_checkpoint_full(tmp_path / "best.ckpt"), test_c, "test")
     elapsed = time.time() - start
     f1 = report.span.micro.f1
     _report(

@@ -19,7 +19,7 @@ import pytest
 import medner
 from medner.cli import _parse_token_blocks, main
 from medner.corpus import gen_synthetic, load_corpus, parse_conll, validate_bio
-from medner.errors import FormatError
+from medner.errors import FormatError, NumericalError, UsageError
 from medner.model import (ModelConfig, ParamLayout, init_params, load_checkpoint_full,
                           save_checkpoint, sinusoidal_positions)
 
@@ -346,6 +346,12 @@ def test_malformed_val_split_exits_3_whatever_its_path(tmp_path, capsys):
     val.write_text("a\tB-D\textra\n")
     assert main(["train", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {val}: line 1: malformed line")
+    assert not (out_dir / "final.ckpt").exists()
+    # a dangling link is not a missing split: its reader names it
+    val.unlink()
+    val.symlink_to(data_dir / "gone.conll")
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"error: {val}: No such file or directory\n"
     assert not (out_dir / "final.ckpt").exists()
 
 
@@ -1229,15 +1235,25 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_a_plain_value_error_escapes_main(tmp_path, monkeypatch):
-    """Exit 2 is UsageError's alone: any other ValueError raised inside a
-    subcommand is a defect, and main lets it through."""
-    def defect(args):
-        raise ValueError("operands could not be broadcast together")
+@pytest.mark.parametrize("error, code", [(UsageError, 2), (FormatError, 3),
+                                         (NumericalError, 4), (ValueError, None)],
+                         ids=["UsageError", "FormatError", "NumericalError", "ValueError"])
+def test_main_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsys, error,
+                                                     code):
+    """Each class of errors.py has its exit code and one stderr line. Exit 2
+    is UsageError's alone: any other ValueError raised inside a subcommand
+    is a defect, and main lets it through."""
+    def fail(args):
+        raise error("operands could not be broadcast together")
 
-    monkeypatch.setattr("medner.cli.cmd_compare", defect)
-    with pytest.raises(ValueError, match="could not be broadcast"):
-        main(["compare", str(tmp_path / "results.csv")])
+    monkeypatch.setattr("medner.cli.cmd_compare", fail)
+    argv = ["compare", str(tmp_path / "results.csv")]
+    if code is None:
+        with pytest.raises(error, match="could not be broadcast"):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == "error: operands could not be broadcast together\n"
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -5,6 +5,7 @@ comparison table.
 
 import os
 import random
+import re
 import threading
 import time
 
@@ -22,7 +23,7 @@ from medner.corpus import (
     validate_bio,
 )
 from medner import evaluation
-from medner.errors import CheckpointError, FormatError
+from medner.errors import FormatError
 from medner.evaluation import (
     PRF,
     ComparisonRow,
@@ -297,14 +298,14 @@ def small_checkpoint(tmp_path):
 
 def test_evaluate_deterministic(small_checkpoint):
     path, corpus = small_checkpoint
-    a = evaluate(path, corpus)
-    b = evaluate(path, corpus)
+    a = evaluate(load_checkpoint_full(path), corpus, "test")
+    b = evaluate(load_checkpoint_full(path), corpus, "test")
     assert a.render() == b.render()
 
 
 def test_evaluate_counts_consistent(small_checkpoint):
     path, corpus = small_checkpoint
-    report = evaluate(path, corpus)
+    report = evaluate(load_checkpoint_full(path), corpus, "test")
     n_gold = sum(
         1 for rec in corpus.records
         for lab in rec.labels if lab.position == "B"
@@ -317,8 +318,9 @@ def test_evaluate_inventory_mismatch_names_labels(small_checkpoint):
     path, _ = small_checkpoint
     alien = Corpus([LabeledRecord("x", ["tok"], tags("B-Virus"))], label_inventory=["Virus"])
     with pytest.raises(FormatError) as exc:
-        evaluate(path, alien)
-    assert str(exc.value) == f"label inventory mismatch: checkpoint {path} lacks Virus"
+        evaluate(load_checkpoint_full(path), alien, "alien.conll")
+    assert str(exc.value) == (f"alien.conll: label inventory mismatch: checkpoint {path} "
+                              "lacks Virus")
 
 
 def test_evaluate_requires_embedded_vocab(tmp_path):
@@ -328,9 +330,9 @@ def test_evaluate_requires_embedded_vocab(tmp_path):
     save_checkpoint(init_params(cfg, 0), cfg, seed=0, path=path,
                     vocab=["<PAD>", "<UNK>", "tok", "x"], labels=["D"])
     rewrite_manifest(path, lambda m: (m.pop("vocab"), m.pop("labels")))
-    corpus = Corpus([LabeledRecord("x", ["tok"], tags("O"))], label_inventory=[])
-    with pytest.raises(CheckpointError):
-        evaluate(path, corpus)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: manifest 'vocab' and 'labels' must be lists of strings")):
+        load_checkpoint_full(path)
 
 
 def test_predict_label_ids_batches_by_length_in_input_order(monkeypatch):
@@ -534,7 +536,7 @@ def test_batch_budget_stays_below_the_mmap_threshold():
 
 def test_report_render_keys(small_checkpoint):
     path, corpus = small_checkpoint
-    text = evaluate(path, corpus).render()
+    text = evaluate(load_checkpoint_full(path), corpus, "test").render()
     lines = text.splitlines()
     assert "[spans]" in lines and "[tokens]" in lines
     assert lines.index("[spans]") < lines.index("[tokens]")
@@ -568,7 +570,7 @@ def test_evaluate_report_equals_the_oracles_report(small_checkpoint):
                                                       if tag != "O")))),
                            per_label={tag: PRF(*c) for tag, c in tokens.items()}))
     assert want.span.micro.fp and want.span.micro.fn and want.token.micro.tp
-    assert evaluate(path, corpus).render() == want.render()
+    assert evaluate(data, corpus, "test").render() == want.render()
 
 
 # ---------------------------------------------------------------------------

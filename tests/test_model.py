@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from medner.errors import CheckpointError
+from medner.errors import FormatError
 from medner.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -671,7 +671,7 @@ def test_checkpoint_truncated_payload(tmp_path):
     path = _saved_checkpoint(tmp_path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-17])
-    with pytest.raises(CheckpointError, match="truncated payload"):
+    with pytest.raises(FormatError, match="truncated payload"):
         load_checkpoint_full(path)
 
 
@@ -683,7 +683,7 @@ def test_checkpoint_payload_of_the_wrong_size_names_both_sizes(tmp_path, change)
     blob = path.read_bytes()
     path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
     expected = ParamLayout(tiny_config(n_labels=3)).size * 4
-    with pytest.raises(CheckpointError, match=re.escape(
+    with pytest.raises(FormatError, match=re.escape(
             f"{path}: truncated payload: expected {expected} bytes, "
             f"found {expected + change}")):
         load_checkpoint_full(path)
@@ -711,7 +711,7 @@ def test_checkpoint_unknown_version(tmp_path):
     assert blob.startswith(header)
     path.write_bytes(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION + 1}\n".encode()
                      + blob[len(header):])
-    with pytest.raises(CheckpointError, match=re.escape(
+    with pytest.raises(FormatError, match=re.escape(
             f"{path}: unsupported checkpoint version '{CHECKPOINT_VERSION + 1}'")):
         load_checkpoint_full(path)
 
@@ -748,7 +748,7 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
                 entry["shape"] = [entry["shape"][0] + 1]
 
     rewrite_manifest(path, widen_head_bias)
-    with pytest.raises(CheckpointError, match="head.b"):
+    with pytest.raises(FormatError, match="head.b"):
         load_checkpoint_full(path)
 
 
@@ -756,7 +756,7 @@ def test_checkpoint_missing_offset_names_tensor(tmp_path):
     path = _saved_checkpoint(tmp_path)
     rewrite_manifest(path, lambda m: m["tensors"][3].pop("offset"))
     name = list(param_shapes(tiny_config()))[3]
-    with pytest.raises(CheckpointError,
+    with pytest.raises(FormatError,
                        match=re.escape(f"{path}: tensor '{name}': manifest offset")):
         load_checkpoint_full(path)
 
@@ -774,7 +774,7 @@ def test_checkpoint_manifest_entry_off_by_one_names_tensor_and_key(tmp_path, key
 
     rewrite_manifest(path, bump)
     name = list(param_shapes(tiny_config()))[3]
-    with pytest.raises(CheckpointError,
+    with pytest.raises(FormatError,
                        match=re.escape(f"{path}: tensor '{name}': manifest {key} ")):
         load_checkpoint_full(path)
 
@@ -787,7 +787,7 @@ def test_checkpoint_permuted_manifest_rejected(tmp_path):
         tensors[0], tensors[1] = tensors[1], tensors[0]
 
     rewrite_manifest(path, swap_first_two)
-    with pytest.raises(CheckpointError, match="not in canonical order: 'enc.0.attn.wq'"):
+    with pytest.raises(FormatError, match="not in canonical order: 'enc.0.attn.wq'"):
         load_checkpoint_full(path)
 
 
@@ -796,7 +796,7 @@ def test_checkpoint_nan_payload_names_tensor(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last element of head.b
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="tensor 'head.b': non-finite"):
+    with pytest.raises(FormatError, match="tensor 'head.b': non-finite"):
         load_checkpoint_full(path)
 
 
@@ -808,7 +808,7 @@ def test_checkpoint_nan_payload_names_tensor(tmp_path):
 def test_checkpoint_mistyped_config_or_inventory(tmp_path, edit, needle):
     path = _saved_checkpoint(tmp_path)
     rewrite_manifest(path, edit)
-    with pytest.raises(CheckpointError, match=needle):
+    with pytest.raises(FormatError, match=needle):
         load_checkpoint_full(path)
 
 
@@ -819,12 +819,12 @@ def test_checkpoint_mistyped_config_or_inventory(tmp_path, edit, needle):
 def test_checkpoint_inventory_must_match_config(tmp_path, edit, needle):
     path = _saved_checkpoint(tmp_path)
     rewrite_manifest(path, edit)
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: manifest {needle}")):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: manifest {needle}")):
         load_checkpoint_full(path)
 
 
 def test_checkpoint_directory_path(tmp_path):
-    with pytest.raises(CheckpointError, match="not a regular file"):
+    with pytest.raises(FormatError, match="not a regular file"):
         load_checkpoint_full(tmp_path)
 
 
@@ -886,7 +886,7 @@ def test_param_layout_views_share_one_vector():
 def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\nnot a checkpoint")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not a checkpoint file: bad magic")):
         load_checkpoint_full(path)
 
 

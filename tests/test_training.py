@@ -20,7 +20,7 @@ from medner.corpus import (
     label_index_from_types,
     parse_conll,
 )
-from medner.errors import DivergenceError, FormatError, NumericalError
+from medner.errors import FormatError, NumericalError
 from medner.evaluation import span_metrics
 from medner.model import (
     ModelConfig,
@@ -80,6 +80,14 @@ def test_ce_confident_correct_is_near_zero():
     loss, grad = cross_entropy(logits, labels)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(grad).all()
+
+
+def test_ce_confident_wrong_is_clamped_at_1e_12():
+    """A true-label probability that underflows to 0 counts as 1e-12, so
+    the loss stays finite; the gradient is unclamped."""
+    loss, grad = cross_entropy(np.array([[0.0, 1e9], [0.0, 0.0]]), np.array([0, 1]))
+    assert loss == pytest.approx((-math.log(1e-12) + LN2) / 2, abs=1e-12)
+    np.testing.assert_allclose(grad, [[-0.5, 0.5], [0.25, -0.25]], atol=1e-12)
 
 
 def test_ce_uniform_binary_is_ln2():
@@ -872,7 +880,8 @@ def test_train_divergence_retains_last_good(tmp_path):
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e25, batch_size=4, max_epochs=30, seed=0)
-    with pytest.raises(DivergenceError):  # and no RuntimeWarning, which fails a test
+    # and no RuntimeWarning, which fails a test
+    with pytest.raises(NumericalError, match=r"^training diverged at epoch \d+ \(non-finite"):
         train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
     assert (tmp_path / "final.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()
@@ -892,7 +901,8 @@ def test_train_divergence_names_nonfinite_gradient_tensor(tmp_path, monkeypatch)
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2, seed=0)
-    with pytest.raises(DivergenceError, match="non-finite gradient in tensor 'enc.0.ff.b1'"):
+    with pytest.raises(NumericalError, match="^training diverged at epoch 1 "
+                       r"\(non-finite gradient in tensor 'enc.0.ff.b1'\)"):
         train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
     # nothing was stepped: the retained checkpoint is the initialization
     saved = load_checkpoint_full(tmp_path / "final.ckpt").params
