@@ -14,6 +14,7 @@ as the headline.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import mmap
@@ -23,7 +24,7 @@ import signal
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,16 +248,22 @@ _FORK_MIN_BATCHES = 8
 
 
 def _processes(n_batches: int) -> int:
-    """How many processes forward n_batches: one per CPU in this process's
-    affinity mask, each with at least _FORK_MIN_BATCHES batches. It is 1
-    without fork or sched_getaffinity, and in a process that runs more than
-    one thread (such as OpenBLAS's own pool), where a forked child could
-    wait forever on a lock that another thread held at the fork."""
+    """How many processes forward n_batches: one per CPU that fork_cpus
+    allows, each with at least _FORK_MIN_BATCHES batches."""
     processes = n_batches // _FORK_MIN_BATCHES
-    if processes < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    return 1 if processes < 2 else min(processes, fork_cpus())
+
+
+def fork_cpus() -> int:
+    """How many processes may share work here: one per CPU in this
+    process's affinity mask. It is 1 without fork or sched_getaffinity, and
+    in a process that runs more than one thread (such as OpenBLAS's own
+    pool), where a forked child could wait forever on a lock that another
+    thread held at the fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    processes = min(processes, len(os.sched_getaffinity(0)))
-    return processes if processes > 1 and _one_thread() else 1
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if cpus > 1 and _one_thread() else 1
 
 
 def _one_thread() -> bool:
@@ -268,12 +275,17 @@ def _one_thread() -> bool:
         return False
 
 
-def _forked_share(processes: int, share) -> None:
-    """Run share(w) in a forked child for each w in 1 .. processes - 1, and
-    share(0) here; returns once every child has exited.
+@contextlib.contextmanager
+def forked(children: int, work: Callable[[int], None]) -> Iterator[list[int]]:
+    """Fork up to `children` children, child w (from 1) running work(w),
+    and yield their pids to the with-block. Forking stops at the first fork
+    that fails, so fewer children, or none, may run.
 
-    A child leaves through os._exit, 1 if its share raised. What share(0)
-    raises propagates, after every child is killed and reaped.
+    A child leaves through os._exit, 1 if its work raised. Leaving the
+    block normally waits for every child to exit; leaving it by an
+    exception, an interrupt included, kills them first. Either way every
+    child is reaped before the block's exit returns or its exception
+    propagates.
     """
     pids: list[int] = []
     finished = False
@@ -283,13 +295,16 @@ def _forked_share(processes: int, share) -> None:
     try:
         gc.freeze()  # so a child's gc leaves the parent's objects, and their pages, alone
         try:
-            for worker in range(1, processes):
-                pid = os.fork()
+            for worker in range(1, children + 1):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break
                 if pid == 0:
                     status = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        share(worker)
+                        work(worker)
                         status = 0
                     finally:
                         os._exit(status)
@@ -297,7 +312,7 @@ def _forked_share(processes: int, share) -> None:
         finally:
             gc.unfreeze()
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        share(0)
+        yield pids
         finished = True
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -323,7 +338,7 @@ def predict_logits(params, config, id_rows: Sequence[Sequence[int]]) -> np.ndarr
 
     Every batch writes its rows' logits into their slots of one buffer and
     is then marked done. Over enough batches, forked children share them
-    (_processes, _forked_share), and the buffer is a shared mapping that
+    (_processes, forked), and the buffer is a shared mapping that
     they write too. A batch that no process finished is forwarded here
     afterwards, in order, so the first batch that fails raises what it
     raises in one process.
@@ -351,8 +366,9 @@ def predict_logits(params, config, id_rows: Sequence[Sequence[int]]) -> np.ndarr
 
     if processes > 1:
         try:
-            _forked_share(processes,
-                          lambda worker: forward(range(worker, len(batches), processes)))
+            with forked(processes - 1,
+                        lambda worker: forward(range(worker, len(batches), processes))):
+                forward(range(0, len(batches), processes))
         except Exception:
             pass  # the loop below forwards what is left, in order, and raises there
     forward(range(len(batches)))

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import mmap
 import os
+import platform
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -95,14 +97,32 @@ class TrainConfig:
             raise UsageError("early_stop_patience must be >= 1")
 
 
+# The shards each training batch is cut into: train computes shard 0 and,
+# where it can fork one, a worker process computes shard 1 (_Handoff). It is
+# fixed, not the CPU count, so that the bytes of a run do not depend on how
+# many CPUs it ran on.
+SHARDS = 2
+
+
 @dataclass
-class Batch:
-    """A padded batch of token ids, PAD exactly where mask is False, and
-    the labels of its N real tokens as packed rows."""
+class Shard:
+    """A padded group of records: token ids, PAD exactly where mask is
+    False, and the labels of its N real tokens as packed rows."""
 
     token_ids: np.ndarray       # B x T int
     attention_mask: np.ndarray  # B x T bool
     label_ids: np.ndarray       # N int; i labels flat position np.flatnonzero(mask)[i]
+
+
+@dataclass
+class Batch:
+    """The records of one optimizer step, cut into SHARDS shards in order,
+    the first ones taking one record more when they do not divide evenly.
+    A shard of no records is None. n_tokens counts the real tokens of the
+    whole batch: every shard's loss is divided by it."""
+
+    shards: list[Optional[Shard]]
+    n_tokens: int
 
 
 def make_batches(
@@ -111,14 +131,23 @@ def make_batches(
     seed: int,
 ) -> list[Batch]:
     """Shuffle the records with `seed`, then group them into batches of
-    <= batch_size, each padded to its own max length. Every record appears
-    exactly once. train, the one caller, refuses an empty training split.
+    <= batch_size, each shard padded to its own max length. Every record
+    appears exactly once. train, the one caller, refuses an empty training
+    split.
     """
     order = list(records)
     random.Random(seed).shuffle(order)
-    chunks = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
-    return [Batch(*pad_rows([r.token_ids for r in chunk]),
-                  np.concatenate([r.label_ids for r in chunk])) for chunk in chunks]
+    batches = []
+    for start in range(0, len(order), batch_size):
+        chunk = order[start : start + batch_size]
+        cuts = [-(-len(chunk) * s // SHARDS) for s in range(SHARDS + 1)]  # rounded up
+        groups = [chunk[a:b] for a, b in zip(cuts, cuts[1:])]
+        batches.append(Batch(
+            [Shard(*pad_rows([r.token_ids for r in group]),
+                   np.concatenate([r.label_ids for r in group])) if group else None
+             for group in groups],
+            sum(map(len, chunk))))
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +155,18 @@ def make_batches(
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-softmax probability of the true labels over N
-    tokens: logits N x n_labels, label_ids N ids in [0, n_labels); returns
-    (loss, dloss/dlogits).
+def cross_entropy(logits: np.ndarray, label_ids: np.ndarray,
+                  n_tokens: int) -> tuple[float, np.ndarray]:
+    """Negative log-softmax probability of the true labels, summed over N
+    tokens and divided by n_tokens: logits N x n_labels, label_ids N ids in
+    [0, n_labels); returns (loss, dloss/dlogits).
 
+    With n_tokens = N the loss is the mean over the tokens. A training
+    shard passes its whole batch's token count, so that its loss and
+    gradient are its share of the batch mean, and the shards' gradients add
+    up to the gradient of the batch-mean loss.
     The true-label probability is clamped at 1e-12 before the log; the
-    gradient is (softmax - onehot) / N.
+    gradient is (softmax - onehot) / n_tokens.
     """
     logits = np.asarray(logits)
     labels = np.asarray(label_ids)
@@ -141,16 +175,18 @@ def cross_entropy(logits: np.ndarray, label_ids: np.ndarray) -> tuple[float, np.
     n = len(labels)
     if n == 0:
         raise ValueError("no tokens")
+    if n_tokens < n:
+        raise ValueError(f"n_tokens {n_tokens} < {n} labelled tokens")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label id out of range")
 
     rows = np.arange(n)
     dlogits = softmax(logits)
     p_true = dlogits[rows, labels]
-    loss = float(-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n)
+    loss = float(-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n_tokens)
 
     dlogits[rows, labels] -= 1.0
-    dlogits /= n
+    dlogits /= n_tokens
     return loss, dlogits
 
 
@@ -318,10 +354,61 @@ def lr_schedule(history: Sequence[TrainLogRow], config: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+# train reads the gradient slot its worker wrote once the worker's step
+# counter says so, with no fence between: that needs a CPU that makes
+# stores visible to other CPUs in the order they were made, as x86 does.
+_ORDERED_STORES = platform.machine().lower() in {"x86_64", "amd64", "i386", "i686"}
+# the hand-off's counters, and the go counter's value that ends the worker
+_GO, _DONE, _STOP = 0, 1, -1
+
+
+class _Handoff:
+    """What train shares with its worker, in one anonymous mapping (plain
+    memory when there is no worker): the parameter vector, one gradient
+    slot per shard, the worker's shard loss and two step counters.
+
+    train sets `go` to step k once the parameters of step k are in place,
+    and computes shard 0 into slot 0. The worker then computes shard 1 into
+    slot 1, writes its loss, and sets `done` to k. train waits for that,
+    sums the slots and steps Adam, which writes the parameters while the
+    worker waits for go to read k + 1, or _STOP. Each side waits in an
+    os.sched_yield() loop, which takes the hand-off in microseconds where a
+    blocking read waits for the scheduler to wake it.
+    """
+
+    def __init__(self, layout: ParamLayout, dtype, shared: bool):
+        n, itemsize = layout.size, np.dtype(dtype).itemsize
+        size = 24 + (1 + SHARDS) * n * itemsize
+        buffer = mmap.mmap(-1, size) if shared else bytearray(size)
+        # go and done as int64, the loss as float64, then the vectors
+        self.counters = np.frombuffer(buffer, np.int64, 2)
+        self.worker_loss = np.frombuffer(buffer, np.float64, 1, 16)
+        vectors = np.frombuffer(buffer, dtype, (1 + SHARDS) * n, 24).reshape(1 + SHARDS, n)
+        self.params, self.slots = vectors[0], vectors[1:]
+
+    def wait_for_step(self, step: int, parent: int) -> bool:
+        """The worker's wait for train to hand over `step`: False once
+        train stops, or once this process's parent is not `parent`, as
+        after train's process was killed."""
+        while self.counters[_GO] != step:
+            if self.counters[_GO] == _STOP or os.getppid() != parent:
+                return False
+            os.sched_yield()
+        return True
+
+    def wait_for_worker(self, step: int, pid: int) -> bool:
+        """train's wait for worker `pid` to finish `step`: False when it
+        exited first. The worker is left for evaluation.forked to reap."""
+        while self.counters[_DONE] != step:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
+                return self.counters[_DONE] == step
+            os.sched_yield()
+        return True
+
+
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]  # after the final epoch
-    best_epoch: int                # the epoch saved as best.ckpt
+    best_epoch: int  # the epoch saved as best.ckpt
     log: TrainLog
 
 
@@ -331,7 +418,8 @@ def _val_metrics(params, model_config, records: Sequence[EncodedRecord],
     that inference computes (evaluation.predict_logits)."""
     logits = evaluation.predict_logits(params, model_config,
                                        [rec.token_ids for rec in records])
-    loss, _ = cross_entropy(logits, np.concatenate([rec.label_ids for rec in records]))
+    labels = np.concatenate([rec.label_ids for rec in records])
+    loss, _ = cross_entropy(logits, labels, len(labels))
     pred_ids = iter(predict_labels(logits).tolist())
     preds = [[label_of[j] for j in itertools.islice(pred_ids, len(rec))] for rec in records]
     return loss, evaluation.span_metrics(preds, gold_labels).micro.f1
@@ -358,11 +446,20 @@ def train(
     dtype=np.float32,
     progress: Optional[Callable[[TrainLogRow], None]] = None,
 ) -> TrainResult:
-    """Full training run: per epoch, shuffle -> batches -> forward ->
-    cross_entropy -> backward -> adam_step, then validation metrics, log
-    row, and the plateau schedule. Deterministic given the config seeds.
-    The model labels model_entity_types(train_corpus, val_corpus), and
+    """Full training run: per epoch, shuffle -> batches -> per shard,
+    forward -> cross_entropy -> backward; then the shards' gradients summed
+    -> adam_step; then validation metrics, log row, and the plateau
+    schedule. Deterministic given the config seeds: dropout masks come from
+    a stream of their own per step and shard, spawned from the seed. The
+    model labels model_entity_types(train_corpus, val_corpus), and
     model_config.n_labels must count their tags.
+
+    Where evaluation.fork_cpus allows two processes, one forked worker
+    computes shard 1 of every step while this process computes shard 0
+    (see _Handoff); elsewhere this process computes both, in order.
+    The sum and every byte written are the same either way. A shard the
+    worker did not finish is computed here, so every error is the
+    one-process one, and the worker does not outlive the call.
 
     The best checkpoint is the epoch with the highest validation span-F1
     (earliest on ties); without a validation split, scheduling and best
@@ -389,10 +486,10 @@ def train(
         )
     label_of = [TagLabel.from_tag(tag) for tag in label_index]
     layout = ParamLayout(model_config)
-    # eight vectors of dtype (parameters, gradient, Adam's m, v and two
-    # scratch rows, the best and last-good snapshots) and init_params'
-    # float64 draws
-    state_bytes = layout.size * (8 * np.dtype(dtype).itemsize + 8)
+    # nine vectors of dtype (parameters, one gradient per shard, Adam's m, v
+    # and two scratch rows, the best and last-good snapshots) and
+    # init_params' float64 draws
+    state_bytes = layout.size * (9 * np.dtype(dtype).itemsize + 8)
     if state_bytes > MAX_STATE_BYTES:
         raise UsageError(
             f"model config d_model = {model_config.d_model}, d_ff = {model_config.d_ff}, "
@@ -413,16 +510,46 @@ def train(
         val_enc = encode_corpus(val_corpus, vocab, label_index)
         val_gold = [rec.labels for rec in val_corpus.records]
 
-    flat = init_params(model_config, train_config.seed, dtype)
+    forking = _ORDERED_STORES and evaluation.fork_cpus() >= SHARDS
+    handoff = _Handoff(layout, dtype, shared=forking)
+    flat = handoff.params
+    flat[:] = init_params(model_config, train_config.seed, dtype)
     params = layout.views(flat)
     state = init_adam_state(flat)
-    grad_flat = np.empty_like(flat)
-    grads = layout.views(grad_flat)
-    dropout_rng = (
-        np.random.default_rng(train_config.seed)
-        if model_config.dropout_rate > 0 else None
-    )
-    shuffle_rng = random.Random(train_config.seed)
+    slot_views = [layout.views(slot) for slot in handoff.slots]
+
+    def epochs():
+        """Each epoch's number and batches; the worker replays them too."""
+        shuffle_rng = random.Random(train_config.seed)
+        for epoch in range(1, train_config.max_epochs + 1):
+            yield epoch, make_batches(train_enc, train_config.batch_size,
+                                      seed=shuffle_rng.randrange(2**32))
+
+    def shard_loss(batch: Batch, step: int, s: int) -> float:
+        """Shard s's loss, its gradient written into slot s (zeros for an
+        empty shard, none for a non-finite loss)."""
+        shard = batch.shards[s]
+        if shard is None:
+            handoff.slots[s].fill(0.0)
+            return 0.0
+        dropout_rng = np.random.default_rng(np.random.SeedSequence(
+            train_config.seed, spawn_key=(step, s))) if model_config.dropout_rate > 0 else None
+        logits, trace = forward(params, model_config, shard.token_ids,
+                                shard.attention_mask, dropout_rng=dropout_rng)
+        loss, dlogits = cross_entropy(logits, shard.label_ids, batch.n_tokens)
+        if math.isfinite(loss):
+            backward(params, model_config, trace, dlogits, slot_views[s])
+        return loss
+
+    def worker(_) -> None:
+        step = 0
+        for _, batches in epochs():
+            for batch in batches:
+                step += 1
+                if not handoff.wait_for_step(step, parent):
+                    return
+                handoff.worker_loss[0] = shard_loss(batch, step, 1)
+                handoff.counters[_DONE] = step
 
     lr = train_config.learning_rate
     log = TrainLog()
@@ -445,55 +572,66 @@ def train(
             f"last good checkpoint retained"
         )
 
-    for epoch in range(1, train_config.max_epochs + 1):
-        batches = make_batches(train_enc, train_config.batch_size,
-                               seed=shuffle_rng.randrange(2**32))
-        loss_sum, loss_n = 0.0, 0
-        for batch in batches:
-            logits, trace = forward(params, model_config, batch.token_ids,
-                                    batch.attention_mask, dropout_rng=dropout_rng)
-            loss, dlogits = cross_entropy(logits, batch.label_ids)
-            if not math.isfinite(loss):
-                abort(epoch, "non-finite loss")
-            backward(params, model_config, trace, dlogits, grads)
-            try:
-                adam_step(flat, grad_flat, state, lr, train_config.grad_clip_norm)
-            except NumericalError:
-                abort(epoch, "non-finite gradient in tensor "
-                             f"'{layout.first_nonfinite(grad_flat)}'")
-            loss_sum += loss * len(batch.label_ids)
-            loss_n += len(batch.label_ids)
-        train_loss = loss_sum / loss_n
+    parent = os.getpid()
+    with evaluation.forked(1 if forking else 0, worker) as pids:
+        helper = pids[0] if pids else None
+        step = 0
+        for epoch, batches in epochs():
+            loss_sum, loss_n = 0.0, 0
+            for batch in batches:
+                step += 1
+                if helper is not None:
+                    handoff.counters[_GO] = step
+                loss = shard_loss(batch, step, 0)
+                if not math.isfinite(loss):
+                    abort(epoch, "non-finite loss")
+                if helper is not None and not handoff.wait_for_worker(step, helper):
+                    helper = None  # it exited: every shard is computed here from now on
+                last = handoff.worker_loss[0] if helper is not None else \
+                    shard_loss(batch, step, 1)
+                if not math.isfinite(last):
+                    abort(epoch, "non-finite loss")
+                loss += last
+                grad_flat = np.add(handoff.slots[0], handoff.slots[1], out=handoff.slots[0])
+                try:
+                    adam_step(flat, grad_flat, state, lr, train_config.grad_clip_norm)
+                except NumericalError:
+                    abort(epoch, "non-finite gradient in tensor "
+                                 f"'{layout.first_nonfinite(grad_flat)}'")
+                loss_sum += loss * batch.n_tokens
+                loss_n += batch.n_tokens
+            train_loss = loss_sum / loss_n
 
-        if have_val:
-            val_loss, val_f1 = _val_metrics(params, model_config, val_enc,
-                                            val_gold, label_of)
-            if not math.isfinite(val_loss):
-                abort(epoch, "non-finite validation loss")
-            key = val_f1
-        else:
-            val_loss, val_f1 = math.nan, math.nan
-            key = -train_loss
+            if have_val:
+                val_loss, val_f1 = _val_metrics(params, model_config, val_enc,
+                                                val_gold, label_of)
+                if not math.isfinite(val_loss):
+                    abort(epoch, "non-finite validation loss")
+                key = val_f1
+            else:
+                val_loss, val_f1 = math.nan, math.nan
+                key = -train_loss
 
-        row = TrainLogRow(epoch, train_loss, val_loss, val_f1, lr)
-        log.rows.append(row)
-        if progress is not None:
-            progress(row)
+            row = TrainLogRow(epoch, train_loss, val_loss, val_f1, lr)
+            log.rows.append(row)
+            if progress is not None:
+                progress(row)
 
-        if key > best_key:
-            best_key = key
-            best_epoch = epoch
-            best_flat = flat.copy()
-        last_good = flat.copy()
+            if key > best_key:
+                best_key = key
+                best_epoch = epoch
+                best_flat = flat.copy()
+            last_good = flat.copy()
 
-        lr = lr_schedule(log.rows, train_config)
-        if train_config.early_stop_patience is not None:
-            stale = stagnant_epochs([r.monitored_loss for r in log.rows])[-1]
-            if stale >= train_config.early_stop_patience:
-                logger.info("early stop after epoch %d (%d stagnant epochs)",
-                            epoch, stale)
-                break
+            lr = lr_schedule(log.rows, train_config)
+            if train_config.early_stop_patience is not None:
+                stale = stagnant_epochs([r.monitored_loss for r in log.rows])[-1]
+                if stale >= train_config.early_stop_patience:
+                    logger.info("early stop after epoch %d (%d stagnant epochs)",
+                                epoch, stale)
+                    break
+        handoff.counters[_GO] = _STOP
 
     if out_dir is not None:
         save_outputs(flat, best_flat)
-    return TrainResult(params=params, best_epoch=best_epoch, log=log)
+    return TrainResult(best_epoch=best_epoch, log=log)

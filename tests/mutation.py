@@ -4,8 +4,9 @@ Each mutant replaces one exact piece of source text, which must occur
 exactly once in its module, and names the one test file that should kill
 it. For each mutant the runner copies src/ into a temporary directory,
 applies the mutant there and runs that test file with -x against the copy.
-The mutant is killed when the run fails and survives when it passes. A
-mutant stated equivalent changes no output, so it is expected to survive.
+The mutant is killed when the run fails or times out, and survives when
+it passes. A mutant stated equivalent changes no output, so it is
+expected to survive.
 
 Before any mutant runs, every named test file must pass on the unchanged
 copy, and each mutated module must still parse and differ from the
@@ -34,6 +35,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Each test file runs in well under a minute. A mutant that makes a wait
+# never end (train's reap of a worker that ignores its stop counter) is
+# killed by this limit, not by a failing assertion.
+TIMEOUT_S = 120
 
 
 @dataclass(frozen=True)
@@ -72,10 +77,36 @@ MUTANTS = [
            "if key >= best_key:",
            "test_training.py"),
     Mutant("train-loss-per-record", "training.py",
-           "loss_sum += loss * len(batch.label_ids)",
-           "loss_sum += loss * len(batch.token_ids); "
-           "loss_n += len(batch.token_ids) - len(batch.label_ids)",
+           "loss_sum += loss * batch.n_tokens",
+           "n_records = sum(len(s.token_ids) for s in batch.shards if s is not None); "
+           "loss_sum += loss * n_records; loss_n += n_records - batch.n_tokens",
            "test_training.py"),
+    Mutant("cross-entropy-gradient-per-shard-mean", "training.py",
+           "dlogits /= n_tokens",
+           "dlogits /= n",
+           "test_training.py"),
+    Mutant("cross-entropy-loss-per-shard-mean", "training.py",
+           "-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n_tokens)",
+           "-np.log(np.maximum(p_true, PROB_CLAMP)).sum() / n)",
+           "test_training.py"),
+    Mutant("worker-ignores-the-stop-counter", "training.py",
+           "if self.counters[_GO] == _STOP or os.getppid() != parent:",
+           "if os.getppid() != parent:",
+           "test_training.py"),
+    Mutant("worker-outlives-its-parent", "training.py",
+           "if self.counters[_GO] == _STOP or os.getppid() != parent:",
+           "if self.counters[_GO] == _STOP:",
+           "test_training.py"),
+    Mutant("unfinished-shard-taken-as-done", "training.py",
+           "return self.counters[_DONE] == step",
+           "return True",
+           "test_training.py"),
+    Mutant("shard-slots-summed-last-first", "training.py",
+           "np.add(handoff.slots[0], handoff.slots[1], out=handoff.slots[0])",
+           "np.add(handoff.slots[1], handoff.slots[0], out=handoff.slots[0])",
+           "test_training.py",
+           equivalent="IEEE addition commutes, so with two shards either order "
+                      "gives the same bits"),
     Mutant("manifest-repair-always-true", "cli.py",
            '"repair": bool(args.repair),',
            '"repair": True,',
@@ -186,13 +217,18 @@ def mutated_source(mutant: Mutant) -> str:
 
 
 def tests_pass(src: Path, test_file: str) -> bool:
-    """Whether tests/<test_file> passes with medner imported from src."""
+    """Whether tests/<test_file> passes with medner imported from src. A
+    run that takes over TIMEOUT_S is stopped and counts as failing."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / test_file)],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / test_file)],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
     return proc.returncode == 0
 
 

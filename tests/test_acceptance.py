@@ -191,12 +191,12 @@ def test_criterion_gradient_oracle():
         labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
 
         logits, trace = forward(params, cfg, ids, mask)
-        _, dlogits = cross_entropy(logits, labels)
+        _, dlogits = cross_entropy(logits, labels, len(labels))
         grads = backward_grads(params, cfg, trace, dlogits)
 
         def loss_fn(p):
             lg, _ = forward(p, cfg, ids, mask, need_trace=False)
-            return cross_entropy(lg, labels)[0]
+            return cross_entropy(lg, labels, len(labels))[0]
 
         fd = finite_difference_grads(loss_fn, params, h=1e-5)
         for name in params:
@@ -221,7 +221,7 @@ def test_criterion_binary_ce_equivalence():
         n = int(rng.integers(1, 8))
         logits = rng.normal(scale=3, size=(n, 2))
         labels = rng.integers(0, 2, size=n)
-        loss, _ = cross_entropy(logits, labels)
+        loss, _ = cross_entropy(logits, labels, len(labels))
         y_prime = [
             math.exp(z[1]) / (math.exp(z[0]) + math.exp(z[1])) for z in logits
         ]

@@ -5,7 +5,13 @@ the plateau schedule, batching, and the training loop.
 import dataclasses
 import logging
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -51,7 +57,7 @@ from medner.training import (
 )
 
 from helpers import backward_grads, init_param_views, matvec_column_sums, matvec_row_means
-from test_evaluation import assert_no_children, force_fork, one_thread
+from test_evaluation import assert_no_children, force_fork, one_thread, refuse_fork
 from oracles import (
     binary_cross_entropy,
     finite_difference_grads,
@@ -77,7 +83,7 @@ def tiny_config(**kwargs):
 def test_ce_confident_correct_is_near_zero():
     logits = np.array([[1e9, 0.0]])
     labels = np.array([0])
-    loss, grad = cross_entropy(logits, labels)
+    loss, grad = cross_entropy(logits, labels, len(labels))
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(grad).all()
 
@@ -85,13 +91,13 @@ def test_ce_confident_correct_is_near_zero():
 def test_ce_confident_wrong_is_clamped_at_1e_12():
     """A true-label probability that underflows to 0 counts as 1e-12, so
     the loss stays finite; the gradient is unclamped."""
-    loss, grad = cross_entropy(np.array([[0.0, 1e9], [0.0, 0.0]]), np.array([0, 1]))
+    loss, grad = cross_entropy(np.array([[0.0, 1e9], [0.0, 0.0]]), np.array([0, 1]), 2)
     assert loss == pytest.approx((-math.log(1e-12) + LN2) / 2, abs=1e-12)
     np.testing.assert_allclose(grad, [[-0.5, 0.5], [0.25, -0.25]], atol=1e-12)
 
 
 def test_ce_uniform_binary_is_ln2():
-    loss, _ = cross_entropy(np.zeros((1, 2)), np.array([1]))
+    loss, _ = cross_entropy(np.zeros((1, 2)), np.array([1]), 1)
     assert loss == pytest.approx(LN2, abs=1e-12)
 
 
@@ -103,7 +109,7 @@ def test_ce_matches_binary_form_at_k2():
         n = rng.integers(1, 7)
         logits = rng.normal(scale=3, size=(n, 2))
         labels = rng.integers(0, 2, size=n)
-        loss, _ = cross_entropy(logits, labels)
+        loss, _ = cross_entropy(logits, labels, len(labels))
         y_prime = [
             math.exp(z[1]) / (math.exp(z[0]) + math.exp(z[1]))
             for z in logits
@@ -116,7 +122,7 @@ def test_ce_gradient_closed_form_single_position():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(1, 4))
     labels = np.array([2])
-    _, grad = cross_entropy(z, labels)
+    _, grad = cross_entropy(z, labels, len(labels))
     p = np.exp(z[0] - z[0].max())
     p /= p.sum()
     for k in range(4):
@@ -129,21 +135,35 @@ def test_ce_nonnegative_random():
     for _ in range(100):
         logits = rng.normal(scale=5, size=(8, 3))
         labels = rng.integers(0, 3, size=8)
-        loss, _ = cross_entropy(logits, labels)
+        loss, _ = cross_entropy(logits, labels, len(labels))
         assert loss >= 0.0
 
 
 def test_ce_errors():
     with pytest.raises(ValueError, match="no tokens"):
-        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int), 0)
     # every row is a token: -1 is out of range like any id >= n_labels
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
-            cross_entropy(np.zeros((2, 3)), np.array([0, bad]))
+            cross_entropy(np.zeros((2, 3)), np.array([0, bad]), 2)
     with pytest.raises(ValueError, match="shape"):
-        cross_entropy(np.zeros((2, 3)), np.array([0, 0, 0]))
+        cross_entropy(np.zeros((2, 3)), np.array([0, 0, 0]), 3)
     with pytest.raises(ValueError, match="shape"):  # padded logits
-        cross_entropy(np.zeros((1, 2, 3)), np.array([[0, 0]]))
+        cross_entropy(np.zeros((1, 2, 3)), np.array([[0, 0]]), 2)
+    with pytest.raises(ValueError, match="n_tokens 1 < 2"):
+        cross_entropy(np.zeros((2, 3)), np.array([0, 0]), 1)
+
+
+def test_ce_divides_by_the_token_count_it_is_given():
+    """A shard's loss and gradient are its share of its batch's mean: the
+    sum over its rows divided by the whole batch's token count."""
+    rng = np.random.default_rng(7)
+    logits = rng.normal(size=(5, 3))
+    labels = rng.integers(0, 3, size=5)
+    mean, dmean = cross_entropy(logits, labels, 5)
+    share, dshare = cross_entropy(logits, labels, 20)
+    assert share == pytest.approx(mean / 4, rel=1e-12)
+    np.testing.assert_allclose(dshare, dmean / 4, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +173,7 @@ def test_ce_errors():
 
 def _loss_on(params, cfg, ids, mask, labels):
     logits, _ = forward(params, cfg, ids, mask, need_trace=False)
-    return cross_entropy(logits, labels)[0]
+    return cross_entropy(logits, labels, len(labels))[0]
 
 
 def test_backward_matches_finite_differences():
@@ -165,7 +185,7 @@ def test_backward_matches_finite_differences():
     labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
 
     logits, trace = forward(params, cfg, ids, mask)
-    _, dlogits = cross_entropy(logits, labels)
+    _, dlogits = cross_entropy(logits, labels, len(labels))
     grads = backward_grads(params, cfg, trace, dlogits)
     fd = finite_difference_grads(
         lambda p: _loss_on(p, cfg, ids, mask, labels), params
@@ -192,7 +212,7 @@ def test_every_learned_tensor_gets_a_nonzero_gradient():
     labels = rng.integers(0, cfg.n_labels, size=(2, 3))[mask]
 
     logits, trace = forward(params, cfg, ids, mask)
-    _, dlogits = cross_entropy(logits, labels)
+    _, dlogits = cross_entropy(logits, labels, len(labels))
     grads = backward_grads(params, cfg, trace, dlogits)
     fd = finite_difference_grads(lambda p: _loss_on(p, cfg, ids, mask, labels), params)
     for name in params:
@@ -221,7 +241,7 @@ def test_backward_with_dropout_masks_in_trace():
     ids = rng.integers(0, cfg.vocab_size, size=(1, 3))
     labels = rng.integers(0, cfg.n_labels, size=3)
     logits, trace = forward(params, cfg, ids, dropout_rng=np.random.default_rng(3))
-    _, dlogits = cross_entropy(logits, labels)
+    _, dlogits = cross_entropy(logits, labels, len(labels))
     grads = backward_grads(params, cfg, trace, dlogits)
 
     def fixed_mask_loss(p):
@@ -242,7 +262,7 @@ def test_backward_with_dropout_masks_in_trace():
             act = gelu(h2 @ pl["ff.w1"] + pl["ff.b1"])[0] * lt.ff.drop
             x = x + act @ pl["ff.w2"] + pl["ff.b2"]
         logits = x[0] @ p["head.w"] + p["head.b"]
-        return cross_entropy(logits, labels)[0]
+        return cross_entropy(logits, labels, len(labels))[0]
 
     fd = finite_difference_grads(fixed_mask_loss, params)
     for name in params:
@@ -266,17 +286,53 @@ def test_backward_padded_batch_with_dropout_matches_finite_differences():
     def loss(p):
         logits, _ = forward(p, cfg, ids, mask, dropout_rng=np.random.default_rng(23),
                             need_trace=False)
-        return cross_entropy(logits, labels)[0]
+        return cross_entropy(logits, labels, len(labels))[0]
 
     logits, trace = forward(params, cfg, ids, mask, dropout_rng=np.random.default_rng(23))
     assert all(lt.ff.drop.shape == (mask.sum(), cfg.d_ff) for lt in trace.layers)
     assert all((lt.ff.drop == 0).any() for lt in trace.layers)
-    _, dlogits = cross_entropy(logits, labels)
+    _, dlogits = cross_entropy(logits, labels, len(labels))
     grads = backward_grads(params, cfg, trace, dlogits)
     fd = finite_difference_grads(loss, params)
     assert set(grads) == set(params)
     for name in params:
         err = max_relative_error(grads[name], fd[name])
+        assert err < 1e-5, (name, err)
+
+
+def test_shard_gradients_add_up_to_the_batch_mean_gradient():
+    """A training step's shards, each forwarded with its own dropout masks
+    held fixed: their gradients, from losses divided by the batch's token
+    count, add up to the central-difference gradient of the batch-mean
+    loss over all of the batch's tokens."""
+    cfg = tiny_config(dropout_rate=0.25, n_layers=2)
+    rng = np.random.default_rng(31)
+    params = init_param_views(cfg, seed=32, dtype=np.float64)
+    records = [EncodedRecord(rng.integers(2, cfg.vocab_size, size=k).tolist(),
+                             rng.integers(0, cfg.n_labels, size=k).tolist()) for k in (5, 2, 4)]
+    (batch,) = make_batches(records, batch_size=3, seed=0)
+    assert [len(shard.token_ids) for shard in batch.shards] == [2, 1]
+    assert not batch.shards[0].attention_mask.all()  # a padded shard
+
+    def shard_forward(p, s, need_trace):
+        shard = batch.shards[s]
+        return forward(p, cfg, shard.token_ids, shard.attention_mask,
+                       dropout_rng=np.random.default_rng(40 + s), need_trace=need_trace)
+
+    def batch_mean_loss(p):
+        logits = np.concatenate([shard_forward(p, s, False)[0] for s in range(2)])
+        labels = np.concatenate([shard.label_ids for shard in batch.shards])
+        return cross_entropy(logits, labels, len(labels))[0]
+
+    summed = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for s, shard in enumerate(batch.shards):
+        logits, trace = shard_forward(params, s, True)
+        _, dlogits = cross_entropy(logits, shard.label_ids, batch.n_tokens)
+        for name, grad in backward_grads(params, cfg, trace, dlogits).items():
+            summed[name] += grad
+    fd = finite_difference_grads(batch_mean_loss, params)
+    for name in params:
+        err = max_relative_error(summed[name], fd[name])
         assert err < 1e-5, (name, err)
 
 
@@ -287,7 +343,7 @@ def test_backward_linear_in_upstream_gradient():
     ids = rng.integers(0, cfg.vocab_size, size=(1, 4))
     labels = rng.integers(0, cfg.n_labels, size=4)
     logits, trace = forward(params, cfg, ids)
-    _, dlogits = cross_entropy(logits, labels)
+    _, dlogits = cross_entropy(logits, labels, len(labels))
     g1 = backward_grads(params, cfg, trace, dlogits)
     g2 = backward_grads(params, cfg, trace, 2.0 * dlogits)
     for name in params:
@@ -343,7 +399,7 @@ def _traced_batch(cfg, params, seed, shape, n_ids=None):
     mask[-1, shape[1] // 2:] = False
     labels = rng.integers(0, cfg.n_labels, size=shape)[mask]
     logits, trace = forward(params, cfg, ids, mask)
-    return trace, cross_entropy(logits, labels)[1]
+    return trace, cross_entropy(logits, labels, len(labels))[1]
 
 
 def _joined(grads):
@@ -630,18 +686,27 @@ def _encoded(n, length=4):
 
 
 def _rows(batches):
-    """Each batch row's real token ids and labels, in batch order."""
+    """Each batch row's real token ids and labels, in batch and shard order."""
     out = []
     for b in batches:
-        labels = iter(b.label_ids.tolist())
-        for ids, real in zip(b.token_ids, b.attention_mask):
-            out.append((tuple(ids[real]), tuple(next(labels) for _ in range(real.sum()))))
+        for shard in filter(None, b.shards):
+            labels = iter(shard.label_ids.tolist())
+            for ids, real in zip(shard.token_ids, shard.attention_mask):
+                out.append((tuple(ids[real]), tuple(next(labels) for _ in range(real.sum()))))
     return out
 
 
 def test_batch_sizes_35_over_16():
     batches = make_batches(_encoded(35), batch_size=16, seed=0)
-    assert [b.token_ids.shape[0] for b in batches] == [16, 16, 3]
+    assert [[len(s.token_ids) for s in b.shards] for b in batches] == [[8, 8], [8, 8], [2, 1]]
+    assert [b.n_tokens for b in batches] == [64, 64, 12]
+
+
+def test_a_batch_of_one_record_has_an_empty_last_shard():
+    (batch,) = make_batches(_encoded(1, length=3), batch_size=16, seed=0)
+    assert batch.shards[1] is None
+    assert batch.shards[0].token_ids.tolist() == [[2, 3, 4]]
+    assert batch.n_tokens == 3
 
 
 def test_batches_follow_the_seeded_shuffle():
@@ -659,8 +724,9 @@ def test_batches_partition_records():
 
 
 def test_batch_padding_invariant():
-    """PAD ids exactly at the masked positions, and the labels packed:
-    label_ids[i] labels the token at flat position flatnonzero(mask)[i]."""
+    """Each shard is padded to its own longest record: PAD ids exactly at
+    the masked positions, and the labels packed: label_ids[i] labels the
+    token at flat position flatnonzero(mask)[i]."""
     records = [
         EncodedRecord([2, 3, 4], [0, 1, 2]),
         EncodedRecord([5], [1]),
@@ -668,16 +734,21 @@ def test_batch_padding_invariant():
         EncodedRecord([11, 12], [1, 0]),
     ]
     (batch,) = make_batches(records, batch_size=8, seed=0)
-    assert batch.token_ids.shape == (4, 5)
-    lengths = batch.attention_mask.sum(axis=1)
-    assert sorted(lengths) == [1, 2, 3, 5]
-    np.testing.assert_array_equal(batch.attention_mask, np.arange(5) < lengths[:, None])
-    assert not batch.token_ids[~batch.attention_mask].any()
+    assert batch.n_tokens == 11
     label_of_token = {tok: lab for r in records for tok, lab in zip(r.token_ids, r.label_ids)}
-    rows = np.flatnonzero(batch.attention_mask)
-    assert batch.label_ids.shape == (len(rows),) == (11,)
-    assert batch.label_ids.tolist() == [
-        label_of_token[tok] for tok in batch.token_ids.reshape(-1)[rows]]
+    lengths = []
+    for shard in batch.shards:
+        rows_lengths = shard.attention_mask.sum(axis=1)
+        lengths += rows_lengths.tolist()
+        assert shard.token_ids.shape == (2, rows_lengths.max())
+        np.testing.assert_array_equal(shard.attention_mask,
+                                      np.arange(rows_lengths.max()) < rows_lengths[:, None])
+        assert not shard.token_ids[~shard.attention_mask].any()
+        rows = np.flatnonzero(shard.attention_mask)
+        assert shard.label_ids.shape == (len(rows),)
+        assert shard.label_ids.tolist() == [
+            label_of_token[tok] for tok in shard.token_ids.reshape(-1)[rows]]
+    assert sorted(lengths) == [1, 2, 3, 5]
 
 
 def test_batches_shuffle_deterministic():
@@ -719,7 +790,7 @@ def test_val_metrics_match_one_row_passes():
     loss_sum, preds = 0.0, []
     for rec in records:
         logits, _ = forward(params, cfg, np.array([rec.token_ids]), need_trace=False)
-        loss_sum += cross_entropy(logits, np.array(rec.label_ids))[0] * len(rec)
+        loss_sum += cross_entropy(logits, np.array(rec.label_ids), len(rec))[0] * len(rec)
         preds.append([label_of[i] for i in np.argmax(logits, axis=-1)])
     want_loss = loss_sum / sum(len(rec) for rec in records)
 
@@ -728,12 +799,17 @@ def test_val_metrics_match_one_row_passes():
     assert loss == pytest.approx(want_loss, rel=1e-5)
     assert f1 == span_metrics(preds, gold).micro.f1 > 0
 
-    # a padded training batch: the loss of its packed logits and labels is
-    # the token-weighted mean of the one-record losses
+    # a padded training batch: the losses of its shards' packed logits and
+    # labels, each divided by the batch's token count, add up to the
+    # token-weighted mean of the one-record losses
     (batch,) = make_batches(records, batch_size=len(records), seed=4)
-    assert len(set(batch.attention_mask.sum(axis=1).tolist())) > 1
-    logits, _ = forward(params, cfg, batch.token_ids, batch.attention_mask, need_trace=False)
-    assert cross_entropy(logits, batch.label_ids)[0] == pytest.approx(want_loss, rel=1e-5)
+    batch_loss = 0.0
+    for shard in batch.shards:
+        assert len(set(shard.attention_mask.sum(axis=1).tolist())) > 1
+        logits, _ = forward(params, cfg, shard.token_ids, shard.attention_mask,
+                            need_trace=False)
+        batch_loss += cross_entropy(logits, shard.label_ids, batch.n_tokens)[0]
+    assert batch_loss == pytest.approx(want_loss, rel=1e-5)
 
 
 def test_train_loss_decreases_and_log_invariants():
@@ -751,17 +827,18 @@ def test_train_loss_decreases_and_log_invariants():
         assert b == a or b == pytest.approx(max(a * tc.decay_factor, tc.min_lr))
 
 
-def test_train_deterministic_same_seed():
+def test_train_deterministic_same_seed(tmp_path):
     corpus = _tiny_corpus(10)
     val = _tiny_corpus(4, seed=5)
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=6, seed=3)
-    r1 = train(corpus, val, vocab, mc, tc)
-    r2 = train(corpus, val, vocab, mc, tc)
+    r1 = train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "1")
+    r2 = train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "2")
     assert r1.log == r2.log
-    for name in r1.params:
-        assert r1.params[name].tobytes() == r2.params[name].tobytes()
+    p1, p2 = (load_checkpoint_full(tmp_path / run / "final.ckpt").params for run in "12")
+    for name in p1:
+        assert p1[name].tobytes() == p2[name].tobytes()
 
 
 def test_train_with_dropout_deterministic():
@@ -785,10 +862,234 @@ def test_forked_validation_trains_the_same_model(tmp_path, monkeypatch):
     train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "one")
     children = force_fork(monkeypatch)
     train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "forked")
-    assert len(children) == 2 * tc.max_epochs  # two children per validation pass
+    # the training worker, and two children per validation pass
+    assert len(children) == 1 + 2 * tc.max_epochs
     for name in ("trainlog.csv", "best.ckpt", "final.ckpt"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
     assert_no_children()
+
+
+# ---------------------------------------------------------------------------
+# the training worker
+# ---------------------------------------------------------------------------
+
+TRAIN_OUTPUTS = ("best.ckpt", "final.ckpt", "trainlog.csv")
+
+
+def _outputs(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in TRAIN_OUTPUTS}
+
+
+def one_process(monkeypatch):
+    """Train as on one CPU, as under `taskset -c 0`; returns refuse_fork's
+    list of fork calls, which should stay empty."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    return refuse_fork(monkeypatch)
+
+
+def _worker_case(n_records=9, batch_size=4, **model_kwargs):
+    """A run whose last batch holds one record (9 = 4 + 4 + 1), so its last
+    shard is empty, and whose validation pass stays in process."""
+    corpus = _tiny_corpus(n_records)
+    vocab = build_vocab(corpus)
+    mc = _model_for(corpus, vocab, **model_kwargs)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=batch_size, max_epochs=4, seed=5)
+    return corpus, _tiny_corpus(4, seed=9), vocab, mc, tc
+
+
+def _train_in_one_process(monkeypatch, out_dir, *args, **kwargs):
+    with monkeypatch.context() as m:
+        forks = one_process(m)
+        result = train(*args, out_dir=out_dir, **kwargs)
+    assert forks == []
+    return result
+
+
+@one_thread
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_the_training_worker_writes_the_bytes_of_one_process(tmp_path, monkeypatch, dropout):
+    corpus, val, vocab, mc, tc = _worker_case(dropout_rate=dropout)
+    _train_in_one_process(monkeypatch, tmp_path / "one", corpus, val, vocab, mc, tc)
+    parent, real_forward, traced = os.getpid(), training.forward, []
+
+    def forward_here(*args, **kwargs):
+        if os.getpid() == parent and kwargs.get("need_trace", True):
+            traced.append(args[2].shape[0])
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", forward_here)
+    children = force_fork(monkeypatch)
+    train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "worker")
+    assert len(children) == 1
+    assert _outputs(tmp_path / "worker") == _outputs(tmp_path / "one")
+    # this process forwarded the first shard of every step, records 2, 2, 1,
+    # and the worker every last shard
+    assert traced == [2, 2, 1] * tc.max_epochs
+    assert_no_children()
+
+
+@one_thread
+def test_batches_of_one_record_train_with_an_empty_last_shard(tmp_path, monkeypatch):
+    corpus, val, vocab, mc, tc = _worker_case(n_records=5, batch_size=1)
+    one = _train_in_one_process(monkeypatch, tmp_path / "one", corpus, None, vocab, mc, tc)
+    losses = [row.train_loss for row in one.log.rows]
+    assert losses[-1] < losses[0]
+    children = force_fork(monkeypatch)
+    train(corpus, None, vocab, mc, tc, out_dir=tmp_path / "worker")
+    assert len(children) == 1
+    assert _outputs(tmp_path / "worker") == _outputs(tmp_path / "one")
+    assert_no_children()
+
+
+@one_thread
+def test_an_early_stop_reaps_the_worker(monkeypatch):
+    corpus, _, vocab, mc, _ = _worker_case()
+    tc = TrainConfig(learning_rate=1e-12, batch_size=4, max_epochs=50, seed=1,
+                     early_stop_patience=4)
+    children = force_fork(monkeypatch)
+    result = train(corpus, None, vocab, mc, tc)
+    assert len(result.log.rows) < tc.max_epochs
+    assert len(children) == 1
+    assert_no_children()
+
+
+@one_thread
+def test_a_divergence_abort_kills_the_worker_and_writes_the_one_process_bytes(
+        tmp_path, monkeypatch):
+    corpus, _, vocab, mc, _ = _worker_case(n_records=4)
+    tc = TrainConfig(learning_rate=1e25, batch_size=4, max_epochs=30, seed=0)
+    with pytest.raises(NumericalError) as one:
+        _train_in_one_process(monkeypatch, tmp_path / "one", corpus, None, vocab, mc, tc)
+    children = force_fork(monkeypatch)
+    with pytest.raises(NumericalError) as forked:
+        train(corpus, None, vocab, mc, tc, out_dir=tmp_path / "worker")
+    assert str(forked.value) == str(one.value)
+    assert _outputs(tmp_path / "worker") == _outputs(tmp_path / "one")
+    assert len(children) == 1
+    assert_no_children()
+
+
+@one_thread
+def test_a_shard_the_worker_fails_on_is_computed_here(tmp_path, monkeypatch):
+    """The worker raises on its third shard and exits: this process
+    computes that shard and every last shard after it, with the bytes of
+    one process."""
+    corpus, val, vocab, mc, tc = _worker_case()
+    _train_in_one_process(monkeypatch, tmp_path / "one", corpus, val, vocab, mc, tc)
+    parent, real_backward = os.getpid(), training.backward
+    worker_calls, here = [], []
+
+    def backward_failing_in_the_worker(params, config, trace, dlogits, grads):
+        if os.getpid() != parent:
+            worker_calls.append(1)
+            if len(worker_calls) == 3:
+                raise MemoryError("the worker's shard failed")
+        else:
+            here.append(1)
+        real_backward(params, config, trace, dlogits, grads)
+
+    monkeypatch.setattr(training, "backward", backward_failing_in_the_worker)
+    children = force_fork(monkeypatch)
+    train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "worker")
+    assert _outputs(tmp_path / "worker") == _outputs(tmp_path / "one")
+    assert len(children) == 1
+    # 12 steps: 12 first shards and 8 non-empty last shards, the worker's
+    # first two of which it finished
+    assert len(here) == 12 + 8 - 2
+    assert_no_children()
+
+
+@one_thread
+def test_an_interrupt_kills_and_reaps_the_worker(monkeypatch):
+    corpus, val, vocab, mc, tc = _worker_case()
+
+    def interrupt(row):
+        raise KeyboardInterrupt
+
+    children = force_fork(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        train(corpus, val, vocab, mc, tc, progress=interrupt)
+    assert len(children) == 1
+    assert_no_children()
+
+
+def test_a_process_running_another_thread_trains_in_process(tmp_path, monkeypatch):
+    corpus, val, vocab, mc, tc = _worker_case()
+    _train_in_one_process(monkeypatch, tmp_path / "one", corpus, val, vocab, mc, tc)
+    force_fork(monkeypatch)
+    forks = refuse_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        train(corpus, val, vocab, mc, tc, out_dir=tmp_path / "threads")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert _outputs(tmp_path / "threads") == _outputs(tmp_path / "one")
+
+
+_KILLED_TRAINER = """
+import os, sys, time
+from medner.corpus import build_vocab, gen_synthetic, label_index_from_types
+from medner.model import ModelConfig
+from medner.training import TrainConfig, train
+
+os.sched_getaffinity = lambda pid: {0, 1}
+real_fork, children = os.fork, []
+
+def fork():
+    pid = real_fork()
+    if pid:
+        children.append(pid)
+        print(pid, flush=True)
+    return pid
+
+def wait_to_be_killed(row):
+    if not children:
+        sys.exit("no worker was forked")
+    time.sleep(600)
+
+os.fork = fork
+corpus = gen_synthetic(8, ["D", "G"], vocab_size=30, max_len=8, seed=1)
+vocab = build_vocab(corpus)
+n_labels = len(label_index_from_types(corpus.label_inventory))
+mc = ModelConfig(vocab_size=len(vocab), n_labels=n_labels, d_model=16, n_heads=2,
+                 n_layers=1, d_ff=24, max_len=10, dropout_rate=0.0)
+train(corpus, None, vocab, mc, TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=2),
+      progress=wait_to_be_killed)
+"""
+
+
+def _running(pid):
+    """Whether `pid` runs: not once it has exited, as a zombie or reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@one_thread
+def test_the_worker_exits_when_the_training_process_is_killed():
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_TRAINER], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    try:
+        worker = int(proc.stdout.readline())
+    finally:
+        proc.kill()  # SIGKILL: no code of train runs after it
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 30
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not _running(worker)
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_train_no_val_falls_back_with_warning(caplog):
@@ -842,17 +1143,23 @@ def test_train_loss_is_the_token_weighted_mean_of_the_batch_losses(tmp_path, mon
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-3, batch_size=3, max_epochs=1, seed=2)
-    losses = []
+    losses = []  # (loss, the batch's token count) per shard
 
-    def recording(logits, labels):
-        loss, dlogits = cross_entropy(logits, labels)
-        losses.append((loss, len(labels)))
+    def recording(logits, labels, n_tokens):
+        loss, dlogits = cross_entropy(logits, labels, n_tokens)
+        losses.append((loss, n_tokens))
         return loss, dlogits
 
     monkeypatch.setattr(training, "cross_entropy", recording)
+    one_process(monkeypatch)  # every shard's loss is computed here
     train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
-    per_token = sum(loss * n for loss, n in losses) / sum(n for _, n in losses)
-    per_record = sum(loss * r for (loss, _), r in zip(losses, [3, 3, 3, 1])) / 10
+    shards = iter(losses)
+    # the one-record batch's second shard is empty and computes no loss
+    batches = [[next(shards) for _ in range(k)] for k in (2, 2, 2, 1)]
+    assert next(shards, None) is None
+    batch_losses = [(sum(loss for loss, _ in b), b[0][1]) for b in batches]
+    per_token = sum(loss * n for loss, n in batch_losses) / sum(n for _, n in batch_losses)
+    per_record = sum(loss * r for (loss, _), r in zip(batch_losses, [3, 3, 3, 1])) / 10
     logged = (tmp_path / "trainlog.csv").read_text().splitlines()[1].split(",")[1]
     assert f"{per_record:.6g}" != f"{per_token:.6g}" == logged
 
@@ -942,7 +1249,7 @@ def test_train_overfit_small_batch():
     assert result.log.rows[-1].train_loss < 0.05
 
 
-def test_positions_stay_sinusoidal():
+def test_positions_stay_sinusoidal(tmp_path):
     """Training has no position table to move: the trained parameters are
     the learned tensors only, and forward still adds the first T rows of
     the sinusoidal table to the token embeddings."""
@@ -950,14 +1257,15 @@ def test_positions_stay_sinusoidal():
     vocab = build_vocab(corpus)
     mc = _model_for(corpus, vocab)
     tc = TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, seed=1)
-    result = train(corpus, None, vocab, mc, tc)
+    train(corpus, None, vocab, mc, tc, out_dir=tmp_path)
+    trained = load_checkpoint_full(tmp_path / "final.ckpt").params
     fresh = init_param_views(mc, seed=tc.seed)
-    assert list(result.params) == list(param_shapes(mc)) == list(fresh)
-    assert not np.array_equal(result.params["emb.tok"], fresh["emb.tok"])
+    assert list(trained) == list(param_shapes(mc)) == list(fresh)
+    assert not np.array_equal(trained["emb.tok"], fresh["emb.tok"])
     ids = np.array([[2, 3, 4]])
-    _, trace = forward(result.params, mc, ids)
-    x = result.params["emb.tok"][ids] + sinusoidal_positions(3, mc.d_model)
-    h, _, _ = layer_norm(x, result.params["enc.0.ln1.g"], result.params["enc.0.ln1.b"])
+    _, trace = forward(trained, mc, ids)
+    x = trained["emb.tok"][ids] + sinusoidal_positions(3, mc.d_model)
+    h, _, _ = layer_norm(x, trained["enc.0.ln1.g"], trained["enc.0.ln1.b"])
     assert trace.layers[0].attn.x.tobytes() == h.tobytes()
 
 
